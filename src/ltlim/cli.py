@@ -36,12 +36,19 @@ from .formula import (
     load_kb,
     render_formula,
 )
-from .measures import MEASURE_IDS, MeasureRun, run_measures
+from .measures import (
+    MEASURE_IDS,
+    MeasureRun,
+    horizon_message,
+    horizon_warning,
+    run_measures,
+)
 from .oracle import DEFAULT_CELL_CAP, oracle_minimal_conflict_bases
 from .postulates import (
     EXPECTED_MATRIX,
     Postulate,
     Verdict,
+    _json_value,
     curated_violation,
     run_curated,
     sweep,
@@ -57,10 +64,6 @@ __all__ = ["main"]
 
 _MEASURE_CHOICES = MEASURE_IDS + ("all",)
 _POSTULATE_ORDER = tuple(Postulate)
-
-
-def _json_value(value: int | float) -> int | str:
-    return "inf" if value == float("inf") else int(value)
 
 
 def _witness_dict(nu: Interpretation3 | None) -> dict | None:
@@ -232,6 +235,7 @@ def _cmd_explain(args) -> int:
             kb, cell_cap=args.oracle_cap
         )
         run = run_measures(kb, ("LTL_d",), budget=args.budget, use_oracle=True)
+        witness, warnings = run.witness_affected, list(run.warnings)
         nodes = probes = 0
     else:
         summary = count_min_conflict_signatures(kb, budget=args.budget)
@@ -240,8 +244,12 @@ def _cmd_explain(args) -> int:
             summary.bases,
             None,
         )
-        run = run_measures(kb, ("LTL_d",), budget=args.budget)
-        nodes, probes = run.nodes, run.probes
+        witness, nodes, probes = summary.witness, summary.nodes, summary.probes
+        warnings = (
+            [horizon_message("LTL_d", kb.trace_length_m)]
+            if horizon_warning(witness)
+            else []
+        )
 
     shown = list(bases[: args.max_bases])
     payload = _kb_echo("explain", args.input, kb)
@@ -252,8 +260,8 @@ def _cmd_explain(args) -> int:
     ]
     payload["conflict_bases_shown"] = len(shown)
     payload["raw_model_count"] = raw_models
-    payload["witness"] = _witness_dict(run.witness_affected)
-    payload["warnings"] = list(run.warnings)
+    payload["witness"] = _witness_dict(witness)
+    payload["warnings"] = warnings
     payload["solver_stats"] = {
         "nodes": nodes,
         "probes": probes,
@@ -272,8 +280,8 @@ def _cmd_explain(args) -> int:
         lines.append(f"  {i}. {{{cells}}}")
     if raw_models is not None:
         lines.append(f"minimal-cost models before deduplication: {raw_models}")
-    lines += _witness_lines("witness (minimal affected states)", run.witness_affected)
-    for warning in run.warnings:
+    lines += _witness_lines("witness (minimal affected states)", witness)
+    for warning in warnings:
         lines.append(f"warning: {warning}")
     _emit(payload, lines, args.format)
     return 0
@@ -425,6 +433,16 @@ def _cmd_oracle_check(args) -> int:
     return 0 if all_agree else 1
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ltlim",
@@ -489,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "explain", help="show where a conflict can occur and in how many ways"
     )
     p_explain.add_argument("input")
-    p_explain.add_argument("--max-bases", type=int, default=10)
+    p_explain.add_argument("--max-bases", type=_nonnegative_int, default=10)
     common(p_explain)
     p_explain.set_defaults(func=_cmd_explain)
 

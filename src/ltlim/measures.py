@@ -6,8 +6,8 @@ Eight measures are exposed under short string ids:
 * ``MI``     number of minimal unsatisfiable subsets.
 * ``p``      number of formulas lying in some minimal unsatisfiable subset.
 * ``r``      size of a smallest hitting set of the minimal subsets.
-* ``c``      fewest atoms that must ever carry the glut value in an
-             admissible three-valued model.
+* ``c``      fewest distinct atoms that hold the glut value at some
+             state in an admissible three-valued model.
 * ``at``     number of atoms occurring in formulas of minimal subsets.
 * ``LTL_d``  fewest trace states touched by glut cells in a model.
 * ``LTL_c``  fewest glut cells in a model.
@@ -15,7 +15,8 @@ Eight measures are exposed under short string ids:
 The first six treat time through satisfiability only; the last two read
 the temporal structure directly and can tell a conflict pinned to one
 state from one smeared over the whole trace.  ``c``, ``LTL_d`` and
-``LTL_c`` are inf when the base has no admissible three-valued model.
+``LTL_c`` are minimal model costs under the three cost modes of the
+solver, and are inf when the base has no admissible three-valued model.
 """
 
 from __future__ import annotations
@@ -24,16 +25,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .formula import Formula, KnowledgeBase
+from .formula import Formula, KnowledgeBase, atoms_of
 from .semantics import Interpretation3, conflict_base
 from . import oracle as oracle_mod
-from .solver import (
-    CostMode,
-    DEFAULT_NODE_BUDGET,
-    decide_b_atoms,
-    minimize,
-    sat2,
-)
+from .solver import CostMode, DEFAULT_NODE_BUDGET, minimize, sat2
 
 __all__ = [
     "DEFAULT_FORMULA_CAP",
@@ -42,6 +37,7 @@ __all__ = [
     "MeasureRun",
     "MisCapExceeded",
     "free_formulas",
+    "horizon_message",
     "horizon_warning",
     "measure",
     "mis_enumerate",
@@ -53,6 +49,12 @@ INF = float("inf")
 MEASURE_IDS = ("d", "MI", "p", "r", "c", "at", "LTL_d", "LTL_c")
 
 DEFAULT_FORMULA_CAP = 12
+
+_COST_MODES = {
+    "c": CostMode.B_ATOMS,
+    "LTL_d": CostMode.AFFECTED_STATES,
+    "LTL_c": CostMode.CONFLICT_BASE,
+}
 
 
 class MisCapExceeded(ValueError):
@@ -156,21 +158,6 @@ def _min_hitting_set_size(index_sets: Sequence[frozenset[int]]) -> int:
     return len(universe)
 
 
-def _b_atoms_minimum(
-    kb: KnowledgeBase, pool: _BudgetPool, use_oracle: bool, cell_cap: int
-) -> int | float:
-    if use_oracle:
-        return oracle_mod.oracle_min_b_atoms(kb, cell_cap=cell_cap)[0]
-    atoms = kb.atoms()
-    for size in range(len(atoms) + 1):
-        for combo in itertools.combinations(atoms, size):
-            result = decide_b_atoms(kb, combo, budget=pool.remaining)
-            pool.charge(result.nodes)
-            if result.found:
-                return size
-    return INF
-
-
 def horizon_warning(nu: Interpretation3) -> bool:
     """Whether every glut cell of the witness sits at the last state.
 
@@ -179,6 +166,14 @@ def horizon_warning(nu: Interpretation3) -> bool:
     """
     base = conflict_base(nu)
     return bool(base) and all(state == nu.m for state, _ in base)
+
+
+def horizon_message(measure_id: str, m: int) -> str:
+    """The report line for a witness that :func:`horizon_warning` flags."""
+    return (
+        f"{measure_id}: every glut cell of the witness sits at the last state "
+        f"t_{m}; the verdict may differ on longer traces"
+    )
 
 
 @dataclass
@@ -245,18 +240,13 @@ def run_measures(
             names: set[str] = set()
             for indices in mis:
                 for i in indices:
-                    names |= _formula_atoms(kb.formulas[i])
+                    names.update(atoms_of(kb.formulas[i]))
             run.values[mid] = len(names)
-        elif mid == "c":
-            run.values[mid] = _b_atoms_minimum(kb, pool, use_oracle, oracle_cell_cap)
-        elif mid in ("LTL_d", "LTL_c"):
-            mode = (
-                CostMode.AFFECTED_STATES if mid == "LTL_d" else CostMode.CONFLICT_BASE
-            )
+        else:
+            mode = _COST_MODES[mid]
             if use_oracle:
-                kind = mode.value
                 value, witness = oracle_mod.oracle_min_cost(
-                    kb, kind, cell_cap=oracle_cell_cap
+                    kb, mode.value, cell_cap=oracle_cell_cap
                 )
             else:
                 summary = minimize(kb, mode, budget=pool.remaining)
@@ -266,25 +256,16 @@ def run_measures(
             run.values[mid] = value
             if mid == "LTL_d":
                 run.witness_affected = witness
-            else:
+            elif mid == "LTL_c":
                 run.witness_conflict = witness
-            if witness is not None and horizon_warning(witness):
-                warnings.append(
-                    f"{mid}: every glut cell of the witness sits at the last state "
-                    f"t_{kb.trace_length_m}; the verdict may differ on longer traces"
-                )
+            if mid != "c" and witness is not None and horizon_warning(witness):
+                warnings.append(horizon_message(mid, kb.trace_length_m))
 
     run.values = {mid: run.values[mid] for mid in MEASURE_IDS if mid in run.values}
     run.nodes = pool.spent
     run.probes = probes
     run.warnings = tuple(warnings)
     return run
-
-
-def _formula_atoms(formula: Formula) -> set[str]:
-    from .formula import atoms_of
-
-    return set(atoms_of(formula))
 
 
 def measure(

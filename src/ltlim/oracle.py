@@ -20,8 +20,6 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from .formula import (
@@ -44,9 +42,6 @@ from .semantics import Interpretation3, SignatureMismatchError, TruthValue3
 __all__ = [
     "DEFAULT_CELL_CAP",
     "OracleCapExceeded",
-    "count_models3",
-    "iter_models3",
-    "oracle_min_b_atoms",
     "oracle_min_cost",
     "oracle_minimal_conflict_bases",
     "oracle_sat2",
@@ -204,30 +199,6 @@ def _row_interpretation(
     )
 
 
-def iter_models3(
-    kb: KnowledgeBase,
-    *,
-    signature: tuple[str, ...] | None = None,
-    cell_cap: int = DEFAULT_CELL_CAP,
-) -> Iterator[Interpretation3]:
-    """Yield every admissible three-valued model in enumeration order."""
-    atoms, grid, mask = _model_space(kb, signature, cell_cap)
-    m = kb.trace_length_m
-    for row in np.flatnonzero(mask):
-        yield _row_interpretation(atoms, grid, int(row), m)
-
-
-def count_models3(
-    kb: KnowledgeBase,
-    *,
-    signature: tuple[str, ...] | None = None,
-    cell_cap: int = DEFAULT_CELL_CAP,
-) -> int:
-    """Number of admissible three-valued models over the signature."""
-    _, _, mask = _model_space(kb, signature, cell_cap)
-    return int(mask.sum())
-
-
 def oracle_sat2(
     kb: KnowledgeBase,
     *,
@@ -271,7 +242,8 @@ def oracle_min_cost(
     """Minimum model cost by brute force.
 
     ``cost`` selects what is counted: "affected_states" counts states
-    holding at least one B cell, "conflict_base" counts B cells.
+    holding at least one B cell, "conflict_base" counts B cells, and
+    "b_atoms" counts distinct atoms holding B at some state.
     Returns (inf, None) when no admissible model exists.
     """
     atoms, grid, mask = _model_space(kb, signature, cell_cap)
@@ -281,22 +253,10 @@ def oracle_min_cost(
         costs = both.any(axis=2).sum(axis=1)
     elif cost == "conflict_base":
         costs = both.sum(axis=(1, 2))
+    elif cost == "b_atoms":
+        costs = both.any(axis=1).sum(axis=1)
     else:
         raise ValueError(f"unknown cost kind {cost!r}")
-    return _min_by(kb, costs, mask, atoms, grid)
-
-
-def oracle_min_b_atoms(
-    kb: KnowledgeBase,
-    *,
-    signature: tuple[str, ...] | None = None,
-    cell_cap: int = DEFAULT_CELL_CAP,
-) -> tuple[int | float, Interpretation3 | None]:
-    """Minimum number of distinct atoms ever carrying B in a model."""
-    atoms, grid, mask = _model_space(kb, signature, cell_cap)
-    m = kb.trace_length_m
-    both = _both_cube(grid, len(atoms), m)
-    costs = both.any(axis=1).sum(axis=1)
     return _min_by(kb, costs, mask, atoms, grid)
 
 

@@ -14,19 +14,21 @@ precomputed tables).  Two facts about these sets drive the search:
   designated values the branch is decided, and the cheapest completion
   fills every open cell with 0.
 
-Costs count either the states touched by B (affected states) or the B
-cells themselves (conflict base); branches whose running cost exceeds
-the bound are cut.  Minimization wraps the decision procedure in a
-binary search over the bound.  All entry points share a node budget
-and raise :class:`BudgetExceededError` when it runs out, which callers
-must treat as "unknown", never as "no model".
+Three cost modes say what a model is charged for: the states touched
+by B (affected states), the B cells themselves (conflict base), or the
+distinct atoms that hold B at some state (B atoms).  Branches whose
+running cost exceeds the bound are cut.  A bound of 0 rules out B
+cells altogether, open cells included, so classical satisfiability is
+the bound-0 decision in any mode.  Minimization wraps the decision
+procedure in a binary search over the bound.  All entry points share a
+node budget and raise :class:`BudgetExceededError` when it runs out,
+which callers must treat as "unknown", never as "no model".
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 from .formula import (
     And,
@@ -54,7 +56,6 @@ __all__ = [
     "MinimizeResult",
     "SignatureCount",
     "count_min_conflict_signatures",
-    "decide_b_atoms",
     "decide_upper",
     "minimize",
     "sat2",
@@ -70,6 +71,7 @@ class CostMode(enum.Enum):
 
     AFFECTED_STATES = "affected_states"
     CONFLICT_BASE = "conflict_base"
+    B_ATOMS = "b_atoms"
 
 
 class BudgetExceededError(RuntimeError):
@@ -98,10 +100,17 @@ class MinimizeResult:
 
 @dataclass(frozen=True)
 class SignatureCount:
-    """Inclusion-minimal conflict bases over the minimal-cost models."""
+    """Inclusion-minimal conflict bases over the minimal-cost models.
+
+    ``witness`` and ``probes`` come from the minimization of the
+    affected-state count; ``nodes`` also counts the collection search.
+    """
 
     min_affected: int
     bases: tuple[tuple[tuple[int, str], ...], ...]
+    witness: Interpretation3
+    nodes: int
+    probes: int
 
     @property
     def count(self) -> int:
@@ -206,8 +215,7 @@ class _Search:
         kb: KnowledgeBase,
         *,
         cost_mode: CostMode,
-        max_cost: int | None,
-        b_allowed: Callable[[int, str], bool] | None,
+        max_cost: int,
         budget: int,
         signature: tuple[str, ...] | None,
         collect_bases: bool = False,
@@ -231,14 +239,10 @@ class _Search:
         self.collect_bases = collect_bases
         self.bases: set[frozenset[tuple[int, str]]] = set()
         ground = kb.ground_cells
-        if b_allowed is None:
-            self.b_ok = [cell not in ground for cell in self.cells]
-        else:
-            self.b_ok = [
-                cell not in ground and b_allowed(*cell) for cell in self.cells
-            ]
+        self.b_ok = [cell not in ground and max_cost > 0 for cell in self.cells]
         self.assignment: list[TruthValue3 | None] = [None] * len(self.cells)
         self.state_b_count = [0] * (self.m + 1)
+        self.atom_b_count = dict.fromkeys(self.atoms, 0)
 
     def _cell_masks(self) -> dict[str, list[int]]:
         masks: dict[str, list[int]] = {
@@ -308,27 +312,31 @@ class _Search:
             # not happen: masks are singletons here, so _status already
             # returned one of the branches above.
             return None
-        state, _ = self.cells[index]
+        state, atom = self.cells[index]
         for value in (TruthValue3.TRUE, TruthValue3.FALSE, TruthValue3.BOTH):
             if value is TruthValue3.BOTH:
                 if not self.b_ok[index]:
                     continue
                 if self.cost_mode is CostMode.CONFLICT_BASE:
                     increment = 1
+                elif self.cost_mode is CostMode.B_ATOMS:
+                    increment = 0 if self.atom_b_count[atom] else 1
                 else:
                     increment = 0 if self.state_b_count[state] else 1
             else:
                 increment = 0
             new_cost = cost + increment
-            if self.max_cost is not None and new_cost > self.max_cost:
+            if new_cost > self.max_cost:
                 continue
             self.assignment[index] = value
             if value is TruthValue3.BOTH:
                 self.state_b_count[state] += 1
+                self.atom_b_count[atom] += 1
             result = self._dfs(index + 1, new_cost)
             self.assignment[index] = None
             if value is TruthValue3.BOTH:
                 self.state_b_count[state] -= 1
+                self.atom_b_count[atom] -= 1
             if result is not None and not self.collect_bases:
                 return result
         return None
@@ -339,6 +347,8 @@ def _model_cost(nu: Interpretation3, cost_mode: CostMode) -> int:
 
     if cost_mode is CostMode.AFFECTED_STATES:
         return len(affected_states(nu))
+    if cost_mode is CostMode.B_ATOMS:
+        return len({atom for _, atom in conflict_base(nu)})
     return len(conflict_base(nu))
 
 
@@ -348,17 +358,10 @@ def sat2(
     budget: int = DEFAULT_NODE_BUDGET,
     signature: tuple[str, ...] | None = None,
 ) -> DecisionResult:
-    """Classical satisfiability: search with the glut value disabled."""
-    search = _Search(
-        kb,
-        cost_mode=CostMode.CONFLICT_BASE,
-        max_cost=0,
-        b_allowed=lambda state, atom: False,
-        budget=budget,
-        signature=signature,
+    """Classical satisfiability: the bound-0 decision, which rules out B."""
+    return decide_upper(
+        kb, 0, CostMode.CONFLICT_BASE, budget=budget, signature=signature
     )
-    witness = search.run()
-    return DecisionResult(witness is not None, witness, search.nodes)
 
 
 def decide_upper(
@@ -376,28 +379,6 @@ def decide_upper(
         kb,
         cost_mode=cost_mode,
         max_cost=max_cost,
-        b_allowed=None,
-        budget=budget,
-        signature=signature,
-    )
-    witness = search.run()
-    return DecisionResult(witness is not None, witness, search.nodes)
-
-
-def decide_b_atoms(
-    kb: KnowledgeBase,
-    allowed_atoms: Iterable[str],
-    *,
-    budget: int = DEFAULT_NODE_BUDGET,
-    signature: tuple[str, ...] | None = None,
-) -> DecisionResult:
-    """Is there a model whose glut cells touch only the given atoms?"""
-    allowed = frozenset(allowed_atoms)
-    search = _Search(
-        kb,
-        cost_mode=CostMode.CONFLICT_BASE,
-        max_cost=None,
-        b_allowed=lambda state, atom: atom in allowed,
         budget=budget,
         signature=signature,
     )
@@ -408,6 +389,8 @@ def decide_b_atoms(
 def _cost_ceiling(kb: KnowledgeBase, cost_mode: CostMode) -> int:
     if cost_mode is CostMode.AFFECTED_STATES:
         return kb.trace_length_m + 1
+    if cost_mode is CostMode.B_ATOMS:
+        return len(kb.atoms())
     return (kb.trace_length_m + 1) * len(kb.atoms())
 
 
@@ -484,16 +467,24 @@ def count_min_conflict_signatures(
         kb,
         cost_mode=CostMode.AFFECTED_STATES,
         max_cost=int(summary.value),
-        b_allowed=None,
         budget=budget - summary.nodes,
         signature=signature,
         collect_bases=True,
     )
-    search.run()
+    try:
+        search.run()
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(budget, summary.nodes + exc.nodes) from None
     bases = search.bases
     minimal = [b for b in bases if not any(other < b for other in bases)]
     ordered = tuple(
         tuple(sorted(b))
         for b in sorted(minimal, key=lambda b: (len(b), sorted(b)))
     )
-    return SignatureCount(min_affected=int(summary.value), bases=ordered)
+    return SignatureCount(
+        min_affected=int(summary.value),
+        bases=ordered,
+        witness=summary.witness,
+        nodes=summary.nodes + search.nodes,
+        probes=summary.probes,
+    )

@@ -359,3 +359,10 @@ def test_module_entry_point_runs_as_a_subprocess(data_dir):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["measures"]["LTL_d"] == 1
+
+
+def test_explain_rejects_a_negative_base_cap(capsys, data_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["explain", str(data_dir / "next_clash.ltlkb"), "--max-bases", "-1"])
+    assert exc.value.code == 2
+    assert "--max-bases" in capsys.readouterr().err

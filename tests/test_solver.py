@@ -4,13 +4,12 @@ import pytest
 
 from ltlim.formula import KnowledgeBase
 from ltlim.generators import random_kb
-from ltlim.oracle import oracle_min_b_atoms, oracle_min_cost, oracle_sat2
+from ltlim.oracle import oracle_min_cost, oracle_sat2
 from ltlim.semantics import satisfies3
 from ltlim.solver import (
     BudgetExceededError,
     CostMode,
     count_min_conflict_signatures,
-    decide_b_atoms,
     decide_upper,
     minimize,
     sat2,
@@ -93,12 +92,11 @@ def test_decide_upper_is_monotone_in_the_bound(seed):
     assert answers == sorted(answers)
 
 
-def test_decide_b_atoms_controls_which_atoms_may_glut():
+def test_b_atoms_bound_controls_how_many_atoms_may_glut():
     kb = KnowledgeBase.of("(a & (! a)) & b", "! b", m=2)
-    assert not decide_b_atoms(kb, ()).found
-    assert not decide_b_atoms(kb, ("a",)).found
-    assert not decide_b_atoms(kb, ("b",)).found
-    both = decide_b_atoms(kb, ("a", "b"))
+    assert not decide_upper(kb, 0, CostMode.B_ATOMS).found
+    assert not decide_upper(kb, 1, CostMode.B_ATOMS).found
+    both = decide_upper(kb, 2, CostMode.B_ATOMS)
     assert both.found
     assert satisfies3(both.witness, kb)
 
@@ -106,24 +104,19 @@ def test_decide_b_atoms_controls_which_atoms_may_glut():
 @pytest.mark.parametrize("seed", range(40))
 def test_b_atoms_reachability_matches_oracle(seed):
     kb = small_kb(seed + 3000)
-    best, _ = oracle_min_b_atoms(kb)
-    atoms = kb.atoms()
-    found_sizes = [
-        size
-        for size in range(len(atoms) + 1)
-        if any(
-            decide_b_atoms(kb, combo).found
-            for combo in _combos(atoms, size)
-        )
-    ]
-    solver_best = found_sizes[0] if found_sizes else INF
-    assert solver_best == best
+    best, _ = oracle_min_cost(kb, "b_atoms")
+    bounds = range(len(kb.atoms()) + 1)
+    answers = [decide_upper(kb, k, CostMode.B_ATOMS).found for k in bounds]
+    assert answers == [k >= best for k in bounds]
 
 
-def _combos(atoms, size):
-    import itertools
-
-    return itertools.combinations(atoms, size)
+@pytest.mark.parametrize("seed", range(60))
+def test_bound_zero_is_classical_satisfiability_in_every_mode(seed):
+    kb = small_kb(seed)
+    expected = sat2(kb)
+    for mode in CostMode:
+        result = decide_upper(kb, 0, mode)
+        assert (result.found, result.witness) == (expected.found, expected.witness)
 
 
 def test_budget_is_enforced():
