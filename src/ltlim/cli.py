@@ -43,7 +43,7 @@ from .measures import (
     horizon_warning,
     run_measures,
 )
-from .oracle import DEFAULT_CELL_CAP, oracle_minimal_conflict_bases
+from .oracle import DEFAULT_CELL_CAP, MAX_CELL_CAP, oracle_minimal_conflict_bases
 from .postulates import (
     EXPECTED_MATRIX,
     Postulate,
@@ -443,6 +443,15 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _oracle_cap(text: str) -> int:
+    value = _nonnegative_int(text)
+    if value > MAX_CELL_CAP:
+        raise argparse.ArgumentTypeError(
+            f"the oracle enumerates at most {MAX_CELL_CAP} cells, got {value}"
+        )
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ltlim",
@@ -477,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="recompute by exhaustive enumeration (small bases only)",
         )
-        p.add_argument("--oracle-cap", type=int, default=DEFAULT_CELL_CAP)
+        p.add_argument("--oracle-cap", type=_oracle_cap, default=DEFAULT_CELL_CAP)
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -557,6 +566,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
 
 

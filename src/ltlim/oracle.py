@@ -41,6 +41,7 @@ from .semantics import Interpretation3, SignatureMismatchError, TruthValue3
 
 __all__ = [
     "DEFAULT_CELL_CAP",
+    "MAX_CELL_CAP",
     "OracleCapExceeded",
     "oracle_min_cost",
     "oracle_minimal_conflict_bases",
@@ -48,6 +49,11 @@ __all__ = [
 ]
 
 DEFAULT_CELL_CAP = 12
+
+# The largest --oracle-cap the command line accepts.  Peak memory grows
+# about 3x per cell (one run of every oracle measure on a one-atom base
+# added 29 MB at 12 cells and 92 MB at 13), so 15 cells stay under 1 GB.
+MAX_CELL_CAP = 15
 
 INF = float("inf")
 

@@ -1,11 +1,22 @@
 """Backtracking search for three-valued models of minimal cost.
 
 The search assigns truth values to (state, atom) cells in state-major
-order, trying 1, then 0, then B at each cell.  After every assignment
-an abstract pass recomputes, per subformula and state, the set of truth
-values still achievable by some completion of the partial assignment
-(sets are bitmasks over {0, B, 1} and connectives act on them through
-precomputed tables).  Two facts about these sets drive the search:
+order, trying 1, then 0, then B at each cell.  Before it starts, the
+base's core formulas are compiled into a node table: structurally equal
+subformulas share one node, and every node comes after its children.
+For every node the search keeps the truth values still achievable by
+some completion of the partial assignment, at each state, as three
+Python ints over the states t_0..t_m: bit s of the first is set when
+the value at t_s can be 0, of the second when it can be B, and of the
+third when it can be 1.  Assigning a cell clears bits of its atom's
+three ints, and backtracking sets them again.  After each assignment
+one pass over the table recomputes the other nodes with a few bitwise
+operations each: ``!`` swaps the 0 and 1 bitsets, ``X`` is a shift,
+and ``U`` solves a linear recurrence by doubling.  These are the exact
+images of the connectives on value sets, computed bit by bit, because
+no set is ever empty: a conjunction can be 0 when either side can be 0,
+since the other side has some value to pair with.  Two facts about
+these sets drive the search:
 
 * they over-approximate, so a formula whose set at t_0 contains no
   designated value can never be repaired by the remaining cells, and
@@ -117,94 +128,154 @@ class SignatureCount:
         return len(self.bases)
 
 
-# Achievable-value sets are bitmasks: bit 0 = value 0, bit 1 = B,
-# bit 2 = 1.  The tables below give the exact image of each connective.
-_MASK_F = 1
-_MASK_B = 2
-_MASK_T = 4
-_MASK_ANY = 7
-_MASK_TWO = _MASK_F | _MASK_T
-_DESIGNATED = _MASK_B | _MASK_T
+_Node = tuple[str, int, int]
 
-_VALUE_MASK = {
-    TruthValue3.FALSE: _MASK_F,
-    TruthValue3.BOTH: _MASK_B,
-    TruthValue3.TRUE: _MASK_T,
-}
+# Opcodes of the compiled node table, by formula class.
+_UNARY_OPS = {Not: "!", Next: "X"}
+_BINARY_OPS = {And: "&", Or: "|", Until: "U"}
+
+_VALUE_ORDER = (TruthValue3.TRUE, TruthValue3.FALSE, TruthValue3.BOTH)
 
 
-def _build_tables() -> tuple[list[int], list[list[int]], list[list[int]]]:
-    def values(mask: int) -> list[int]:
-        return [v for v in (0, 1, 2) if mask & (1 << v)]
+def _compile(
+    formulas: tuple[Formula, ...], atoms: tuple[str, ...]
+) -> tuple[list[_Node], list[int]]:
+    """Intern core formulas into a topologically ordered node table.
 
-    neg = [0] * 8
-    conj = [[0] * 8 for _ in range(8)]
-    disj = [[0] * 8 for _ in range(8)]
-    for p in range(8):
-        for v in values(p):
-            neg[p] |= 1 << (2 - v)
-        for q in range(8):
-            for v in values(p):
-                for w in values(q):
-                    conj[p][q] |= 1 << min(v, w)
-                    disj[p][q] |= 1 << max(v, w)
-    return neg, conj, disj
+    A node is ``(op, x, y)``.  Node ``i < len(atoms)`` is
+    ``("atom", i, -1)``, the atom ``atoms[i]``; ``("true", -1, -1)``
+    and ``("false", -1, -1)`` are the constants; ``"!"`` and ``"X"``
+    have the one child ``x``; ``"&"``, ``"|"`` and ``"U"`` have the
+    children ``x`` and ``y``.  Structurally equal subformulas share one
+    node, and every child comes before its parent.  Returns the table
+    and the root node of each formula.
+    """
+    table: list[_Node] = [("atom", i, -1) for i in range(len(atoms))]
+    interned = {node: i for i, node in enumerate(table)}
+    atom_ids = {name: i for i, name in enumerate(atoms)}
+    # Expansion shares operand objects between subformulas, so each
+    # object is walked once, keyed by identity.
+    compiled: dict[int, int] = {}
+    roots = []
+    for formula in formulas:
+        # A formula object is popped once to be checked and to push its
+        # children, left on top, and once more to be interned; so bad
+        # input is reported at the node a left-to-right recursive walk
+        # would meet first.
+        stack = [(formula, False)]
+        while stack:
+            current, children_done = stack.pop()
+            if id(current) in compiled:
+                continue
+            kind = type(current)
+            if kind in _BINARY_OPS:
+                if not children_done:
+                    stack.append((current, True))
+                    stack.append((current.right, False))
+                    stack.append((current.left, False))
+                    continue
+                node = (
+                    _BINARY_OPS[kind],
+                    compiled[id(current.left)],
+                    compiled[id(current.right)],
+                )
+            elif kind in _UNARY_OPS:
+                if not children_done:
+                    stack.append((current, True))
+                    stack.append((current.operand, False))
+                    continue
+                node = (_UNARY_OPS[kind], compiled[id(current.operand)], -1)
+            elif kind is Atom:
+                try:
+                    compiled[id(current)] = atom_ids[current.name]
+                except KeyError:
+                    raise SignatureMismatchError(
+                        f"atom {current.name!r} is not in the search signature"
+                    ) from None
+                continue
+            elif kind is TrueConst:
+                node = ("true", -1, -1)
+            elif kind is FalseConst:
+                node = ("false", -1, -1)
+            elif isinstance(current, (Finally, Globally, Implies)):
+                raise ValueError(
+                    f"derived connective in solver input: {current!r};"
+                    " expand_derived first"
+                )
+            else:
+                raise TypeError(f"not a formula node: {current!r}")
+            index = interned.get(node)
+            if index is None:
+                index = interned[node] = len(table)
+                table.append(node)
+            compiled[id(current)] = index
+        roots.append(compiled[id(formula)])
+    return table, roots
 
 
-_NEG, _CONJ, _DISJ = _build_tables()
-
-
-def _abstract_eval(
-    formula: Formula,
-    cell_masks: dict[str, list[int]],
+def _evaluate(
+    table: list[_Node],
+    first: int,
+    f: list[int],
+    b: list[int],
+    t: list[int],
     m: int,
-    memo: dict[int, list[int]],
-) -> list[int]:
-    """Per-state achievable-value masks for a core formula."""
-    key = id(formula)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(formula, TrueConst):
-        result = [_MASK_T] * (m + 1)
-    elif isinstance(formula, FalseConst):
-        result = [_MASK_F] * (m + 1)
-    elif isinstance(formula, Atom):
-        try:
-            result = cell_masks[formula.name]
-        except KeyError:
-            raise SignatureMismatchError(
-                f"atom {formula.name!r} is not in the search signature"
-            ) from None
-    elif isinstance(formula, Not):
-        inner = _abstract_eval(formula.operand, cell_masks, m, memo)
-        result = [_NEG[mask] for mask in inner]
-    elif isinstance(formula, And):
-        left = _abstract_eval(formula.left, cell_masks, m, memo)
-        right = _abstract_eval(formula.right, cell_masks, m, memo)
-        result = [_CONJ[l][r] for l, r in zip(left, right)]
-    elif isinstance(formula, Or):
-        left = _abstract_eval(formula.left, cell_masks, m, memo)
-        right = _abstract_eval(formula.right, cell_masks, m, memo)
-        result = [_DISJ[l][r] for l, r in zip(left, right)]
-    elif isinstance(formula, Next):
-        inner = _abstract_eval(formula.operand, cell_masks, m, memo)
-        result = inner[1:] + [_MASK_F]
-    elif isinstance(formula, Until):
-        left = _abstract_eval(formula.left, cell_masks, m, memo)
-        right = _abstract_eval(formula.right, cell_masks, m, memo)
-        result = [0] * (m + 1)
-        result[m] = _MASK_F
-        for i in range(m - 1, -1, -1):
-            result[i] = _CONJ[left[i]][_DISJ[right[i + 1]][result[i + 1]]]
-    elif isinstance(formula, (Finally, Globally, Implies)):
-        raise ValueError(
-            f"derived connective in solver input: {formula!r}; expand_derived first"
-        )
-    else:
-        raise TypeError(f"not a formula node: {formula!r}")
-    memo[key] = result
-    return result
+) -> None:
+    """Recompute the value sets of nodes ``first`` onwards, in table order.
+
+    ``f[n]``, ``b[n]`` and ``t[n]`` are node n's can-be-0, can-be-B and
+    can-be-1 bitsets: bit s is set when the subformula can take that
+    value at t_s.  Entries below ``first`` (the atom leaves) are read,
+    never written.
+    """
+    top = 1 << m
+    for node in range(first, len(table)):
+        op, x, y = table[node]
+        if op == "!":
+            f[node], b[node], t[node] = t[x], b[x], f[x]
+        elif op == "&":
+            lb, lt, rb, rt = b[x], t[x], b[y], t[y]
+            f[node] = f[x] | f[y]
+            b[node] = (lb & (rb | rt)) | (rb & (lb | lt))
+            t[node] = lt & rt
+        elif op == "|":
+            lf, lb, rf, rb = f[x], b[x], f[y], b[y]
+            f[node] = lf & rf
+            b[node] = (lb & (rb | rf)) | (rb & (lb | lf))
+            t[node] = t[x] | t[y]
+        elif op == "X":
+            f[node] = (f[x] >> 1) | top
+            b[node] = b[x] >> 1
+            t[node] = t[x] >> 1
+        elif op == "U":
+            # The value is exactly 0 at t_m, and below it
+            # v(i) = left(i) & (right(i+1) | v(i+1)).  Each of the three
+            # bits of v then obeys x_i = g_i | (p_i & x_{i+1}); doubling
+            # the span k of that recurrence solves it at every state.
+            lb, lt = b[x], t[x]
+            rf, rb, rt = f[y] >> 1, b[y] >> 1, t[y] >> 1
+            gf, pf = f[x] | top, rf
+            gt, pt = lt & rt, lt
+            k = 1
+            while k <= m:
+                gf |= pf & (gf >> k)
+                pf &= pf >> k
+                gt |= pt & (gt >> k)
+                pt &= pt >> k
+                k <<= 1
+            lbt = lb | lt
+            gb = (lb & (rt | (gt >> 1))) | (lbt & rb & (gf >> 1))
+            pb = lbt & (rb | rf)
+            k = 1
+            while k <= m:
+                gb |= pb & (gb >> k)
+                pb &= pb >> k
+                k <<= 1
+            f[node], b[node], t[node] = gf, gb, gt
+        elif op == "true":
+            f[node], b[node], t[node] = 0, 0, (top << 1) - 1
+        elif op == "false":
+            f[node], b[node], t[node] = (top << 1) - 1, 0, 0
 
 
 class _Search:
@@ -228,10 +299,13 @@ class _Search:
             raise SignatureMismatchError(
                 f"signature {self.atoms!r} misses atoms {sorted(missing)!r} of the base"
             )
+        # A cell is (state, atom index), in state-major order.
         self.cells = [
-            (state, atom) for state in range(self.m + 1) for atom in self.atoms
+            (state, atom)
+            for state in range(self.m + 1)
+            for atom in range(len(self.atoms))
         ]
-        self.formulas = kb.core_formulas
+        self.table, self.roots = _compile(kb.core_formulas, self.atoms)
         self.cost_mode = cost_mode
         self.max_cost = max_cost
         self.budget = budget
@@ -239,35 +313,31 @@ class _Search:
         self.collect_bases = collect_bases
         self.bases: set[frozenset[tuple[int, str]]] = set()
         ground = kb.ground_cells
-        self.b_ok = [cell not in ground and max_cost > 0 for cell in self.cells]
+        self.b_ok = [
+            (state, self.atoms[atom]) not in ground and max_cost > 0
+            for state, atom in self.cells
+        ]
         self.assignment: list[TruthValue3 | None] = [None] * len(self.cells)
         self.state_b_count = [0] * (self.m + 1)
-        self.atom_b_count = dict.fromkeys(self.atoms, 0)
-
-    def _cell_masks(self) -> dict[str, list[int]]:
-        masks: dict[str, list[int]] = {
-            atom: [0] * (self.m + 1) for atom in self.atoms
-        }
+        self.atom_b_count = [0] * len(self.atoms)
+        # Every cell starts open: it can be 0 or 1, and B where b_ok.
+        full = (1 << (self.m + 1)) - 1
+        self.f = [full] * len(self.table)
+        self.b = [0] * len(self.table)
+        self.t = [full] * len(self.table)
         for index, (state, atom) in enumerate(self.cells):
-            value = self.assignment[index]
-            if value is not None:
-                masks[atom][state] = _VALUE_MASK[value]
-            elif self.b_ok[index]:
-                masks[atom][state] = _MASK_ANY
-            else:
-                masks[atom][state] = _MASK_TWO
-        return masks
+            if self.b_ok[index]:
+                self.b[atom] |= 1 << state
 
     def _status(self) -> str:
         """"dead", "decided", or "open" for the current partial assignment."""
-        masks = self._cell_masks()
-        memo: dict[int, list[int]] = {}
+        f, b, t = self.f, self.b, self.t
+        _evaluate(self.table, len(self.atoms), f, b, t, self.m)
         decided = True
-        for formula in self.formulas:
-            root = _abstract_eval(formula, masks, self.m, memo)[0]
-            if root & _DESIGNATED == 0:
+        for root in self.roots:
+            if not (b[root] | t[root]) & 1:
                 return "dead"
-            if root & _MASK_F:
+            if f[root] & 1:
                 decided = False
         return "decided" if decided else "open"
 
@@ -286,34 +356,19 @@ class _Search:
 
     def _record_base(self) -> None:
         base = frozenset(
-            cell
-            for index, cell in enumerate(self.cells)
+            (state, self.atoms[atom])
+            for index, (state, atom) in enumerate(self.cells)
             if self.assignment[index] is TruthValue3.BOTH
         )
         self.bases.add(base)
 
-    def run(self) -> Interpretation3 | None:
-        return self._dfs(0, 0)
-
-    def _dfs(self, index: int, cost: int) -> Interpretation3 | None:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError(self.budget, self.nodes)
-        status = self._status()
-        if status == "dead":
-            return None
-        if status == "decided":
-            if self.collect_bases:
-                self._record_base()
-                return None
-            return self._witness()
-        if index == len(self.cells):
-            # All cells assigned but some formula still undecided can
-            # not happen: masks are singletons here, so _status already
-            # returned one of the branches above.
-            return None
+    def _assign_next(self, index: int, tried: list[int], cost: list[int]) -> bool:
+        """Assign cell ``index`` the next value in order that the bound
+        admits, pruning B where the cell may not hold it."""
         state, atom = self.cells[index]
-        for value in (TruthValue3.TRUE, TruthValue3.FALSE, TruthValue3.BOTH):
+        while tried[index] < len(_VALUE_ORDER):
+            value = _VALUE_ORDER[tried[index]]
+            tried[index] += 1
             if value is TruthValue3.BOTH:
                 if not self.b_ok[index]:
                     continue
@@ -325,21 +380,73 @@ class _Search:
                     increment = 0 if self.state_b_count[state] else 1
             else:
                 increment = 0
-            new_cost = cost + increment
+            new_cost = cost[index] + increment
             if new_cost > self.max_cost:
                 continue
+            cost[index + 1] = new_cost
             self.assignment[index] = value
-            if value is TruthValue3.BOTH:
+            drop = ~(1 << state)
+            if value is TruthValue3.TRUE:
+                self.f[atom] &= drop
+                self.b[atom] &= drop
+            elif value is TruthValue3.FALSE:
+                self.b[atom] &= drop
+                self.t[atom] &= drop
+            else:
+                self.f[atom] &= drop
+                self.t[atom] &= drop
                 self.state_b_count[state] += 1
                 self.atom_b_count[atom] += 1
-            result = self._dfs(index + 1, new_cost)
-            self.assignment[index] = None
-            if value is TruthValue3.BOTH:
-                self.state_b_count[state] -= 1
-                self.atom_b_count[atom] -= 1
-            if result is not None and not self.collect_bases:
-                return result
-        return None
+            return True
+        return False
+
+    def _unassign(self, index: int) -> None:
+        state, atom = self.cells[index]
+        bit = 1 << state
+        if self.assignment[index] is TruthValue3.BOTH:
+            self.state_b_count[state] -= 1
+            self.atom_b_count[atom] -= 1
+        self.assignment[index] = None
+        self.f[atom] |= bit
+        self.t[atom] |= bit
+        if self.b_ok[index]:
+            self.b[atom] |= bit
+
+    def run(self) -> Interpretation3 | None:
+        """Depth-first search; the node at depth d has cells 0..d-1 assigned.
+
+        Returns the first decided model in value order, or None when
+        there is none (always None when collecting bases).
+        """
+        n = len(self.cells)
+        tried = [0] * n
+        cost = [0] * (n + 1)
+        depth = 0
+        while True:
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise BudgetExceededError(self.budget, self.nodes)
+            status = self._status()
+            if status == "decided":
+                if not self.collect_bases:
+                    return self._witness()
+                self._record_base()
+            # With every cell assigned the sets are singletons, so an
+            # open status can not reach depth n.
+            if status == "open" and depth < n:
+                tried[depth] = 0
+                level = depth
+            else:
+                level = depth - 1
+            while level >= 0:
+                if self.assignment[level] is not None:
+                    self._unassign(level)
+                if self._assign_next(level, tried, cost):
+                    break
+                level -= 1
+            if level < 0:
+                return None
+            depth = level + 1
 
 
 def _model_cost(nu: Interpretation3, cost_mode: CostMode) -> int:

@@ -14,6 +14,7 @@ import pytest
 
 from ltlim.cli import main
 from ltlim.formula import load_kb
+from ltlim.oracle import MAX_CELL_CAP
 from ltlim.postulates import EXPECTED_MATRIX, Postulate
 
 
@@ -36,6 +37,27 @@ def test_json_reports_match_golden_bytes(capsys, monkeypatch, data_dir, golden, 
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert out == (data_dir / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv,nodes,probes",
+    [
+        (["declare", "double_overlap.decl", "--m", "4", "--measure", "all"], 22770, 6),
+        (["measure", "always_clash.ltlkb", "--m", "8"], 475, 10),
+        (["explain", "always_clash.ltlkb"], 82, 3),
+    ],
+    ids=["declare-m4", "measure-m8", "explain"],
+)
+def test_search_work_is_pinned_on_longer_traces(
+    capsys, monkeypatch, tmp_path, data_dir, argv, nodes, probes
+):
+    # Longer traces than the golden files: Until solves over up to 9 states.
+    shutil.copy(data_dir / argv[1], tmp_path / argv[1])
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    stats = json.loads(out)["solver_stats"]
+    assert (stats["nodes"], stats["probes"]) == (nodes, probes)
 
 
 def test_json_reports_are_byte_stable(capsys, monkeypatch, data_dir):
@@ -129,6 +151,39 @@ def test_parse_errors_exit_with_code_two(capsys, data_dir):
     assert code == 2
     assert err.startswith("error:")
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "command,name,text",
+    [
+        ("measure", "deep.ltlkb", "m = 3\n" + "!" * 3000 + " a\n"),
+        ("declare", "deep.decl", "activities: a\nAtLeast(a, 400)\n"),
+    ],
+    ids=["nested-negation", "counted-template"],
+)
+def test_deeply_nested_input_exits_with_code_two(
+    capsys, monkeypatch, tmp_path, command, name, text
+):
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, [command, name, "--m", "3"])
+    assert code == 2
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_cap_above_the_maximum_is_rejected(capsys, data_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "oracle-check",
+                str(data_dir / "next_clash.ltlkb"),
+                "--oracle-cap",
+                str(MAX_CELL_CAP + 1),
+            ]
+        )
+    assert exc.value.code == 2
+    assert "--oracle-cap" in capsys.readouterr().err
 
 
 def test_missing_input_exits_with_code_two(capsys, tmp_path):

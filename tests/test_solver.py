@@ -2,13 +2,31 @@ import random
 
 import pytest
 
-from ltlim.formula import KnowledgeBase
-from ltlim.generators import random_kb
+from ltlim.formula import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    FalseConst,
+    Finally,
+    Formula,
+    Globally,
+    Implies,
+    KnowledgeBase,
+    Next,
+    Not,
+    Or,
+    TrueConst,
+    Until,
+)
+from ltlim.generators import random_interpretation, random_kb
 from ltlim.oracle import oracle_min_cost, oracle_sat2
-from ltlim.semantics import satisfies3
+from ltlim.semantics import SignatureMismatchError, TruthValue3, eval3, satisfies3
 from ltlim.solver import (
     BudgetExceededError,
     CostMode,
+    _compile,
+    _evaluate,
     count_min_conflict_signatures,
     decide_upper,
     minimize,
@@ -150,3 +168,174 @@ def test_signature_count_rejects_consistent_base():
 def test_signature_count_rejects_unreachable_base():
     with pytest.raises(ValueError):
         count_min_conflict_signatures(KnowledgeBase.of("X X X a", m=2))
+
+
+# The per-state evaluator that the bitset kernel replaced, kept as its
+# reference.  A value set is a mask over {0, B, 1}: bit 0 = value 0,
+# bit 1 = B, bit 2 = 1, and connectives act on masks through tables
+# built from min, max and 2 - v.
+_MASK_F = 1
+_MASK_B = 2
+_MASK_T = 4
+
+
+def _build_tables() -> tuple[list[int], list[list[int]], list[list[int]]]:
+    def values(mask: int) -> list[int]:
+        return [v for v in (0, 1, 2) if mask & (1 << v)]
+
+    neg = [0] * 8
+    conj = [[0] * 8 for _ in range(8)]
+    disj = [[0] * 8 for _ in range(8)]
+    for p in range(8):
+        for v in values(p):
+            neg[p] |= 1 << (2 - v)
+        for q in range(8):
+            for v in values(p):
+                for w in values(q):
+                    conj[p][q] |= 1 << min(v, w)
+                    disj[p][q] |= 1 << max(v, w)
+    return neg, conj, disj
+
+
+_NEG, _CONJ, _DISJ = _build_tables()
+
+
+def _abstract_eval(
+    formula: Formula,
+    cell_masks: dict[str, list[int]],
+    m: int,
+    memo: dict[int, list[int]],
+) -> list[int]:
+    """Per-state achievable-value masks for a core formula."""
+    key = id(formula)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if isinstance(formula, TrueConst):
+        result = [_MASK_T] * (m + 1)
+    elif isinstance(formula, FalseConst):
+        result = [_MASK_F] * (m + 1)
+    elif isinstance(formula, Atom):
+        result = cell_masks[formula.name]
+    elif isinstance(formula, Not):
+        inner = _abstract_eval(formula.operand, cell_masks, m, memo)
+        result = [_NEG[mask] for mask in inner]
+    elif isinstance(formula, And):
+        left = _abstract_eval(formula.left, cell_masks, m, memo)
+        right = _abstract_eval(formula.right, cell_masks, m, memo)
+        result = [_CONJ[l][r] for l, r in zip(left, right)]
+    elif isinstance(formula, Or):
+        left = _abstract_eval(formula.left, cell_masks, m, memo)
+        right = _abstract_eval(formula.right, cell_masks, m, memo)
+        result = [_DISJ[l][r] for l, r in zip(left, right)]
+    elif isinstance(formula, Next):
+        inner = _abstract_eval(formula.operand, cell_masks, m, memo)
+        result = inner[1:] + [_MASK_F]
+    elif isinstance(formula, Until):
+        left = _abstract_eval(formula.left, cell_masks, m, memo)
+        right = _abstract_eval(formula.right, cell_masks, m, memo)
+        result = [0] * (m + 1)
+        result[m] = _MASK_F
+        for i in range(m - 1, -1, -1):
+            result[i] = _CONJ[left[i]][_DISJ[right[i + 1]][result[i + 1]]]
+    else:
+        raise TypeError(f"not a core formula node: {formula!r}")
+    memo[key] = result
+    return result
+
+
+ATOMS = ("a", "b", "c")
+
+
+def random_core_formulas(rng: random.Random, atoms: tuple[str, ...]) -> list[Formula]:
+    """Core formulas drawn from a growing pool, so that subformulas
+    repeat, both as shared objects and as equal copies."""
+    pool: list[Formula] = [Atom(a) for a in atoms] + [TRUE, FALSE]
+    for _ in range(rng.randint(1, 14)):
+        kind = rng.choice((Not, Next, And, Or, Until, Until))
+        if kind in (Not, Next):
+            pool.append(kind(rng.choice(pool)))
+        else:
+            pool.append(kind(rng.choice(pool), rng.choice(pool)))
+    return [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+
+
+def table_formulas(table) -> list[Formula]:
+    """The formula each node of a compiled table stands for."""
+    rebuilt: list[Formula] = []
+    for op, x, y in table:
+        if op == "atom":
+            rebuilt.append(Atom(ATOMS[x]))
+        elif op == "true":
+            rebuilt.append(TRUE)
+        elif op == "false":
+            rebuilt.append(FALSE)
+        elif op in ("!", "X"):
+            rebuilt.append({"!": Not, "X": Next}[op](rebuilt[x]))
+        else:
+            rebuilt.append({"&": And, "|": Or, "U": Until}[op](rebuilt[x], rebuilt[y]))
+    return rebuilt
+
+
+def kernel_sets(table, leaf_masks: dict[str, list[int]], m: int):
+    """Run the kernel with the atom leaves set from per-state masks."""
+    size = len(table)
+    f, b, t = [0] * size, [0] * size, [0] * size
+    for atom, name in enumerate(ATOMS):
+        for state, mask in enumerate(leaf_masks[name]):
+            f[atom] |= (mask & _MASK_F) << state
+            b[atom] |= ((mask & _MASK_B) >> 1) << state
+            t[atom] |= ((mask & _MASK_T) >> 2) << state
+    _evaluate(table, len(ATOMS), f, b, t, m)
+    return f, b, t
+
+
+@pytest.mark.parametrize("seed", range(260))
+def test_bitset_kernel_matches_the_per_state_reference(seed):
+    rng = random.Random(seed)
+    m = seed % 13
+    formulas = random_core_formulas(rng, ATOMS[: rng.randint(1, 3)])
+    table, roots = _compile(tuple(formulas), ATOMS)
+    rebuilt = table_formulas(table)
+    assert [rebuilt[root] for root in roots] == formulas
+    assert len(set(table)) == len(table)
+
+    leaf_masks = {a: [rng.randint(1, 7) for _ in range(m + 1)] for a in ATOMS}
+    f, b, t = kernel_sets(table, leaf_masks, m)
+    memo: dict[int, list[int]] = {}
+    for node, formula in enumerate(rebuilt):
+        expected = _abstract_eval(formula, leaf_masks, m, memo)
+        got = [
+            (f[node] >> s & 1) | (b[node] >> s & 1) << 1 | (t[node] >> s & 1) << 2
+            for s in range(m + 1)
+        ]
+        assert got == expected, (node, table[node])
+        assert max(f[node], b[node], t[node]) < 1 << (m + 1)
+
+    nu = random_interpretation(rng, ATOMS, m)
+    singletons = {
+        a: [1 << int(nu.value(s, a)) for s in range(m + 1)] for a in ATOMS
+    }
+    f, b, t = kernel_sets(table, singletons, m)
+    planes = {TruthValue3.FALSE: f, TruthValue3.BOTH: b, TruthValue3.TRUE: t}
+    for root, formula in zip(roots, formulas):
+        for s in range(m + 1):
+            values = {v for v, plane in planes.items() if plane[root] >> s & 1}
+            assert values == {eval3(nu, s, formula)}
+
+
+def test_compile_walks_deep_formulas_without_recursion():
+    deep: Formula = Atom("a")
+    for _ in range(20_000):
+        deep = Not(Next(deep))
+    table, roots = _compile((deep, Atom("a")), ("a",))
+    assert len(table) == 40_001
+    assert roots == [40_000, 0]
+
+
+def test_compile_rejects_derived_connectives_and_foreign_atoms():
+    for derived in (Finally(Atom("a")), Globally(Atom("a")), Implies(TRUE, Atom("a"))):
+        with pytest.raises(ValueError, match="expand_derived"):
+            _compile((And(Atom("a"), derived),), ("a",))
+    with pytest.raises(SignatureMismatchError):
+        _compile((Or(Atom("a"), Atom("z")),), ("a",))
