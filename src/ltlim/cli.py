@@ -166,7 +166,10 @@ def _cmd_measure(args) -> int:
         allow_short_trace=args.allow_short_trace,
     )
     ids = _measure_ids(args.measure)
-    run = run_measures(kb, ids, budget=args.budget, use_oracle=args.oracle)
+    run = run_measures(
+        kb, ids, budget=args.budget, use_oracle=args.oracle,
+        oracle_cell_cap=args.oracle_cap,
+    )
     payload = _kb_echo("measure", args.input, kb)
     payload["measures"] = {mid: _json_value(v) for mid, v in run.values.items()}
     payload["witness_min_states"] = _witness_dict(run.witness_affected)
@@ -194,7 +197,10 @@ def _cmd_declare(args) -> int:
     emit_path = Path(args.emit) if args.emit else Path(args.input).with_suffix(".ltlkb")
     emit_path.write_text(format_kb_text(kb), encoding="utf-8")
     ids = _measure_ids(args.measure)
-    run = run_measures(kb, ids, budget=args.budget, use_oracle=args.oracle)
+    run = run_measures(
+        kb, ids, budget=args.budget, use_oracle=args.oracle,
+        oracle_cell_cap=args.oracle_cap,
+    )
 
     payload = _kb_echo("declare", args.input, kb)
     payload["constraints"] = [str(c) for c in model.constraints]
@@ -234,7 +240,10 @@ def _cmd_explain(args) -> int:
         min_affected, bases, raw_models = oracle_minimal_conflict_bases(
             kb, cell_cap=args.oracle_cap
         )
-        run = run_measures(kb, ("LTL_d",), budget=args.budget, use_oracle=True)
+        run = run_measures(
+            kb, ("LTL_d",), budget=args.budget, use_oracle=True,
+            oracle_cell_cap=args.oracle_cap,
+        )
         witness, warnings = run.witness_affected, list(run.warnings)
         nodes = probes = 0
     else:

@@ -223,6 +223,18 @@ def run_measures(
             )
         return index_sets
 
+    oracle_costs: dict[str, tuple[int | float, Interpretation3 | None]] | None = None
+
+    def need_oracle_costs() -> dict[str, tuple[int | float, Interpretation3 | None]]:
+        nonlocal oracle_costs
+        if oracle_costs is None:
+            oracle_costs = oracle_mod.oracle_min_costs(
+                kb,
+                [mode.value for mid, mode in _COST_MODES.items() if mid in requested],
+                cell_cap=oracle_cell_cap,
+            )
+        return oracle_costs
+
     for mid in MEASURE_IDS:
         if mid not in requested:
             continue
@@ -245,9 +257,7 @@ def run_measures(
         else:
             mode = _COST_MODES[mid]
             if use_oracle:
-                value, witness = oracle_mod.oracle_min_cost(
-                    kb, mode.value, cell_cap=oracle_cell_cap
-                )
+                value, witness = need_oracle_costs()[mode.value]
             else:
                 summary = minimize(kb, mode, budget=pool.remaining)
                 pool.charge(summary.nodes)

@@ -3,22 +3,35 @@
 Everything here enumerates the full space of interpretations for a
 knowledge base signature, so it only works below a cell cap, but inside
 that cap it is a trustworthy oracle: measures are computed by brute
-force rather than by search.  The evaluation is vectorized with numpy
-over all candidate interpretations at once using the backward
-recurrence for until
-
-    u(m) = 0,   u(i) = min(left(i), max(right(i+1), u(i+1)))
-
-which the test suite checks against the clause-by-clause evaluator in
-the semantics module.
+force rather than by search.
 
 Cells are ordered state major ((t_0, a), (t_0, b), ..., (t_1, a), ...)
 with atoms sorted, and enumeration is lexicographic over cells with the
-per-cell value order 0 < 1 < B, so iteration order and tie-breaking are
-deterministic.
+per-cell value order 0 < 1 < B (0 < 1 for two-valued spaces), so
+iteration order and tie-breaking are deterministic: a minimum is always
+witnessed by the first admissible row of minimal cost.
+
+The space is held column major, as a (cells, rows) grid of TruthValue3
+ordinals whose column r is the r-th interpretation; each cell's values
+are one contiguous row, filled by broadcasting the value order over
+blocks rather than by dividing a row index.  An atom's values over the
+trace are then an (m+1, rows) view of the grid, and formulas are
+evaluated over all rows at once with numpy, one contiguous state row at
+a time, using the backward recurrence for until
+
+    u(m) = 0,   u(i) = min(left(i), max(right(i+1), u(i+1)))
+
+which tests/test_oracle.py checks against the clause-by-clause
+evaluator in the semantics module.
+
+A base is enumerated once for all of its cost measures: the costs of
+``c``, ``LTL_d`` and ``LTL_c`` are all read off the same grid's B plane
+(:func:`oracle_min_costs`).  No grid outlives the call that built it.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -44,6 +57,7 @@ __all__ = [
     "MAX_CELL_CAP",
     "OracleCapExceeded",
     "oracle_min_cost",
+    "oracle_min_costs",
     "oracle_minimal_conflict_bases",
     "oracle_sat2",
 ]
@@ -52,7 +66,7 @@ DEFAULT_CELL_CAP = 12
 
 # The largest --oracle-cap the command line accepts.  Peak memory grows
 # about 3x per cell (one run of every oracle measure on a one-atom base
-# added 29 MB at 12 cells and 92 MB at 13), so 15 cells stay under 1 GB.
+# added 20 MB at 12 cells and 63 MB at 13), so 15 cells stay under 1 GB.
 MAX_CELL_CAP = 15
 
 INF = float("inf")
@@ -63,6 +77,9 @@ _LUT2 = np.array([0, 2], dtype=np.uint8)
 _LUT3 = np.array([0, 2, 1], dtype=np.uint8)
 
 _BOTH = int(TruthValue3.BOTH)
+
+# Above every cost, so masking rows with it leaves the admissible minimum.
+_NO_MODEL = np.uint8(255)
 
 
 class OracleCapExceeded(ValueError):
@@ -86,34 +103,40 @@ def _check_cap(n_cells: int, cell_cap: int) -> None:
         )
 
 
-def _digit_grid(n_cells: int, base: int) -> np.ndarray:
-    """All length-n digit strings over 0..base-1, one row each, in
-    lexicographic order."""
-    count = base**n_cells
-    index = np.arange(count, dtype=np.int64)
-    grid = np.empty((count, n_cells), dtype=np.uint8)
-    for column in range(n_cells):
-        grid[:, column] = (index // base ** (n_cells - 1 - column)) % base
+def _digit_grid(n_cells: int, lut: np.ndarray) -> np.ndarray:
+    """All length-n digit strings over 0..len(lut)-1 with each digit d
+    written as lut[d], shape (cells, rows).
+
+    Row r (the column grid[:, r]) spells r in base len(lut), most
+    significant digit first, so rows are in lexicographic order.
+    """
+    base = len(lut)
+    grid = np.empty((n_cells, base**n_cells), dtype=np.uint8)
+    for cell in range(n_cells):
+        block = grid[cell].reshape(base**cell, base, base ** (n_cells - 1 - cell))
+        block[...] = lut[None, :, None]
     return grid
 
 
 def _atom_columns(
     grid: np.ndarray, atoms: tuple[str, ...], m: int
 ) -> dict[str, np.ndarray]:
-    """Split the state-major cell grid into per-atom (rows, m+1) views."""
-    rows = grid.shape[0]
-    cube = grid.reshape(rows, m + 1, len(atoms))
-    return {atom: cube[:, :, i] for i, atom in enumerate(atoms)}
+    """Split the state-major cell grid into per-atom (m+1, rows) views."""
+    cube = grid.reshape(m + 1, len(atoms), grid.shape[1])
+    return {atom: cube[:, i] for i, atom in enumerate(atoms)}
 
 
 def _eval_vec(
     formula: Formula, columns: dict[str, np.ndarray], rows: int, m: int
 ) -> np.ndarray:
-    """Ordinal values of a core formula, shape (rows, m+1)."""
+    """Ordinal values of a core formula, shape (m+1, rows).
+
+    The result may be a read-only view of the grid or of a constant.
+    """
     if isinstance(formula, TrueConst):
-        return np.full((rows, m + 1), 2, dtype=np.uint8)
+        return np.broadcast_to(np.uint8(2), (m + 1, rows))
     if isinstance(formula, FalseConst):
-        return np.zeros((rows, m + 1), dtype=np.uint8)
+        return np.broadcast_to(np.uint8(0), (m + 1, rows))
     if isinstance(formula, Atom):
         try:
             return columns[formula.name]
@@ -136,16 +159,15 @@ def _eval_vec(
     if isinstance(formula, Next):
         inner = _eval_vec(formula.operand, columns, rows, m)
         out = np.zeros_like(inner)
-        out[:, :m] = inner[:, 1:]
+        out[:m] = inner[1:]
         return out
     if isinstance(formula, Until):
         left = _eval_vec(formula.left, columns, rows, m)
         right = _eval_vec(formula.right, columns, rows, m)
         out = np.zeros_like(left)
         for i in range(m - 1, -1, -1):
-            out[:, i] = np.minimum(
-                left[:, i], np.maximum(right[:, i + 1], out[:, i + 1])
-            )
+            np.maximum(right[i + 1], out[i + 1], out=out[i])
+            np.minimum(left[i], out[i], out=out[i])
         return out
     if isinstance(formula, (Finally, Globally, Implies)):
         raise ValueError(
@@ -163,20 +185,19 @@ def _model_space(
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Enumerate the space and flag the admissible models.
 
-    Returns (atoms, ordinal grid, model mask).  The grid rows follow
-    the documented enumeration order.
+    Returns (atoms, ordinal grid of shape (cells, rows), model mask).
+    The grid rows follow the documented enumeration order.
     """
     atoms = _signature(kb, signature)
     m = kb.trace_length_m
     n_cells = (m + 1) * len(atoms)
     _check_cap(n_cells, cell_cap)
-    lut = _LUT2 if two_valued else _LUT3
-    grid = lut[_digit_grid(n_cells, len(lut))]
-    rows = grid.shape[0]
+    grid = _digit_grid(n_cells, _LUT2 if two_valued else _LUT3)
+    rows = grid.shape[1]
     columns = _atom_columns(grid, atoms, m)
     mask = np.ones(rows, dtype=bool)
     for formula in kb.core_formulas:
-        mask &= _eval_vec(formula, columns, rows, m)[:, 0] >= 1
+        mask &= _eval_vec(formula, columns, rows, m)[0] >= 1
     if not two_valued:
         index = {
             (state, atom): state * len(atoms) + i
@@ -184,19 +205,19 @@ def _model_space(
             for i, atom in enumerate(atoms)
         }
         for state, atom in kb.ground_cells:
-            column = index.get((state, atom))
-            if column is None:
+            cell = index.get((state, atom))
+            if cell is None:
                 raise SignatureMismatchError(
                     f"ground cell atom {atom!r} is not in the enumeration signature"
                 )
-            mask &= grid[:, column] != _BOTH
+            mask &= grid[cell] != _BOTH
     return atoms, grid, mask
 
 
 def _row_interpretation(
     atoms: tuple[str, ...], grid: np.ndarray, row: int, m: int
 ) -> Interpretation3:
-    cells = grid[row].reshape(m + 1, len(atoms))
+    cells = grid[:, row].reshape(m + 1, len(atoms))
     return Interpretation3(
         atoms=atoms,
         values=tuple(
@@ -219,8 +240,19 @@ def oracle_sat2(
     return True, _row_interpretation(atoms, grid, int(hits[0]), kb.trace_length_m)
 
 
-def _both_cube(grid: np.ndarray, n_atoms: int, m: int) -> np.ndarray:
-    return (grid == _BOTH).reshape(grid.shape[0], m + 1, n_atoms)
+def _costs(grid: np.ndarray, n_atoms: int, m: int, cost: str) -> np.ndarray:
+    """Per-row cost of the given kind, read off the grid's B plane.
+
+    Costs count cells, so they fit in uint8 under any enumerable cap.
+    """
+    both = (grid == _BOTH).reshape(m + 1, n_atoms, grid.shape[1])
+    if cost == "affected_states":
+        return np.logical_or.reduce(both, axis=1).sum(axis=0, dtype=np.uint8)
+    if cost == "conflict_base":
+        return both.sum(axis=(0, 1), dtype=np.uint8)
+    if cost == "b_atoms":
+        return np.logical_or.reduce(both, axis=0).sum(axis=0, dtype=np.uint8)
+    raise ValueError(f"unknown cost kind {cost!r}")
 
 
 def _min_by(
@@ -230,12 +262,31 @@ def _min_by(
     atoms: tuple[str, ...],
     grid: np.ndarray,
 ) -> tuple[int | float, Interpretation3 | None]:
-    hits = np.flatnonzero(mask)
-    if hits.size == 0:
+    """The first admissible row of minimal cost, with its cost."""
+    if not mask.any():
         return INF, None
-    local = np.argmin(costs[hits])
-    row = int(hits[local])
+    row = int(np.argmin(np.where(mask, costs, _NO_MODEL)))
     return int(costs[row]), _row_interpretation(atoms, grid, row, kb.trace_length_m)
+
+
+def oracle_min_costs(
+    kb: KnowledgeBase,
+    costs: Iterable[str],
+    *,
+    signature: tuple[str, ...] | None = None,
+    cell_cap: int = DEFAULT_CELL_CAP,
+) -> dict[str, tuple[int | float, Interpretation3 | None]]:
+    """Minimum model costs of several kinds from one enumeration.
+
+    ``costs`` names the kinds, each as in :func:`oracle_min_cost`; the
+    result maps each kind to its (minimum, witness) pair.
+    """
+    atoms, grid, mask = _model_space(kb, signature, cell_cap)
+    m = kb.trace_length_m
+    return {
+        cost: _min_by(kb, _costs(grid, len(atoms), m, cost), mask, atoms, grid)
+        for cost in costs
+    }
 
 
 def oracle_min_cost(
@@ -252,18 +303,7 @@ def oracle_min_cost(
     "b_atoms" counts distinct atoms holding B at some state.
     Returns (inf, None) when no admissible model exists.
     """
-    atoms, grid, mask = _model_space(kb, signature, cell_cap)
-    m = kb.trace_length_m
-    both = _both_cube(grid, len(atoms), m)
-    if cost == "affected_states":
-        costs = both.any(axis=2).sum(axis=1)
-    elif cost == "conflict_base":
-        costs = both.sum(axis=(1, 2))
-    elif cost == "b_atoms":
-        costs = both.any(axis=1).sum(axis=1)
-    else:
-        raise ValueError(f"unknown cost kind {cost!r}")
-    return _min_by(kb, costs, mask, atoms, grid)
+    return oracle_min_costs(kb, (cost,), signature=signature, cell_cap=cell_cap)[cost]
 
 
 def oracle_minimal_conflict_bases(
@@ -281,20 +321,17 @@ def oracle_minimal_conflict_bases(
     and at least 1.
     """
     atoms, grid, mask = _model_space(kb, signature, cell_cap)
-    m = kb.trace_length_m
-    both = _both_cube(grid, len(atoms), m)
-    costs = both.any(axis=2).sum(axis=1)
-    hits = np.flatnonzero(mask)
-    if hits.size == 0:
+    costs = _costs(grid, len(atoms), kb.trace_length_m, "affected_states")
+    if not mask.any():
         raise ValueError("no admissible three-valued model exists")
-    best = int(costs[hits].min())
+    best = int(costs[mask].min())
     if best == 0:
         raise ValueError("the base is classically consistent; no conflict to explain")
     rows = np.flatnonzero(mask & (costs == best))
     bases: list[frozenset[tuple[int, str]]] = []
     seen: set[frozenset[tuple[int, str]]] = set()
     for row in rows:
-        cells = np.flatnonzero(grid[row] == _BOTH)
+        cells = np.flatnonzero(grid[:, row] == _BOTH)
         base = frozenset(
             (int(c) // len(atoms), atoms[int(c) % len(atoms)]) for c in cells
         )

@@ -186,6 +186,46 @@ def test_oracle_cap_above_the_maximum_is_rejected(capsys, data_dir):
     assert "--oracle-cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "always_clash.ltlkb"],
+        ["declare", "overlap.decl", "--m", "2"],
+        ["explain", "always_clash.ltlkb"],
+    ],
+    ids=["measure", "declare", "explain"],
+)
+def test_a_lowered_oracle_cap_is_refused(
+    capsys, monkeypatch, tmp_path, data_dir, argv
+):
+    shutil.copy(data_dir / argv[1], tmp_path / argv[1])
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, argv + ["--oracle", "--oracle-cap", "3"])
+    assert code == 2
+    assert "exceed the oracle cap of 3" in err
+
+
+@pytest.mark.parametrize("command", ["measure", "explain"])
+def test_a_raised_oracle_cap_admits_a_thirteen_cell_base(
+    capsys, monkeypatch, tmp_path, command
+):
+    (tmp_path / "long.ltlkb").write_text("m = 12\nG a\nG (! a)\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys,
+        [command, "long.ltlkb", "--oracle", "--oracle-cap", "13", "--format", "json"],
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    if command == "measure":
+        assert payload["measures"] == {
+            "d": 1, "MI": 1, "p": 2, "r": 1, "c": 1, "at": 1, "LTL_d": 12, "LTL_c": 12,
+        }
+    else:
+        assert payload["min_affected_states"] == 12
+        assert payload["conflict_bases"] == [[[s, "a"] for s in range(1, 13)]]
+
+
 def test_missing_input_exits_with_code_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["measure", str(tmp_path / "nope.ltlkb")])
     assert code == 2

@@ -1,0 +1,230 @@
+"""The exhaustive oracle against the clause-by-clause semantics.
+
+The oracle evaluates every formula over all interpretations at once, in
+a (cells, rows) grid.  These tests pin its enumeration order, check its
+vectorized evaluator against ``eval3`` row by row, and check that the
+shared enumeration behind ``oracle_min_costs`` gives what separate
+enumerations give.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from ltlim import oracle
+from ltlim.formula import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    Formula,
+    GMode,
+    KnowledgeBase,
+    Next,
+    Not,
+    Or,
+    Until,
+    parse_formula,
+)
+from ltlim.generators import random_kb
+from ltlim.measures import MEASURE_IDS, run_measures
+from ltlim.oracle import (
+    OracleCapExceeded,
+    oracle_min_cost,
+    oracle_min_costs,
+    oracle_minimal_conflict_bases,
+)
+from ltlim.semantics import (
+    Interpretation3,
+    SignatureMismatchError,
+    TruthValue3,
+    affected_states,
+    conflict_base,
+    eval3,
+    satisfies3,
+)
+from ltlim.solver import count_min_conflict_signatures
+
+COSTS = ("affected_states", "conflict_base", "b_atoms")
+ATOMS = ("a", "b", "c")
+
+
+def random_core_formula(
+    rng: random.Random, atoms: tuple[str, ...], *, constants: bool = True
+) -> Formula:
+    """A core formula over atoms (and constants) with nested X and U."""
+    pool: list[Formula] = [Atom(a) for a in atoms]
+    if constants:
+        pool += [TRUE, FALSE]
+    for _ in range(rng.randint(1, 10)):
+        kind = rng.choice((Not, Next, And, Or, Until, Until))
+        if kind in (Not, Next):
+            pool.append(kind(rng.choice(pool)))
+        else:
+            pool.append(kind(rng.choice(pool), rng.choice(pool)))
+    return pool[-1]
+
+
+def random_base(seed: int, max_cells: int = 8) -> KnowledgeBase:
+    """A small base, with ground cells in about 30% of seeds."""
+    rng = random.Random(seed)
+    atoms = ATOMS[: rng.randint(1, 3)]
+    m = rng.randint(0, max_cells // len(atoms) - 1)
+    kb = random_kb(
+        rng, atoms=atoms, m=2, max_formulas=3, allow_constants=True,
+        g_mode=rng.choice(list(GMode)),
+    )
+    ground = ()
+    if rng.random() < 0.3:
+        ground = {(rng.randint(0, m), rng.choice(atoms)) for _ in range(2)}
+    return KnowledgeBase(
+        formulas=kb.formulas, trace_length_m=m, g_mode=kb.g_mode,
+        ground_cells=ground, allow_short_trace=True,
+    )
+
+
+def clashing_base(seed: int, max_cells: int = 8) -> KnowledgeBase:
+    """A random base plus a formula and its negation, which clash at t_0.
+
+    The clash has no constants, so the all-B model keeps the minimal
+    costs finite unless the base or its ground cells forbid it.
+    """
+    kb = random_base(seed, max_cells)
+    clash = random_core_formula(
+        random.Random(seed), kb.atoms() or ("a",), constants=False
+    )
+    return kb.replace_formulas(kb.formulas + (clash, Not(clash)))
+
+
+@pytest.mark.parametrize("n_cells", range(6))
+@pytest.mark.parametrize(
+    "lut,order",
+    [
+        (oracle._LUT2, (TruthValue3.FALSE, TruthValue3.TRUE)),
+        (oracle._LUT3, (TruthValue3.FALSE, TruthValue3.TRUE, TruthValue3.BOTH)),
+    ],
+    ids=["two", "three"],
+)
+def test_digit_grid_row_r_spells_r(n_cells, lut, order):
+    base = len(order)
+    grid = oracle._digit_grid(n_cells, lut)
+    assert grid.shape == (n_cells, base**n_cells)
+    assert grid.dtype == np.uint8
+    for r in range(base**n_cells):
+        digits = [r // base ** (n_cells - 1 - cell) % base for cell in range(n_cells)]
+        assert grid[:, r].tolist() == [int(order[d]) for d in digits]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_eval_vec_matches_eval3_at_every_row_and_state(seed):
+    rng = random.Random(seed)
+    atoms = ATOMS[: rng.randint(1, 3)]
+    m = rng.randint(0, 8 // len(atoms) - 1)
+    formulas = [random_core_formula(rng, atoms) for _ in range(3)]
+    grid = oracle._digit_grid((m + 1) * len(atoms), oracle._LUT3)
+    rows = grid.shape[1]
+    columns = oracle._atom_columns(grid, atoms, m)
+    values = [oracle._eval_vec(f, columns, rows, m) for f in formulas]
+    for got in values:
+        assert got.shape == (m + 1, rows)
+    for row in range(rows):
+        nu = oracle._row_interpretation(atoms, grid, row, m)
+        for f, got in zip(formulas, values):
+            expected = [int(eval3(nu, s, f)) for s in range(m + 1)]
+            assert got[:, row].tolist() == expected, (f, row)
+
+
+def test_eval_vec_rejects_derived_connectives_and_foreign_atoms():
+    grid = oracle._digit_grid(3, oracle._LUT3)
+    columns = oracle._atom_columns(grid, ("a",), 2)
+    with pytest.raises(ValueError, match="derived connective"):
+        oracle._eval_vec(parse_formula("G a"), columns, grid.shape[1], 2)
+    with pytest.raises(SignatureMismatchError):
+        oracle._eval_vec(parse_formula("a U b"), columns, grid.shape[1], 2)
+
+
+def reference_min_cost(kb: KnowledgeBase, cost: str):
+    """The first model of minimal cost, one interpretation at a time in
+    the documented order: cells state major, atoms sorted, 0 < 1 < B."""
+    atoms, m = kb.atoms(), kb.trace_length_m
+    count = {
+        "affected_states": lambda nu: len(affected_states(nu)),
+        "conflict_base": lambda nu: len(conflict_base(nu)),
+        "b_atoms": lambda nu: len({atom for _, atom in conflict_base(nu)}),
+    }[cost]
+    best = (float("inf"), None)
+    order = (TruthValue3.FALSE, TruthValue3.TRUE, TruthValue3.BOTH)
+    for cells in itertools.product(order, repeat=(m + 1) * len(atoms)):
+        nu = Interpretation3(
+            atoms=atoms,
+            values=tuple(
+                cells[s * len(atoms) : (s + 1) * len(atoms)] for s in range(m + 1)
+            ),
+        )
+        if satisfies3(nu, kb) and count(nu) < best[0]:
+            best = (count(nu), nu)
+    return best
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_min_costs_match_one_model_at_a_time(seed):
+    make = clashing_base if seed % 2 else random_base
+    kb = make(seed + 1000, max_cells=6)
+    got = oracle_min_costs(kb, COSTS)
+    for cost in COSTS:
+        assert got[cost] == reference_min_cost(kb, cost), cost
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_shared_enumeration_equals_one_enumeration_per_cost(seed):
+    kb = random_base(seed)
+    together = oracle_min_costs(kb, COSTS)
+    assert list(together) == list(COSTS)
+    for cost in COSTS:
+        assert together[cost] == oracle_min_cost(kb, cost)
+    assert oracle_min_costs(kb, COSTS[::-1]) == together
+
+
+def test_min_costs_errors_match_the_single_cost_call():
+    kb = KnowledgeBase.of("G a", "G (! a)", m=3)
+    with pytest.raises(ValueError, match="unknown cost kind"):
+        oracle_min_costs(kb, ("affected_states", "cells"))
+    with pytest.raises(ValueError, match="unknown cost kind"):
+        oracle_min_cost(kb, "cells")
+    with pytest.raises(OracleCapExceeded):
+        oracle_min_costs(kb, COSTS, cell_cap=3)
+
+
+@pytest.mark.parametrize(
+    "ids", [MEASURE_IDS, ("LTL_c",), ("c", "LTL_d"), ("d", "MI")], ids=str
+)
+def test_run_measures_enumerates_the_three_valued_space_at_most_once(
+    monkeypatch, ids
+):
+    calls = []
+    original = oracle._model_space
+
+    def counting(kb, signature, cell_cap, *, two_valued=False):
+        calls.append(two_valued)
+        return original(kb, signature, cell_cap, two_valued=two_valued)
+
+    monkeypatch.setattr(oracle, "_model_space", counting)
+    kb = KnowledgeBase.of("G a", "G (! a)", "F (a & X a)", m=3)
+    run_measures(kb, ids, use_oracle=True)
+    wants_cost = any(mid in ("c", "LTL_d", "LTL_c") for mid in ids)
+    assert calls.count(False) == (1 if wants_cost else 0)
+
+
+def test_oracle_conflict_bases_match_the_search():
+    checked = 0
+    for seed in range(120):
+        kb = clashing_base(seed + 500)
+        if oracle_min_cost(kb, "affected_states")[0] == float("inf"):
+            continue
+        summary = count_min_conflict_signatures(kb)
+        got_best, bases, _ = oracle_minimal_conflict_bases(kb)
+        assert (got_best, bases) == (summary.min_affected, summary.bases), seed
+        checked += 1
+    assert checked >= 50
