@@ -43,7 +43,7 @@ from .measures import (
     horizon_warning,
     run_measures,
 )
-from .oracle import DEFAULT_CELL_CAP, MAX_CELL_CAP, oracle_minimal_conflict_bases
+from .oracle import DEFAULT_CELL_CAP, MAX_CELL_CAP, _minimal_conflicts
 from .postulates import (
     EXPECTED_MATRIX,
     Postulate,
@@ -237,14 +237,9 @@ def _cmd_explain(args) -> int:
         allow_short_trace=args.allow_short_trace,
     )
     if args.oracle:
-        min_affected, bases, raw_models = oracle_minimal_conflict_bases(
+        min_affected, bases, raw_models, witness = _minimal_conflicts(
             kb, cell_cap=args.oracle_cap
         )
-        run = run_measures(
-            kb, ("LTL_d",), budget=args.budget, use_oracle=True,
-            oracle_cell_cap=args.oracle_cap,
-        )
-        witness, warnings = run.witness_affected, list(run.warnings)
         nodes = probes = 0
     else:
         summary = count_min_conflict_signatures(kb, budget=args.budget)
@@ -254,11 +249,11 @@ def _cmd_explain(args) -> int:
             None,
         )
         witness, nodes, probes = summary.witness, summary.nodes, summary.probes
-        warnings = (
-            [horizon_message("LTL_d", kb.trace_length_m)]
-            if horizon_warning(witness)
-            else []
-        )
+    warnings = (
+        [horizon_message("LTL_d", kb.trace_length_m)]
+        if horizon_warning(witness)
+        else []
+    )
 
     shown = list(bases[: args.max_bases])
     payload = _kb_echo("explain", args.input, kb)

@@ -17,18 +17,31 @@ the temporal structure directly and can tell a conflict pinned to one
 state from one smeared over the whole trace.  ``c``, ``LTL_d`` and
 ``LTL_c`` are minimal model costs under the three cost modes of the
 solver, and are inf when the base has no admissible three-valued model.
+
+``d`` and the minimal-subset family behind ``MI``, ``p``, ``r`` and
+``at`` need only to know which subsets of the base are classically
+satisfiable.  The solver answers that for every subset at once with one
+two-valued pass over the states (:func:`ltlim.solver.root_vectors`),
+made at most once per run; the oracle backend still enumerates the
+interpretations of each subset it tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .formula import Formula, KnowledgeBase, atoms_of
 from .semantics import Interpretation3, conflict_base
 from . import oracle as oracle_mod
-from .solver import CostMode, DEFAULT_NODE_BUDGET, minimize, sat2
+from .solver import (
+    BudgetExceededError,
+    CostMode,
+    DEFAULT_NODE_BUDGET,
+    minimize,
+    root_vectors,
+)
 
 __all__ = [
     "DEFAULT_FORMULA_CAP",
@@ -62,7 +75,8 @@ class MisCapExceeded(ValueError):
 
 
 class _BudgetPool:
-    """A node budget shared across the solver calls of one run."""
+    """A work budget shared across the solver calls of one run: search
+    nodes, and the steps of the satisfiability pass."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -76,23 +90,41 @@ class _BudgetPool:
         self.spent += nodes
 
 
-def _sat2_check(
-    kb: KnowledgeBase, pool: _BudgetPool, use_oracle: bool, cell_cap: int
-) -> bool:
-    if use_oracle:
-        return oracle_mod.oracle_sat2(kb, cell_cap=cell_cap)[0]
-    result = sat2(kb, budget=pool.remaining)
-    pool.charge(result.nodes)
-    return result.found
+# Classical satisfiability of the formulas whose bits are set in a mask.
+_Satisfiable = Callable[[int], bool]
+
+
+def _solver_satisfiable(kb: KnowledgeBase, pool: _BudgetPool) -> _Satisfiable:
+    """Read subsets off the root vectors, computed on the first call."""
+    vectors: set[int] | None = None
+
+    def satisfiable(mask: int) -> bool:
+        nonlocal vectors
+        if vectors is None:
+            try:
+                vectors, work = root_vectors(kb, budget=pool.remaining)
+            except BudgetExceededError as exc:
+                raise BudgetExceededError(pool.budget, pool.spent + exc.nodes) from None
+            pool.charge(work)
+        return any(vector & mask == mask for vector in vectors)
+
+    return satisfiable
+
+
+def _oracle_satisfiable(kb: KnowledgeBase, cell_cap: int) -> _Satisfiable:
+    """Enumerate the two-valued interpretations of each subset tested."""
+
+    def satisfiable(mask: int) -> bool:
+        subset = kb.replace_formulas(
+            f for i, f in enumerate(kb.formulas) if mask >> i & 1
+        )
+        return oracle_mod.oracle_sat2(subset, cell_cap=cell_cap)[0]
+
+    return satisfiable
 
 
 def _mis_index_sets(
-    kb: KnowledgeBase,
-    pool: _BudgetPool,
-    *,
-    use_oracle: bool,
-    cell_cap: int,
-    formula_cap: int,
+    kb: KnowledgeBase, satisfiable: _Satisfiable, *, formula_cap: int
 ) -> list[frozenset[int]]:
     formulas = kb.formulas
     if len(formulas) > formula_cap:
@@ -105,8 +137,7 @@ def _mis_index_sets(
             candidate = frozenset(combo)
             if any(mis <= candidate for mis in found):
                 continue
-            subset = kb.replace_formulas(formulas[i] for i in combo)
-            if not _sat2_check(subset, pool, use_oracle, cell_cap):
+            if not satisfiable(sum(1 << i for i in combo)):
                 found.append(candidate)
     return found
 
@@ -122,11 +153,8 @@ def mis_enumerate(
     Subsets are returned as tuples in the base's formula order; the
     family is ordered by size, then by position.
     """
-    pool = _BudgetPool(budget)
-    index_sets = _mis_index_sets(
-        kb, pool, use_oracle=False, cell_cap=oracle_mod.DEFAULT_CELL_CAP,
-        formula_cap=formula_cap,
-    )
+    satisfiable = _solver_satisfiable(kb, _BudgetPool(budget))
+    index_sets = _mis_index_sets(kb, satisfiable, formula_cap=formula_cap)
     return tuple(
         tuple(kb.formulas[i] for i in sorted(indices))
         for indices in sorted(index_sets, key=lambda s: (len(s), sorted(s)))
@@ -137,11 +165,8 @@ def free_formulas(
     kb: KnowledgeBase, *, budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[Formula, ...]:
     """Formulas that belong to no minimal unsatisfiable subset."""
-    pool = _BudgetPool(budget)
-    index_sets = _mis_index_sets(
-        kb, pool, use_oracle=False, cell_cap=oracle_mod.DEFAULT_CELL_CAP,
-        formula_cap=DEFAULT_FORMULA_CAP,
-    )
+    satisfiable = _solver_satisfiable(kb, _BudgetPool(budget))
+    index_sets = _mis_index_sets(kb, satisfiable, formula_cap=DEFAULT_FORMULA_CAP)
     bound = set().union(*index_sets) if index_sets else set()
     return tuple(f for i, f in enumerate(kb.formulas) if i not in bound)
 
@@ -212,15 +237,17 @@ def run_measures(
     warnings: list[str] = []
     probes = 0
 
+    satisfiable = (
+        _oracle_satisfiable(kb, oracle_cell_cap)
+        if use_oracle
+        else _solver_satisfiable(kb, pool)
+    )
     index_sets: list[frozenset[int]] | None = None
 
     def need_mis() -> list[frozenset[int]]:
         nonlocal index_sets
         if index_sets is None:
-            index_sets = _mis_index_sets(
-                kb, pool, use_oracle=use_oracle, cell_cap=oracle_cell_cap,
-                formula_cap=formula_cap,
-            )
+            index_sets = _mis_index_sets(kb, satisfiable, formula_cap=formula_cap)
         return index_sets
 
     oracle_costs: dict[str, tuple[int | float, Interpretation3 | None]] | None = None
@@ -239,7 +266,7 @@ def run_measures(
         if mid not in requested:
             continue
         if mid == "d":
-            run.values[mid] = 0 if _sat2_check(kb, pool, use_oracle, oracle_cell_cap) else 1
+            run.values[mid] = 0 if satisfiable((1 << len(kb.formulas)) - 1) else 1
         elif mid == "MI":
             run.values[mid] = len(need_mis())
         elif mid == "p":

@@ -320,6 +320,18 @@ def oracle_minimal_conflict_bases(
     but not hopelessly inconsistent: the minimal cost must be finite
     and at least 1.
     """
+    return _minimal_conflicts(kb, signature=signature, cell_cap=cell_cap)[:3]
+
+
+def _minimal_conflicts(
+    kb: KnowledgeBase,
+    *,
+    signature: tuple[str, ...] | None = None,
+    cell_cap: int = DEFAULT_CELL_CAP,
+) -> tuple[int, tuple[tuple[tuple[int, str], ...], ...], int, Interpretation3]:
+    """:func:`oracle_minimal_conflict_bases` plus its witness, the first
+    admissible row of minimal affected-state count, which is the
+    witness :func:`oracle_min_cost` gives for that count."""
     atoms, grid, mask = _model_space(kb, signature, cell_cap)
     costs = _costs(grid, len(atoms), kb.trace_length_m, "affected_states")
     if not mask.any():
@@ -342,4 +354,5 @@ def oracle_minimal_conflict_bases(
     ordered = tuple(
         tuple(sorted(b)) for b in sorted(minimal, key=lambda b: (len(b), sorted(b)))
     )
-    return best, ordered, int(rows.size)
+    witness = _row_interpretation(atoms, grid, int(rows[0]), kb.trace_length_m)
+    return best, ordered, int(rows.size), witness

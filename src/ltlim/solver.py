@@ -31,9 +31,15 @@ distinct atoms that hold B at some state (B atoms).  Branches whose
 running cost exceeds the bound are cut.  A bound of 0 rules out B
 cells altogether, open cells included, so classical satisfiability is
 the bound-0 decision in any mode.  Minimization wraps the decision
-procedure in a binary search over the bound.  All entry points share a
-node budget and raise :class:`BudgetExceededError` when it runs out,
-which callers must treat as "unknown", never as "no model".
+procedure in a binary search over the bound.
+
+Classical satisfiability of every subset of a base at once comes from
+:func:`root_vectors`, a two-valued pass over the same node table that
+walks the states from t_m back to t_0, the way bounded model checking
+unrolls a trace.  All entry points share a node budget (search nodes,
+and for the pass its steps) and raise :class:`BudgetExceededError` when
+it runs out, which callers must treat as "unknown", never as "no
+model".
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ __all__ = [
     "count_min_conflict_signatures",
     "decide_upper",
     "minimize",
+    "root_vectors",
     "sat2",
 ]
 
@@ -276,6 +283,120 @@ def _evaluate(
             f[node], b[node], t[node] = 0, 0, (top << 1) - 1
         elif op == "false":
             f[node], b[node], t[node] = (top << 1) - 1, 0, 0
+
+
+def _columns(rows: list[int], full: int) -> set[int]:
+    """The distinct columns of a bit matrix.
+
+    Row p is an int whose bit a is the matrix entry (p, a); ``full`` has
+    a bit for every column.  Column a is returned as the int whose bit p
+    is entry (p, a).  The columns are found by splitting the set of
+    column indices on each row in turn, so the cost grows with the
+    number of distinct columns, not with the number of columns.
+    """
+    classes = [(full, 0)]
+    for p, row in enumerate(rows):
+        split = []
+        for members, column in classes:
+            ones = members & row
+            if ones:
+                split.append((ones, column | 1 << p))
+            if ones != members:
+                split.append((members ^ ones, column))
+        classes = split
+    return {column for _, column in classes}
+
+
+# The pass evaluates the assignments of at most this many atoms side by
+# side in one int and loops over the assignments of the others, so that
+# no value exceeds 2^10 bits and the column classes of one evaluation
+# stay within 2^20 bits however many atoms the base has.
+_PARALLEL_ATOMS = 10
+
+
+def root_vectors(
+    kb: KnowledgeBase, *, budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[set[int], int]:
+    """The truth vectors of the formulas at t_0 over all two-valued traces.
+
+    Bit j of a vector is the value of ``kb.formulas[j]`` at t_0, and the
+    set holds the vector of every trace over the base's atoms, so a
+    subset of the formulas is classically satisfiable iff some vector
+    has all of its bits set.  Ground cells only forbid B and play no
+    part here.
+
+    The pass walks the states from t_m back to t_0.  What a state t_i
+    needs of its successor is a key with one bit per ``X`` node (its
+    child's value at t_{i+1}) and one per ``U`` node (``right | U`` at
+    t_{i+1}); the key past t_m is all zero, so both are false at t_m.
+    For each distinct key the table is evaluated over all 2^k
+    assignments of the state's k atoms, many at once: each node's value
+    is an int with one bit per assignment.  Inside the state an ``X``
+    node is its key bit and a ``U`` node is its left child and its key
+    bit.  The keys this state hands to t_{i-1} are deduplicated, so the
+    pass is linear in m and exponential in k.
+
+    Returns the vectors and the work spent: 2^k units per key, one per
+    key and assignment.  Raises :class:`BudgetExceededError` as soon as
+    the keys expanded and the keys handed on to be expanded would take
+    the work past ``budget``, before expanding them.
+    """
+    atoms = kb.atoms()
+    table, roots = _compile(kb.core_formulas, atoms)
+    step = 1 << len(atoms)
+    if step > budget:
+        raise BudgetExceededError(budget, step)
+    inner = min(len(atoms), _PARALLEL_ATOMS)
+    width = 1 << inner
+    full = (1 << width) - 1
+    # Atom i < inner is true in the assignments whose bit i is set; the
+    # other atoms are constant over one block of width assignments.
+    values = [
+        sum(1 << a for a in range(width) if a >> i & 1) for i in range(inner)
+    ] + [0] * (len(table) - inner)
+    readers = [node for node, (op, _, _) in enumerate(table) if op in ("X", "U")]
+    key_bit = {node: 1 << p for p, node in enumerate(readers)}
+    vectors: set[int] = set()
+    keys = {0}
+    work = 0
+    for state in range(kb.trace_length_m, -1, -1):
+        handed: set[int] = set()
+        for key in keys:
+            work += step
+            for block in range(step >> inner):
+                for atom in range(inner, len(atoms)):
+                    values[atom] = full if block >> (atom - inner) & 1 else 0
+                for node in range(len(atoms), len(table)):
+                    op, x, y = table[node]
+                    if op == "&":
+                        values[node] = values[x] & values[y]
+                    elif op == "|":
+                        values[node] = values[x] | values[y]
+                    elif op == "!":
+                        values[node] = full ^ values[x]
+                    elif op == "X":
+                        values[node] = full if key & key_bit[node] else 0
+                    elif op == "U":
+                        values[node] = values[x] if key & key_bit[node] else 0
+                    else:
+                        values[node] = full if op == "true" else 0
+                if state:
+                    handed |= _columns(
+                        [
+                            values[table[node][1]]
+                            if table[node][0] == "X"
+                            else values[table[node][2]] | values[node]
+                            for node in readers
+                        ],
+                        full,
+                    )
+                else:
+                    vectors |= _columns([values[root] for root in roots], full)
+            # Every handed key costs a step at the next state.
+            if work + len(handed) * step > budget:
+                raise BudgetExceededError(budget, work + len(handed) * step)
+        keys = handed
+    return vectors, work
 
 
 class _Search:

@@ -12,8 +12,10 @@ import sys
 
 import pytest
 
+from ltlim import oracle
 from ltlim.cli import main
 from ltlim.formula import load_kb
+from ltlim.measures import run_measures
 from ltlim.oracle import MAX_CELL_CAP
 from ltlim.postulates import EXPECTED_MATRIX, Postulate
 
@@ -42,8 +44,8 @@ def test_json_reports_match_golden_bytes(capsys, monkeypatch, data_dir, golden, 
 @pytest.mark.parametrize(
     "argv,nodes,probes",
     [
-        (["declare", "double_overlap.decl", "--m", "4", "--measure", "all"], 22770, 6),
-        (["measure", "always_clash.ltlkb", "--m", "8"], 475, 10),
+        (["declare", "double_overlap.decl", "--m", "4", "--measure", "all"], 13174, 6),
+        (["measure", "always_clash.ltlkb", "--m", "8"], 481, 10),
         (["explain", "always_clash.ltlkb"], 82, 3),
     ],
     ids=["declare-m4", "measure-m8", "explain"],
@@ -260,6 +262,22 @@ def test_budget_exhaustion_exits_with_code_three(capsys, data_dir):
     assert "budget" in err
 
 
+def test_budget_exhaustion_in_the_subset_pass_names_the_budget(capsys, data_dir):
+    code, _, err = run_cli(
+        capsys,
+        [
+            "measure",
+            str(data_dir / "always_clash.ltlkb"),
+            "--measure",
+            "MI",
+            "--budget",
+            "5",
+        ],
+    )
+    assert code == 3
+    assert "budget of 5" in err
+
+
 def test_oracle_check_agrees_on_small_bases(capsys, monkeypatch, data_dir):
     monkeypatch.chdir(data_dir)
     code, out, _ = run_cli(
@@ -423,6 +441,43 @@ def test_explain_oracle_mode_counts_raw_models(capsys, data_dir):
     assert payload["min_affected_states"] == 1
     assert payload["signature_count"] == 1
     assert payload["raw_model_count"] >= 1
+
+
+@pytest.mark.parametrize(
+    "name,extra",
+    [
+        ("always_clash.ltlkb", []),
+        ("next_clash.ltlkb", []),
+        ("next_clash.ltlkb", ["--m", "1", "--allow-short-trace"]),
+    ],
+)
+def test_explain_oracle_enumerates_once(capsys, monkeypatch, data_dir, name, extra):
+    calls = []
+    enumerate_space = oracle._model_space
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("two_valued", False))
+        return enumerate_space(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_model_space", counted)
+    argv = ["explain", str(data_dir / name), "--oracle", "--format", "json", *extra]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert calls == [False]
+    monkeypatch.undo()
+
+    # The report is the one an oracle LTL_d run and the base collection
+    # give separately.
+    kb = load_kb(str(data_dir / name), m=1 if extra else None, allow_short_trace=bool(extra))
+    run = run_measures(kb, ("LTL_d",), use_oracle=True)
+    best, bases, raw = oracle.oracle_minimal_conflict_bases(kb)
+    payload = json.loads(out)
+    assert payload["min_affected_states"] == best
+    assert payload["conflict_bases"] == [[list(cell) for cell in b] for b in bases]
+    assert payload["raw_model_count"] == raw
+    assert payload["witness"]["states"] == run.witness_affected.to_json_dict()["states"]
+    assert payload["warnings"] == list(run.warnings)
+    assert bool(payload["warnings"]) == bool(extra)
 
 
 def test_explain_caps_the_listed_bases(capsys, tmp_path):

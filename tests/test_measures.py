@@ -164,6 +164,26 @@ def test_budget_shared_across_measures():
         run_measures(kb, ("LTL_d", "LTL_c"), budget=20)
 
 
+def test_minimal_subsets_of_a_long_response_chain():
+    # A single refutation per subset took the search 14.6M nodes here.
+    model = load_declare_text(
+        "activities: a0, a1, a2, a3\nInit(a0)\n"
+        "Response(a0, a1)\nResponse(a1, a2)\nResponse(a2, a3)\n"
+        "NotResponse(a0, a3)\nChainResponse(a2, a3)\n"
+    )
+    kb = translate_model(model, m=6)
+    values = run_measures(kb, ("d", "MI", "p", "r", "at")).values
+    assert values == {"d": 1, "MI": 2, "p": 6, "r": 1, "at": 4}
+
+
+def test_subset_measures_report_the_whole_budget():
+    kb = kb_of("G a", "G (! a)", "G b", "G (! b)", m=4)
+    with pytest.raises(BudgetExceededError) as exc:
+        run_measures(kb, ("d", "MI"), budget=20)
+    assert exc.value.budget == 20
+    assert exc.value.nodes > 20
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_oracle_backend_agrees_on_random_bases(seed):
     rng = random.Random(seed)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import ltlim.measures
+import ltlim.solver
 from ltlim.formula import (
     FALSE,
     TRUE,
@@ -10,6 +12,7 @@ from ltlim.formula import (
     FalseConst,
     Finally,
     Formula,
+    GMode,
     Globally,
     Implies,
     KnowledgeBase,
@@ -20,6 +23,7 @@ from ltlim.formula import (
     Until,
 )
 from ltlim.generators import random_interpretation, random_kb
+from ltlim.measures import run_measures
 from ltlim.oracle import oracle_min_cost, oracle_sat2
 from ltlim.semantics import SignatureMismatchError, TruthValue3, eval3, satisfies3
 from ltlim.solver import (
@@ -30,6 +34,7 @@ from ltlim.solver import (
     count_min_conflict_signatures,
     decide_upper,
     minimize,
+    root_vectors,
     sat2,
 )
 
@@ -339,3 +344,112 @@ def test_compile_rejects_derived_connectives_and_foreign_atoms():
             _compile((And(Atom("a"), derived),), ("a",))
     with pytest.raises(SignatureMismatchError):
         _compile((Or(Atom("a"), Atom("z")),), ("a",))
+
+
+def pass_kb(seed: int) -> KnowledgeBase:
+    """A base over 1-3 atoms at m = 0..6, under either G reading, with
+    constants and ground cells, whose last two formulas share one core
+    root (an implication is expanded to the disjunction beside it)."""
+    rng = random.Random(seed)
+    atoms = ATOMS[: rng.randint(1, 3)]
+    m = rng.randint(0, 6)
+    g_mode = rng.choice(list(GMode))
+    drawn = random_kb(
+        rng, atoms=atoms, m=2, max_formulas=3, max_depth=3, g_mode=g_mode,
+        allow_constants=True,
+    ).formulas
+    left, right = rng.choice(drawn), rng.choice(drawn)
+    ground = {(rng.randint(0, m), rng.choice(atoms)) for _ in range(rng.randint(0, 2))}
+    return KnowledgeBase(
+        formulas=drawn + (Implies(left, right), Or(Not(left), right)),
+        trace_length_m=m,
+        g_mode=g_mode,
+        ground_cells=frozenset(ground),
+        allow_short_trace=True,
+    )
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_root_vectors_decide_every_subset_like_the_search(seed):
+    kb = pass_kb(seed)
+    vectors, work = root_vectors(kb)
+    assert work >= (kb.trace_length_m + 1) << len(kb.atoms())
+    n = len(kb.formulas)
+    small = (kb.trace_length_m + 1) * len(kb.atoms()) <= 12
+    for mask in range(1 << n):
+        subset = kb.replace_formulas(f for i, f in enumerate(kb.formulas) if mask >> i & 1)
+        expected = sat2(subset).found
+        assert any(v & mask == mask for v in vectors) == expected, mask
+        if small:
+            assert oracle_sat2(subset)[0] == expected, mask
+    if small:
+        ids = ("d", "MI", "p", "r", "at")
+        assert run_measures(kb, ids).values == run_measures(kb, ids, use_oracle=True).values
+
+
+def test_the_subset_measures_run_one_pass_and_no_search(monkeypatch):
+    passes = []
+
+    def counted(kb, **kwargs):
+        passes.append(kb)
+        return root_vectors(kb, **kwargs)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a backtracking search was started")
+
+    monkeypatch.setattr(ltlim.measures, "root_vectors", counted)
+    monkeypatch.setattr(ltlim.solver, "_Search", no_search)
+    kb = KnowledgeBase.of("a", "! a", "b", "(! b) & c & d", "(! a) | (! b)", m=3)
+    run = run_measures(kb, ("d", "MI", "p", "r", "at"))
+    assert run.values == {"d": 1, "MI": 3, "p": 5, "r": 2, "at": 4}
+    assert len(passes) == 1
+    assert run.nodes == 4 * (1 << 4)
+
+
+@pytest.mark.parametrize("parallel", [0, 1])
+def test_root_vectors_do_not_depend_on_how_many_atoms_run_side_by_side(
+    monkeypatch, parallel
+):
+    expected = [root_vectors(pass_kb(seed)) for seed in range(40)]
+    monkeypatch.setattr(ltlim.solver, "_PARALLEL_ATOMS", parallel)
+    assert [root_vectors(pass_kb(seed)) for seed in range(40)] == expected
+
+
+def test_root_vectors_over_more_atoms_than_run_side_by_side(monkeypatch):
+    atoms = [f"a{i:02d}" for i in range(12)]
+    kb = KnowledgeBase.of(
+        " & ".join(atoms[:6]),
+        " | ".join(f"(X {a})" for a in atoms[6:]),
+        f"G (! {atoms[11]})",
+        f"(! {atoms[0]}) | F ({atoms[10]} & (! {atoms[9]}))",
+        f"G ({atoms[9]} & {atoms[10]})",
+        m=2,
+    )
+    vectors, work = root_vectors(kb)
+    assert work % (1 << 12) == 0
+
+    def satisfiable(*indices):
+        mask = sum(1 << i for i in indices)
+        return any(v & mask == mask for v in vectors)
+
+    # Once a00 holds, formula 3 needs a later state with a10 and not
+    # a09, which formula 4 rules out.
+    assert not satisfiable(0, 3, 4)
+    assert satisfiable(0, 1, 2, 3) and satisfiable(1, 2, 3, 4) and satisfiable(0, 1, 2, 4)
+    monkeypatch.setattr(ltlim.solver, "_PARALLEL_ATOMS", 12)
+    assert root_vectors(kb) == (vectors, work)
+
+
+def test_root_vectors_refuse_a_wide_signature_before_evaluating():
+    kb = KnowledgeBase.of(" & ".join(f"a{i:02d}" for i in range(40)), m=2)
+    with pytest.raises(BudgetExceededError) as exc:
+        root_vectors(kb)
+    assert exc.value.nodes == 1 << 40
+
+
+def test_root_vectors_stop_at_the_budget():
+    kb = KnowledgeBase.of("G a", "G (! a)", m=3)
+    with pytest.raises(BudgetExceededError) as exc:
+        root_vectors(kb, budget=5)
+    assert exc.value.budget == 5
+    assert exc.value.nodes > 5
