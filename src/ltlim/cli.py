@@ -100,12 +100,23 @@ def _kb_echo(command: str, source: str | None, kb: KnowledgeBase) -> dict:
     }
 
 
-def _stats_dict(run: MeasureRun, budget: int, oracle: bool) -> dict:
+def _stats_dict(nodes: int, probes: int, args) -> dict:
     return {
-        "nodes": run.nodes,
-        "probes": run.probes,
-        "budget": budget,
-        "oracle": oracle,
+        "nodes": nodes,
+        "probes": probes,
+        "budget": args.budget,
+        "oracle": args.oracle,
+    }
+
+
+def _run_fields(run: MeasureRun, args) -> dict:
+    """The report fields that measure and declare share, in order."""
+    return {
+        "measures": {mid: _json_value(v) for mid, v in run.values.items()},
+        "witness_min_states": _witness_dict(run.witness_affected),
+        "witness_min_conflict": _witness_dict(run.witness_conflict),
+        "warnings": list(run.warnings),
+        "solver_stats": _stats_dict(run.nodes, run.probes, args),
     }
 
 
@@ -170,12 +181,7 @@ def _cmd_measure(args) -> int:
         kb, ids, budget=args.budget, use_oracle=args.oracle,
         oracle_cell_cap=args.oracle_cap,
     )
-    payload = _kb_echo("measure", args.input, kb)
-    payload["measures"] = {mid: _json_value(v) for mid, v in run.values.items()}
-    payload["witness_min_states"] = _witness_dict(run.witness_affected)
-    payload["witness_min_conflict"] = _witness_dict(run.witness_conflict)
-    payload["warnings"] = list(run.warnings)
-    payload["solver_stats"] = _stats_dict(run, args.budget, args.oracle)
+    payload = _kb_echo("measure", args.input, kb) | _run_fields(run, args)
     _emit(payload, _measure_text(args.input, kb, run, args), args.format)
     return 0
 
@@ -209,11 +215,7 @@ def _cmd_declare(args) -> int:
         for c, f in translation_pairs(model)
     ]
     payload["emitted"] = str(emit_path)
-    payload["measures"] = {mid: _json_value(v) for mid, v in run.values.items()}
-    payload["witness_min_states"] = _witness_dict(run.witness_affected)
-    payload["witness_min_conflict"] = _witness_dict(run.witness_conflict)
-    payload["warnings"] = list(run.warnings)
-    payload["solver_stats"] = _stats_dict(run, args.budget, args.oracle)
+    payload |= _run_fields(run, args)
 
     lines = [f"constraint model: {args.input} ({len(model.constraints)} constraints)"]
     for c, f in translation_pairs(model):
@@ -266,12 +268,7 @@ def _cmd_explain(args) -> int:
     payload["raw_model_count"] = raw_models
     payload["witness"] = _witness_dict(witness)
     payload["warnings"] = warnings
-    payload["solver_stats"] = {
-        "nodes": nodes,
-        "probes": probes,
-        "budget": args.budget,
-        "oracle": args.oracle,
-    }
+    payload["solver_stats"] = _stats_dict(nodes, probes, args)
 
     lines = [
         f"knowledge base: {args.input} (m={kb.trace_length_m}, {kb.g_mode.value} G)",

@@ -42,6 +42,7 @@ __all__ = [
     "Next",
     "Not",
     "Or",
+    "SignatureMismatchError",
     "TRUE",
     "TrueConst",
     "Until",
@@ -375,6 +376,93 @@ def atoms_of(formula: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula node: {formula!r}")
 
 
+class SignatureMismatchError(LookupError):
+    """An atom required by evaluation is missing from the interpretation."""
+
+
+_Node = tuple[str, int, int]
+
+# Opcodes of the compiled node table, by formula class.
+_UNARY_OPS = {Not: "!", Next: "X"}
+_BINARY_OPS = {And: "&", Or: "|", Until: "U"}
+
+
+def _compile(
+    formulas: tuple[Formula, ...], atoms: tuple[str, ...]
+) -> tuple[list[_Node], list[int]]:
+    """Intern core formulas into a topologically ordered node table.
+
+    A node is ``(op, x, y)``.  Node ``i < len(atoms)`` is
+    ``("atom", i, -1)``, the atom ``atoms[i]``; ``("true", -1, -1)``
+    and ``("false", -1, -1)`` are the constants; ``"!"`` and ``"X"``
+    have the one child ``x``; ``"&"``, ``"|"`` and ``"U"`` have the
+    children ``x`` and ``y``.  Structurally equal subformulas share one
+    node, and every child comes before its parent.  Returns the table
+    and the root node of each formula.
+    """
+    table: list[_Node] = [("atom", i, -1) for i in range(len(atoms))]
+    interned = {node: i for i, node in enumerate(table)}
+    atom_ids = {name: i for i, name in enumerate(atoms)}
+    # Expansion shares operand objects between subformulas, so each
+    # object is walked once, keyed by identity.
+    compiled: dict[int, int] = {}
+    roots = []
+    for formula in formulas:
+        # A formula object is popped once to be checked and to push its
+        # children, left on top, and once more to be interned; so bad
+        # input is reported at the node a left-to-right recursive walk
+        # would meet first.
+        stack = [(formula, False)]
+        while stack:
+            current, children_done = stack.pop()
+            if id(current) in compiled:
+                continue
+            kind = type(current)
+            if kind in _BINARY_OPS:
+                if not children_done:
+                    stack.append((current, True))
+                    stack.append((current.right, False))
+                    stack.append((current.left, False))
+                    continue
+                node = (
+                    _BINARY_OPS[kind],
+                    compiled[id(current.left)],
+                    compiled[id(current.right)],
+                )
+            elif kind in _UNARY_OPS:
+                if not children_done:
+                    stack.append((current, True))
+                    stack.append((current.operand, False))
+                    continue
+                node = (_UNARY_OPS[kind], compiled[id(current.operand)], -1)
+            elif kind is Atom:
+                try:
+                    compiled[id(current)] = atom_ids[current.name]
+                except KeyError:
+                    raise SignatureMismatchError(
+                        f"atom {current.name!r} is not in the signature"
+                    ) from None
+                continue
+            elif kind is TrueConst:
+                node = ("true", -1, -1)
+            elif kind is FalseConst:
+                node = ("false", -1, -1)
+            elif isinstance(current, (Finally, Globally, Implies)):
+                raise ValueError(
+                    f"derived connective in compiler input: {current!r};"
+                    " expand_derived first"
+                )
+            else:
+                raise TypeError(f"not a formula node: {current!r}")
+            index = interned.get(node)
+            if index is None:
+                index = interned[node] = len(table)
+                table.append(node)
+            compiled[id(current)] = index
+        roots.append(compiled[id(formula)])
+    return table, roots
+
+
 GroundCell = tuple[int, str]
 
 
@@ -456,6 +544,16 @@ class KnowledgeBase:
     def core_formulas(self) -> tuple[Formula, ...]:
         """The formulas with derived connectives expanded under g_mode."""
         return tuple(expand_derived(f, self.g_mode) for f in self.formulas)
+
+    @cached_property
+    def table(self) -> tuple[list[_Node], list[int]]:
+        """The core formulas compiled over ``atoms()``: the node table
+        and each formula's root, as :func:`_compile` returns them.
+
+        Every evaluator of a base (the search, the two-valued pass and
+        the oracle) reads this one table; none may modify it.
+        """
+        return _compile(self.core_formulas, self.atoms())
 
     def replace_formulas(self, formulas: Iterable[Formula]) -> "KnowledgeBase":
         return KnowledgeBase(

@@ -22,7 +22,7 @@ from .formula import (
     Until,
 )
 from .semantics import Interpretation3, TruthValue3
-from .solver import sat2
+from .solver import root_vectors
 
 __all__ = [
     "random_contingent_formula",
@@ -145,8 +145,10 @@ def random_contingent_formula(
     """
     for _ in range(max_tries):
         candidate = random_formula(rng, atoms, max_depth, temporal=temporal)
-        positive = KnowledgeBase.of(candidate, m=m, allow_short_trace=True)
-        negative = KnowledgeBase.of(Not(candidate), m=m, allow_short_trace=True)
-        if sat2(positive).found and sat2(negative).found:
+        # Every trace makes exactly one of the candidate and its negation
+        # true at t_0, so it is contingent iff the traces give both
+        # truth vectors.
+        both = KnowledgeBase.of(candidate, Not(candidate), m=m, allow_short_trace=True)
+        if root_vectors(both)[0] == {0b01, 0b10}:
             return candidate
     return None

@@ -286,7 +286,12 @@ def run_measures(
             if use_oracle:
                 value, witness = need_oracle_costs()[mode.value]
             else:
-                summary = minimize(kb, mode, budget=pool.remaining)
+                try:
+                    summary = minimize(kb, mode, budget=pool.remaining)
+                except BudgetExceededError as exc:
+                    raise BudgetExceededError(
+                        pool.budget, pool.spent + exc.nodes
+                    ) from None
                 pool.charge(summary.nodes)
                 probes += summary.probes
                 value, witness = summary.value, summary.witness

@@ -15,14 +15,19 @@ The space is held column major, as a (cells, rows) grid of TruthValue3
 ordinals whose column r is the r-th interpretation; each cell's values
 are one contiguous row, filled by broadcasting the value order over
 blocks rather than by dividing a row index.  An atom's values over the
-trace are then an (m+1, rows) view of the grid, and formulas are
-evaluated over all rows at once with numpy, one contiguous state row at
-a time, using the backward recurrence for until
+trace are then an (m+1, rows) view of the grid.  The formulas are
+evaluated by one walk over the base's node table
+(:attr:`ltlim.formula.KnowledgeBase.table`, the table the solver also
+reads), in table order: each node's values are computed from its
+children's over all rows at once with numpy, one contiguous state row
+at a time, using the backward recurrence for until
 
     u(m) = 0,   u(i) = min(left(i), max(right(i+1), u(i+1)))
 
 which tests/test_oracle.py checks against the clause-by-clause
-evaluator in the semantics module.
+evaluator in the semantics module.  Sharing the table leaves the oracle
+an independent arbiter of the search: it has its own enumeration and
+its own evaluation step, and the compilation is checked on its own.
 
 A base is enumerated once for all of its cost measures: the costs of
 ``c``, ``LTL_d`` and ``LTL_c`` are all read off the same grid's B plane
@@ -31,26 +36,12 @@ A base is enumerated once for all of its cost measures: the costs of
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .formula import (
-    And,
-    Atom,
-    FalseConst,
-    Finally,
-    Formula,
-    Globally,
-    Implies,
-    KnowledgeBase,
-    Next,
-    Not,
-    Or,
-    TrueConst,
-    Until,
-)
-from .semantics import Interpretation3, SignatureMismatchError, TruthValue3
+from .formula import KnowledgeBase, _Node
+from .semantics import Interpretation3, TruthValue3
 
 __all__ = [
     "DEFAULT_CELL_CAP",
@@ -86,16 +77,6 @@ class OracleCapExceeded(ValueError):
     """The signature has too many cells for exhaustive enumeration."""
 
 
-def _signature(kb: KnowledgeBase, signature: tuple[str, ...] | None) -> tuple[str, ...]:
-    atoms = tuple(signature) if signature is not None else kb.atoms()
-    missing = set(kb.atoms()) - set(atoms)
-    if missing:
-        raise SignatureMismatchError(
-            f"signature {atoms!r} misses atoms {sorted(missing)!r} of the base"
-        )
-    return atoms
-
-
 def _check_cap(n_cells: int, cell_cap: int) -> None:
     if n_cells > cell_cap:
         raise OracleCapExceeded(
@@ -118,69 +99,62 @@ def _digit_grid(n_cells: int, lut: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _atom_columns(
-    grid: np.ndarray, atoms: tuple[str, ...], m: int
-) -> dict[str, np.ndarray]:
-    """Split the state-major cell grid into per-atom (m+1, rows) views."""
-    cube = grid.reshape(m + 1, len(atoms), grid.shape[1])
-    return {atom: cube[:, i] for i, atom in enumerate(atoms)}
+def _walk(
+    table: list[_Node], cube: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield every node of a table with its ordinal values, in table order.
 
-
-def _eval_vec(
-    formula: Formula, columns: dict[str, np.ndarray], rows: int, m: int
-) -> np.ndarray:
-    """Ordinal values of a core formula, shape (m+1, rows).
-
-    The result may be a read-only view of the grid or of a constant.
+    ``cube`` holds the atoms' values, shape (m+1, atoms, rows), and each
+    node's values have shape (m+1, rows); they may be a read-only view
+    of the cube or of a constant.  The walk keeps a node's values only
+    until the last node that reads them, so callers that need them
+    longer keep them themselves.
     """
-    if isinstance(formula, TrueConst):
-        return np.broadcast_to(np.uint8(2), (m + 1, rows))
-    if isinstance(formula, FalseConst):
-        return np.broadcast_to(np.uint8(0), (m + 1, rows))
-    if isinstance(formula, Atom):
-        try:
-            return columns[formula.name]
-        except KeyError:
-            raise SignatureMismatchError(
-                f"atom {formula.name!r} is not in the enumeration signature"
-            ) from None
-    if isinstance(formula, Not):
-        return 2 - _eval_vec(formula.operand, columns, rows, m)
-    if isinstance(formula, And):
-        return np.minimum(
-            _eval_vec(formula.left, columns, rows, m),
-            _eval_vec(formula.right, columns, rows, m),
-        )
-    if isinstance(formula, Or):
-        return np.maximum(
-            _eval_vec(formula.left, columns, rows, m),
-            _eval_vec(formula.right, columns, rows, m),
-        )
-    if isinstance(formula, Next):
-        inner = _eval_vec(formula.operand, columns, rows, m)
-        out = np.zeros_like(inner)
-        out[:m] = inner[1:]
-        return out
-    if isinstance(formula, Until):
-        left = _eval_vec(formula.left, columns, rows, m)
-        right = _eval_vec(formula.right, columns, rows, m)
-        out = np.zeros_like(left)
-        for i in range(m - 1, -1, -1):
-            np.maximum(right[i + 1], out[i + 1], out=out[i])
-            np.minimum(left[i], out[i], out=out[i])
-        return out
-    if isinstance(formula, (Finally, Globally, Implies)):
-        raise ValueError(
-            f"derived connective in evaluator input: {formula!r}; expand_derived first"
-        )
-    raise TypeError(f"not a formula node: {formula!r}")
+    m = cube.shape[0] - 1
+    shape = (m + 1, cube.shape[2])
+    children = [
+        () if op in ("atom", "true", "false") else {x, y} - {-1}
+        for op, x, y in table
+    ]
+    last_reader = list(range(len(table)))
+    for node, read in enumerate(children):
+        for child in read:
+            last_reader[child] = node
+    values: dict[int, np.ndarray] = {}
+    for node, (op, x, y) in enumerate(table):
+        if op == "atom":
+            out = cube[:, x]
+        elif op == "true":
+            out = np.broadcast_to(np.uint8(2), shape)
+        elif op == "false":
+            out = np.broadcast_to(np.uint8(0), shape)
+        elif op == "!":
+            out = 2 - values[x]
+        elif op == "&":
+            out = np.minimum(values[x], values[y])
+        elif op == "|":
+            out = np.maximum(values[x], values[y])
+        elif op == "X":
+            out = np.zeros(shape, dtype=np.uint8)
+            out[:m] = values[x][1:]
+        else:
+            left, right = values[x], values[y]
+            out = np.zeros(shape, dtype=np.uint8)
+            for i in range(m - 1, -1, -1):
+                np.maximum(right[i + 1], out[i + 1], out=out[i])
+                np.minimum(left[i], out[i], out=out[i])
+        for child in children[node]:
+            if last_reader[child] == node:
+                del values[child]
+        if last_reader[node] > node:
+            values[node] = out
+        yield node, out
 
 
 def _model_space(
     kb: KnowledgeBase,
-    signature: tuple[str, ...] | None,
-    cell_cap: int,
     *,
+    cell_cap: int,
     two_valued: bool = False,
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Enumerate the space and flag the admissible models.
@@ -188,29 +162,22 @@ def _model_space(
     Returns (atoms, ordinal grid of shape (cells, rows), model mask).
     The grid rows follow the documented enumeration order.
     """
-    atoms = _signature(kb, signature)
+    atoms = kb.atoms()
     m = kb.trace_length_m
     n_cells = (m + 1) * len(atoms)
     _check_cap(n_cells, cell_cap)
     grid = _digit_grid(n_cells, _LUT2 if two_valued else _LUT3)
-    rows = grid.shape[1]
-    columns = _atom_columns(grid, atoms, m)
-    mask = np.ones(rows, dtype=bool)
-    for formula in kb.core_formulas:
-        mask &= _eval_vec(formula, columns, rows, m)[0] >= 1
+    cube = grid.reshape(m + 1, len(atoms), grid.shape[1])
+    table, roots = kb.table
+    mask = np.ones(grid.shape[1], dtype=bool)
+    # Fold each root in as the walk yields it, so that no root's values
+    # outlive their last reader.
+    for node, values in _walk(table, cube):
+        if node in roots:
+            mask &= values[0] >= 1
     if not two_valued:
-        index = {
-            (state, atom): state * len(atoms) + i
-            for state in range(m + 1)
-            for i, atom in enumerate(atoms)
-        }
         for state, atom in kb.ground_cells:
-            cell = index.get((state, atom))
-            if cell is None:
-                raise SignatureMismatchError(
-                    f"ground cell atom {atom!r} is not in the enumeration signature"
-                )
-            mask &= grid[cell] != _BOTH
+            mask &= cube[state, atoms.index(atom)] != _BOTH
     return atoms, grid, mask
 
 
@@ -229,11 +196,10 @@ def _row_interpretation(
 def oracle_sat2(
     kb: KnowledgeBase,
     *,
-    signature: tuple[str, ...] | None = None,
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> tuple[bool, Interpretation3 | None]:
     """Classical satisfiability by enumerating two-valued interpretations."""
-    atoms, grid, mask = _model_space(kb, signature, cell_cap, two_valued=True)
+    atoms, grid, mask = _model_space(kb, cell_cap=cell_cap, two_valued=True)
     hits = np.flatnonzero(mask)
     if hits.size == 0:
         return False, None
@@ -273,7 +239,6 @@ def oracle_min_costs(
     kb: KnowledgeBase,
     costs: Iterable[str],
     *,
-    signature: tuple[str, ...] | None = None,
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> dict[str, tuple[int | float, Interpretation3 | None]]:
     """Minimum model costs of several kinds from one enumeration.
@@ -281,7 +246,7 @@ def oracle_min_costs(
     ``costs`` names the kinds, each as in :func:`oracle_min_cost`; the
     result maps each kind to its (minimum, witness) pair.
     """
-    atoms, grid, mask = _model_space(kb, signature, cell_cap)
+    atoms, grid, mask = _model_space(kb, cell_cap=cell_cap)
     m = kb.trace_length_m
     return {
         cost: _min_by(kb, _costs(grid, len(atoms), m, cost), mask, atoms, grid)
@@ -293,7 +258,6 @@ def oracle_min_cost(
     kb: KnowledgeBase,
     cost: str,
     *,
-    signature: tuple[str, ...] | None = None,
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> tuple[int | float, Interpretation3 | None]:
     """Minimum model cost by brute force.
@@ -303,13 +267,12 @@ def oracle_min_cost(
     "b_atoms" counts distinct atoms holding B at some state.
     Returns (inf, None) when no admissible model exists.
     """
-    return oracle_min_costs(kb, (cost,), signature=signature, cell_cap=cell_cap)[cost]
+    return oracle_min_costs(kb, (cost,), cell_cap=cell_cap)[cost]
 
 
 def oracle_minimal_conflict_bases(
     kb: KnowledgeBase,
     *,
-    signature: tuple[str, ...] | None = None,
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> tuple[int, tuple[tuple[tuple[int, str], ...], ...], int]:
     """Conflict bases of the models with minimal affected-state count.
@@ -320,19 +283,18 @@ def oracle_minimal_conflict_bases(
     but not hopelessly inconsistent: the minimal cost must be finite
     and at least 1.
     """
-    return _minimal_conflicts(kb, signature=signature, cell_cap=cell_cap)[:3]
+    return _minimal_conflicts(kb, cell_cap=cell_cap)[:3]
 
 
 def _minimal_conflicts(
     kb: KnowledgeBase,
     *,
-    signature: tuple[str, ...] | None = None,
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> tuple[int, tuple[tuple[tuple[int, str], ...], ...], int, Interpretation3]:
     """:func:`oracle_minimal_conflict_bases` plus its witness, the first
     admissible row of minimal affected-state count, which is the
     witness :func:`oracle_min_cost` gives for that count."""
-    atoms, grid, mask = _model_space(kb, signature, cell_cap)
+    atoms, grid, mask = _model_space(kb, cell_cap=cell_cap)
     costs = _costs(grid, len(atoms), kb.trace_length_m, "affected_states")
     if not mask.any():
         raise ValueError("no admissible three-valued model exists")

@@ -46,7 +46,7 @@ from .formula import (
 )
 from .generators import random_contingent_formula, random_formula, random_kb
 from .measures import free_formulas, measure
-from .solver import DEFAULT_NODE_BUDGET, sat2
+from .solver import DEFAULT_NODE_BUDGET, root_vectors
 
 __all__ = [
     "EXPECTED_MATRIX",
@@ -100,11 +100,17 @@ def _json_value(value: int | float) -> int | str:
     return "inf" if value == float("inf") else int(value)
 
 
+def _satisfiable(kb: KnowledgeBase, budget: int) -> bool:
+    """Classical satisfiability: some trace makes every formula true."""
+    vectors, _ = root_vectors(kb, budget=budget)
+    return (1 << len(kb.formulas)) - 1 in vectors
+
+
 def check_co(
     measure_id: str, kb: KnowledgeBase, *, budget: int = DEFAULT_NODE_BUDGET
 ) -> Verdict:
     """Zero on consistent bases, positive on inconsistent ones."""
-    consistent = sat2(kb, budget=budget).found
+    consistent = _satisfiable(kb, budget)
     value = measure(kb, measure_id, budget=budget)
     holds = (value == 0) == consistent
     return Verdict(
@@ -199,7 +205,7 @@ def check_do(
     instances missing either precondition are not applicable.
     """
     alpha_kb = kb.replace_formulas((alpha,))
-    if not sat2(alpha_kb, budget=budget).found:
+    if not _satisfiable(alpha_kb, budget):
         return Verdict(
             measure_id,
             Postulate.DOMINANCE,
@@ -207,7 +213,7 @@ def check_do(
             {"reason": "alpha is unsatisfiable", "alpha": render_formula(alpha)},
         )
     entailment_probe = kb.replace_formulas((alpha, Not(beta)))
-    if sat2(entailment_probe, budget=budget).found:
+    if _satisfiable(entailment_probe, budget):
         return Verdict(
             measure_id,
             Postulate.DOMINANCE,
@@ -251,9 +257,10 @@ def check_ts(
     """
     if temporal_depth(phi) != 0:
         raise ValueError("the time-sensitivity scheme takes a propositional formula")
-    positive = KnowledgeBase((phi,), m, GMode.STRICT)
-    negative = KnowledgeBase((Not(phi),), m, GMode.STRICT)
-    if not (sat2(positive, budget=budget).found and sat2(negative, budget=budget).found):
+    # Every trace makes exactly one of phi and !phi true at t_0, so phi
+    # is contingent iff the traces give both truth vectors.
+    both = KnowledgeBase((phi, Not(phi)), m, GMode.STRICT)
+    if root_vectors(both, budget=budget)[0] != {0b01, 0b10}:
         return Verdict(
             measure_id,
             Postulate.TIME_SENSITIVITY,
@@ -464,7 +471,7 @@ def _sweep_instance(
         alpha = None
         for _ in range(32):
             candidate = random_formula(rng, atoms, 2)
-            if sat2(kb.replace_formulas((candidate,)), budget=budget).found:
+            if _satisfiable(kb.replace_formulas((candidate,)), budget):
                 alpha = candidate
                 break
         if alpha is None:

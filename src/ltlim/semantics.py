@@ -14,8 +14,11 @@ at least B with a B among them; otherwise it is false.  At the last
 state there is no future, so X phi and until are false there.
 
 Both evaluators are deliberately written as direct transcriptions of
-those clauses.  A faster vectorized evaluator lives in the oracle
-module; the test suite checks the two against each other.
+those clauses, walking the formula dataclasses.  The fast evaluators
+walk the node table that :attr:`KnowledgeBase.table` compiles once per
+base instead: the solver's search and two-valued pass, and the oracle's
+vectorized evaluation.  The test suite checks them against these
+clauses and against each other.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .formula import (
     Next,
     Not,
     Or,
+    SignatureMismatchError,
     TrueConst,
     Until,
 )
@@ -107,10 +111,6 @@ def land(left: TruthValue3, right: TruthValue3) -> TruthValue3:
 
 def lor(left: TruthValue3, right: TruthValue3) -> TruthValue3:
     return max(left, right)
-
-
-class SignatureMismatchError(LookupError):
-    """An atom required by evaluation is missing from the interpretation."""
 
 
 CellValue = Union[TruthValue3, int, bool, str]

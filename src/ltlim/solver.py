@@ -1,8 +1,9 @@
 """Backtracking search for three-valued models of minimal cost.
 
 The search assigns truth values to (state, atom) cells in state-major
-order, trying 1, then 0, then B at each cell.  Before it starts, the
-base's core formulas are compiled into a node table: structurally equal
+order, trying 1, then 0, then B at each cell.  It walks the node table
+of the base's core formulas, compiled once per base by
+:attr:`ltlim.formula.KnowledgeBase.table`: structurally equal
 subformulas share one node, and every node comes after its children.
 For every node the search keeps the truth values still achievable by
 some completion of the partial assignment, at each state, as three
@@ -33,10 +34,10 @@ cells altogether, open cells included, so classical satisfiability is
 the bound-0 decision in any mode.  Minimization wraps the decision
 procedure in a binary search over the bound.
 
-Classical satisfiability of every subset of a base at once comes from
-:func:`root_vectors`, a two-valued pass over the same node table that
-walks the states from t_m back to t_0, the way bounded model checking
-unrolls a trace.  All entry points share a node budget (search nodes,
+Classical satisfiability of a base, and of every subset of it at once,
+comes from :func:`root_vectors`, a two-valued pass over the same node
+table that walks the states from t_m back to t_0, the way bounded model
+checking unrolls a trace.  All entry points share a node budget (search nodes,
 and for the pass its steps) and raise :class:`BudgetExceededError` when
 it runs out, which callers must treat as "unknown", never as "no
 model".
@@ -47,22 +48,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .formula import (
-    And,
-    Atom,
-    FalseConst,
-    Finally,
-    Formula,
-    Globally,
-    Implies,
-    KnowledgeBase,
-    Next,
-    Not,
-    Or,
-    TrueConst,
-    Until,
-)
-from .semantics import Interpretation3, SignatureMismatchError, TruthValue3, satisfies3
+from .formula import KnowledgeBase, _Node
+from .semantics import Interpretation3, TruthValue3, satisfies3
 
 __all__ = [
     "BudgetExceededError",
@@ -76,7 +63,6 @@ __all__ = [
     "decide_upper",
     "minimize",
     "root_vectors",
-    "sat2",
 ]
 
 INF = float("inf")
@@ -135,89 +121,7 @@ class SignatureCount:
         return len(self.bases)
 
 
-_Node = tuple[str, int, int]
-
-# Opcodes of the compiled node table, by formula class.
-_UNARY_OPS = {Not: "!", Next: "X"}
-_BINARY_OPS = {And: "&", Or: "|", Until: "U"}
-
 _VALUE_ORDER = (TruthValue3.TRUE, TruthValue3.FALSE, TruthValue3.BOTH)
-
-
-def _compile(
-    formulas: tuple[Formula, ...], atoms: tuple[str, ...]
-) -> tuple[list[_Node], list[int]]:
-    """Intern core formulas into a topologically ordered node table.
-
-    A node is ``(op, x, y)``.  Node ``i < len(atoms)`` is
-    ``("atom", i, -1)``, the atom ``atoms[i]``; ``("true", -1, -1)``
-    and ``("false", -1, -1)`` are the constants; ``"!"`` and ``"X"``
-    have the one child ``x``; ``"&"``, ``"|"`` and ``"U"`` have the
-    children ``x`` and ``y``.  Structurally equal subformulas share one
-    node, and every child comes before its parent.  Returns the table
-    and the root node of each formula.
-    """
-    table: list[_Node] = [("atom", i, -1) for i in range(len(atoms))]
-    interned = {node: i for i, node in enumerate(table)}
-    atom_ids = {name: i for i, name in enumerate(atoms)}
-    # Expansion shares operand objects between subformulas, so each
-    # object is walked once, keyed by identity.
-    compiled: dict[int, int] = {}
-    roots = []
-    for formula in formulas:
-        # A formula object is popped once to be checked and to push its
-        # children, left on top, and once more to be interned; so bad
-        # input is reported at the node a left-to-right recursive walk
-        # would meet first.
-        stack = [(formula, False)]
-        while stack:
-            current, children_done = stack.pop()
-            if id(current) in compiled:
-                continue
-            kind = type(current)
-            if kind in _BINARY_OPS:
-                if not children_done:
-                    stack.append((current, True))
-                    stack.append((current.right, False))
-                    stack.append((current.left, False))
-                    continue
-                node = (
-                    _BINARY_OPS[kind],
-                    compiled[id(current.left)],
-                    compiled[id(current.right)],
-                )
-            elif kind in _UNARY_OPS:
-                if not children_done:
-                    stack.append((current, True))
-                    stack.append((current.operand, False))
-                    continue
-                node = (_UNARY_OPS[kind], compiled[id(current.operand)], -1)
-            elif kind is Atom:
-                try:
-                    compiled[id(current)] = atom_ids[current.name]
-                except KeyError:
-                    raise SignatureMismatchError(
-                        f"atom {current.name!r} is not in the search signature"
-                    ) from None
-                continue
-            elif kind is TrueConst:
-                node = ("true", -1, -1)
-            elif kind is FalseConst:
-                node = ("false", -1, -1)
-            elif isinstance(current, (Finally, Globally, Implies)):
-                raise ValueError(
-                    f"derived connective in solver input: {current!r};"
-                    " expand_derived first"
-                )
-            else:
-                raise TypeError(f"not a formula node: {current!r}")
-            index = interned.get(node)
-            if index is None:
-                index = interned[node] = len(table)
-                table.append(node)
-            compiled[id(current)] = index
-        roots.append(compiled[id(formula)])
-    return table, roots
 
 
 def _evaluate(
@@ -342,7 +246,7 @@ def root_vectors(
     the work past ``budget``, before expanding them.
     """
     atoms = kb.atoms()
-    table, roots = _compile(kb.core_formulas, atoms)
+    table, roots = kb.table
     step = 1 << len(atoms)
     if step > budget:
         raise BudgetExceededError(budget, step)
@@ -409,24 +313,18 @@ class _Search:
         cost_mode: CostMode,
         max_cost: int,
         budget: int,
-        signature: tuple[str, ...] | None,
         collect_bases: bool = False,
     ):
         self.kb = kb
         self.m = kb.trace_length_m
-        self.atoms = tuple(signature) if signature is not None else kb.atoms()
-        missing = set(kb.atoms()) - set(self.atoms)
-        if missing:
-            raise SignatureMismatchError(
-                f"signature {self.atoms!r} misses atoms {sorted(missing)!r} of the base"
-            )
+        self.atoms = kb.atoms()
         # A cell is (state, atom index), in state-major order.
         self.cells = [
             (state, atom)
             for state in range(self.m + 1)
             for atom in range(len(self.atoms))
         ]
-        self.table, self.roots = _compile(kb.core_formulas, self.atoms)
+        self.table, self.roots = kb.table
         self.cost_mode = cost_mode
         self.max_cost = max_cost
         self.budget = budget
@@ -580,25 +478,12 @@ def _model_cost(nu: Interpretation3, cost_mode: CostMode) -> int:
     return len(conflict_base(nu))
 
 
-def sat2(
-    kb: KnowledgeBase,
-    *,
-    budget: int = DEFAULT_NODE_BUDGET,
-    signature: tuple[str, ...] | None = None,
-) -> DecisionResult:
-    """Classical satisfiability: the bound-0 decision, which rules out B."""
-    return decide_upper(
-        kb, 0, CostMode.CONFLICT_BASE, budget=budget, signature=signature
-    )
-
-
 def decide_upper(
     kb: KnowledgeBase,
     max_cost: int,
     cost_mode: CostMode,
     *,
     budget: int = DEFAULT_NODE_BUDGET,
-    signature: tuple[str, ...] | None = None,
 ) -> DecisionResult:
     """Is there an admissible three-valued model of cost at most max_cost?"""
     if max_cost < 0:
@@ -608,7 +493,6 @@ def decide_upper(
         cost_mode=cost_mode,
         max_cost=max_cost,
         budget=budget,
-        signature=signature,
     )
     witness = search.run()
     return DecisionResult(witness is not None, witness, search.nodes)
@@ -627,7 +511,6 @@ def minimize(
     cost_mode: CostMode,
     *,
     budget: int = DEFAULT_NODE_BUDGET,
-    signature: tuple[str, ...] | None = None,
 ) -> MinimizeResult:
     """Minimal model cost via binary search over decide_upper bounds.
 
@@ -642,9 +525,7 @@ def minimize(
         nonlocal nodes, probes
         probes += 1
         try:
-            result = decide_upper(
-                kb, bound, cost_mode, budget=budget - nodes, signature=signature
-            )
+            result = decide_upper(kb, bound, cost_mode, budget=budget - nodes)
         except BudgetExceededError as exc:
             raise BudgetExceededError(budget, nodes + exc.nodes) from None
         nodes += result.nodes
@@ -675,7 +556,6 @@ def count_min_conflict_signatures(
     kb: KnowledgeBase,
     *,
     budget: int = DEFAULT_NODE_BUDGET,
-    signature: tuple[str, ...] | None = None,
 ) -> SignatureCount:
     """Distinct inclusion-minimal conflict bases among the models with
     minimal affected-state count.
@@ -686,7 +566,7 @@ def count_min_conflict_signatures(
     of genuinely different minimal ways the base can be read as
     conflicted.  Requires 1 <= minimal cost < inf.
     """
-    summary = minimize(kb, CostMode.AFFECTED_STATES, budget=budget, signature=signature)
+    summary = minimize(kb, CostMode.AFFECTED_STATES, budget=budget)
     if summary.value == INF:
         raise ValueError("no admissible three-valued model exists")
     if summary.value == 0:
@@ -696,7 +576,6 @@ def count_min_conflict_signatures(
         cost_mode=CostMode.AFFECTED_STATES,
         max_cost=int(summary.value),
         budget=budget - summary.nodes,
-        signature=signature,
         collect_bases=True,
     )
     try:

@@ -278,6 +278,16 @@ def test_budget_exhaustion_in_the_subset_pass_names_the_budget(capsys, data_dir)
     assert "budget of 5" in err
 
 
+def test_budget_exhaustion_in_a_minimisation_names_the_whole_budget(
+    capsys, data_dir
+):
+    code, _, err = run_cli(
+        capsys, ["measure", str(data_dir / "always_clash.ltlkb"), "--budget", "30"]
+    )
+    assert code == 3
+    assert "node budget of 30" in err
+
+
 def test_oracle_check_agrees_on_small_bases(capsys, monkeypatch, data_dir):
     monkeypatch.chdir(data_dir)
     code, out, _ = run_cli(

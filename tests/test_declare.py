@@ -11,7 +11,7 @@ from ltlim.declare import (
 )
 from ltlim.formula import GMode, KnowledgeBase, atoms_of, parse_formula
 from ltlim.measures import measure
-from ltlim.solver import sat2
+from ltlim.solver import CostMode, decide_upper
 
 OVERLAP = "activities: a, b\nInit(a)\nResponse(a, b)\nNotResponse(a, b)\n"
 CHAIN = "activities: a, b\nInit(a)\nChainResponse(a, b)\nNotChainResponse(a, b)\n"
@@ -160,7 +160,8 @@ def test_at_least_feasibility_depends_on_trace_room():
         for n in (1, 2, 3, 4):
             model = parse_declare_text(f"activities: a\nAtLeast(a, {n})\n")
             kb = translate_model(model, m=m)
-            assert sat2(kb).found == (n <= m + 1), (m, n)
+            found = decide_upper(kb, 0, CostMode.CONFLICT_BASE).found
+            assert found == (n <= m + 1), (m, n)
 
 
 def test_counted_conflict_grows_with_demand():

@@ -2,9 +2,9 @@
 
 The oracle evaluates every formula over all interpretations at once, in
 a (cells, rows) grid.  These tests pin its enumeration order, check its
-vectorized evaluator against ``eval3`` row by row, and check that the
-shared enumeration behind ``oracle_min_costs`` gives what separate
-enumerations give.
+vectorized walk over the node table against ``eval3`` row by row, and
+check that the shared enumeration behind ``oracle_min_costs`` gives what
+separate enumerations give.
 """
 
 import itertools
@@ -26,7 +26,6 @@ from ltlim.formula import (
     Not,
     Or,
     Until,
-    parse_formula,
 )
 from ltlim.generators import random_kb
 from ltlim.measures import MEASURE_IDS, run_measures
@@ -38,7 +37,6 @@ from ltlim.oracle import (
 )
 from ltlim.semantics import (
     Interpretation3,
-    SignatureMismatchError,
     TruthValue3,
     affected_states,
     conflict_base,
@@ -117,32 +115,50 @@ def test_digit_grid_row_r_spells_r(n_cells, lut, order):
         assert grid[:, r].tolist() == [int(order[d]) for d in digits]
 
 
+def assert_walk_matches_eval3(kb: KnowledgeBase) -> None:
+    """The oracle's walk over the node table gives eval3's value of
+    every formula at every row and state."""
+    table, roots = kb.table
+    atoms, m = kb.atoms(), kb.trace_length_m
+    grid = oracle._digit_grid((m + 1) * len(atoms), oracle._LUT3)
+    rows = grid.shape[1]
+    values = {}
+    for node, got in oracle._walk(table, grid.reshape(m + 1, len(atoms), rows)):
+        assert got.shape == (m + 1, rows)
+        if node in roots:
+            values[node] = np.array(got)
+    formulas = dict(zip(roots, kb.core_formulas))
+    for row in range(rows):
+        nu = oracle._row_interpretation(atoms, grid, row, m)
+        for root, f in formulas.items():
+            expected = [int(eval3(nu, s, f)) for s in range(m + 1)]
+            assert values[root][:, row].tolist() == expected, (f, row)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_eval_vec_matches_eval3_at_every_row_and_state(seed):
     rng = random.Random(seed)
     atoms = ATOMS[: rng.randint(1, 3)]
     m = rng.randint(0, 8 // len(atoms) - 1)
     formulas = [random_core_formula(rng, atoms) for _ in range(3)]
-    grid = oracle._digit_grid((m + 1) * len(atoms), oracle._LUT3)
-    rows = grid.shape[1]
-    columns = oracle._atom_columns(grid, atoms, m)
-    values = [oracle._eval_vec(f, columns, rows, m) for f in formulas]
-    for got in values:
-        assert got.shape == (m + 1, rows)
-    for row in range(rows):
-        nu = oracle._row_interpretation(atoms, grid, row, m)
-        for f, got in zip(formulas, values):
-            expected = [int(eval3(nu, s, f)) for s in range(m + 1)]
-            assert got[:, row].tolist() == expected, (f, row)
+    assert_walk_matches_eval3(KnowledgeBase(formulas, m, allow_short_trace=True))
 
 
-def test_eval_vec_rejects_derived_connectives_and_foreign_atoms():
-    grid = oracle._digit_grid(3, oracle._LUT3)
-    columns = oracle._atom_columns(grid, ("a",), 2)
-    with pytest.raises(ValueError, match="derived connective"):
-        oracle._eval_vec(parse_formula("G a"), columns, grid.shape[1], 2)
-    with pytest.raises(SignatureMismatchError):
-        oracle._eval_vec(parse_formula("a U b"), columns, grid.shape[1], 2)
+def test_table_walk_matches_eval3_on_a_shared_operand():
+    kb = KnowledgeBase.of("G (a | X b)", "F (a & b)", m=2, g_mode=GMode.REFLEXIVE)
+    table, _ = kb.table
+    # The reflexive G reads its operand in the conjunction and under the
+    # negation of the until.
+    operand = table.index(("|", 0, table.index(("X", 1, -1))))
+    assert sum(operand in (x, y) for op, x, y in table if op != "atom") == 2
+    assert_walk_matches_eval3(kb)
+
+
+def test_table_walk_matches_eval3_on_two_formulas_with_one_root():
+    kb = KnowledgeBase.of("a -> X b", "(! a) | X b", "b U (! a)", m=2)
+    _, roots = kb.table
+    assert roots[0] == roots[1]
+    assert_walk_matches_eval3(kb)
 
 
 def reference_min_cost(kb: KnowledgeBase, cost: str):
@@ -206,9 +222,9 @@ def test_run_measures_enumerates_the_three_valued_space_at_most_once(
     calls = []
     original = oracle._model_space
 
-    def counting(kb, signature, cell_cap, *, two_valued=False):
+    def counting(kb, *, cell_cap, two_valued=False):
         calls.append(two_valued)
-        return original(kb, signature, cell_cap, two_valued=two_valued)
+        return original(kb, cell_cap=cell_cap, two_valued=two_valued)
 
     monkeypatch.setattr(oracle, "_model_space", counting)
     kb = KnowledgeBase.of("G a", "G (! a)", "F (a & X a)", m=3)

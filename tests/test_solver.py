@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import ltlim.formula
 import ltlim.measures
 import ltlim.solver
 from ltlim.formula import (
@@ -21,6 +22,7 @@ from ltlim.formula import (
     Or,
     TrueConst,
     Until,
+    _compile,
 )
 from ltlim.generators import random_interpretation, random_kb
 from ltlim.measures import run_measures
@@ -29,13 +31,11 @@ from ltlim.semantics import SignatureMismatchError, TruthValue3, eval3, satisfie
 from ltlim.solver import (
     BudgetExceededError,
     CostMode,
-    _compile,
     _evaluate,
     count_min_conflict_signatures,
     decide_upper,
     minimize,
     root_vectors,
-    sat2,
 )
 
 INF = float("inf")
@@ -53,7 +53,7 @@ def small_kb(seed: int) -> KnowledgeBase:
 @pytest.mark.parametrize("seed", range(60))
 def test_sat2_matches_oracle(seed):
     kb = small_kb(seed)
-    assert sat2(kb).found == oracle_sat2(kb)[0]
+    assert decide_upper(kb, 0, CostMode.CONFLICT_BASE).found == oracle_sat2(kb)[0]
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -136,7 +136,7 @@ def test_b_atoms_reachability_matches_oracle(seed):
 @pytest.mark.parametrize("seed", range(60))
 def test_bound_zero_is_classical_satisfiability_in_every_mode(seed):
     kb = small_kb(seed)
-    expected = sat2(kb)
+    expected = decide_upper(kb, 0, CostMode.CONFLICT_BASE)
     for mode in CostMode:
         result = decide_upper(kb, 0, mode)
         assert (result.found, result.witness) == (expected.found, expected.witness)
@@ -329,6 +329,23 @@ def test_bitset_kernel_matches_the_per_state_reference(seed):
             assert values == {eval3(nu, s, formula)}
 
 
+def test_each_base_compiles_once(monkeypatch):
+    compiled = []
+
+    def counted(formulas, atoms):
+        compiled.append(formulas)
+        return _compile(formulas, atoms)
+
+    monkeypatch.setattr(ltlim.formula, "_compile", counted)
+    kb = KnowledgeBase.of("G a", "G (! a)", "F (a & X b)", "b | X a", m=3)
+    run = run_measures(kb)
+    assert run.probes > 3
+    assert compiled == [kb.core_formulas]
+    clash = KnowledgeBase.of("X a", "X (! a)", "G b", m=3)
+    assert count_min_conflict_signatures(clash).probes > 1
+    assert compiled == [kb.core_formulas, clash.core_formulas]
+
+
 def test_compile_walks_deep_formulas_without_recursion():
     deep: Formula = Atom("a")
     for _ in range(20_000):
@@ -378,7 +395,7 @@ def test_root_vectors_decide_every_subset_like_the_search(seed):
     small = (kb.trace_length_m + 1) * len(kb.atoms()) <= 12
     for mask in range(1 << n):
         subset = kb.replace_formulas(f for i, f in enumerate(kb.formulas) if mask >> i & 1)
-        expected = sat2(subset).found
+        expected = decide_upper(subset, 0, CostMode.CONFLICT_BASE).found
         assert any(v & mask == mask for v in vectors) == expected, mask
         if small:
             assert oracle_sat2(subset)[0] == expected, mask
