@@ -555,6 +555,23 @@ class KnowledgeBase:
         """
         return _compile(self.core_formulas, self.atoms())
 
+    @cached_property
+    def atoms_below(self) -> list[int]:
+        """For each node of :attr:`table`, the atoms it depends on, as a
+        mask with bit i set for atom ``atoms()[i]``.
+
+        A node's value can change only when a cell of one of these
+        atoms does.
+        """
+        table, _ = self.table
+        below: list[int] = []
+        for op, x, y in table:
+            if op == "atom":
+                below.append(1 << x)
+            else:
+                below.append((below[x] if x >= 0 else 0) | (below[y] if y >= 0 else 0))
+        return below
+
     def replace_formulas(self, formulas: Iterable[Formula]) -> "KnowledgeBase":
         return KnowledgeBase(
             formulas=tuple(formulas),

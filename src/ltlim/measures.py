@@ -96,7 +96,7 @@ _Satisfiable = Callable[[int], bool]
 
 def _solver_satisfiable(kb: KnowledgeBase, pool: _BudgetPool) -> _Satisfiable:
     """Read subsets off the root vectors, computed on the first call."""
-    vectors: set[int] | None = None
+    vectors: frozenset[int] | None = None
 
     def satisfiable(mask: int) -> bool:
         nonlocal vectors

@@ -7,17 +7,21 @@ of the base's core formulas, compiled once per base by
 subformulas share one node, and every node comes after its children.
 For every node the search keeps the truth values still achievable by
 some completion of the partial assignment, at each state, as three
-Python ints over the states t_0..t_m: bit s of the first is set when
-the value at t_s can be 0, of the second when it can be B, and of the
-third when it can be 1.  Assigning a cell clears bits of its atom's
-three ints, and backtracking sets them again.  After each assignment
-one pass over the table recomputes the other nodes with a few bitwise
-operations each: ``!`` swaps the 0 and 1 bitsets, ``X`` is a shift,
-and ``U`` solves a linear recurrence by doubling.  These are the exact
-images of the connectives on value sets, computed bit by bit, because
-no set is ever empty: a conjunction can be 0 when either side can be 0,
-since the other side has some value to pair with.  Two facts about
-these sets drive the search:
+Python ints over the states t_0..t_m: bit m - s of the first is set
+when the value at t_s can be 0, of the second when it can be B, and of
+the third when it can be 1, so t_0 is the top bit and t_m is bit 0.
+Assigning a cell clears bits of its atom's three ints, and backtracking
+sets them again.  Before each status the nodes above the atoms whose
+cells changed since the last one, and only those, are recomputed in
+table order, with a few bitwise operations each: ``!`` swaps the 0 and
+1 bitsets, ``X`` is a shift, and ``U`` solves each of its three carry
+chains with one integer addition.  Every node records the atoms below
+it (:attr:`ltlim.formula.KnowledgeBase.atoms_below`), and the search
+keeps the nodes to recompute for each set of changed atoms it meets.
+These are the exact images of the connectives on value sets, computed
+bit by bit, because no set is ever empty: a conjunction can be 0 when
+either side can be 0, since the other side has some value to pair
+with.  Two facts about these sets drive the search:
 
 * they over-approximate, so a formula whose set at t_0 contains no
   designated value can never be repaired by the remaining cells, and
@@ -46,6 +50,7 @@ model".
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .formula import KnowledgeBase, _Node
@@ -126,21 +131,31 @@ _VALUE_ORDER = (TruthValue3.TRUE, TruthValue3.FALSE, TruthValue3.BOTH)
 
 def _evaluate(
     table: list[_Node],
-    first: int,
+    nodes: Iterable[int],
     f: list[int],
     b: list[int],
     t: list[int],
     m: int,
 ) -> None:
-    """Recompute the value sets of nodes ``first`` onwards, in table order.
+    """Recompute the value sets of ``nodes``, which run in table order.
 
     ``f[n]``, ``b[n]`` and ``t[n]`` are node n's can-be-0, can-be-B and
-    can-be-1 bitsets: bit s is set when the subformula can take that
-    value at t_s.  Entries below ``first`` (the atom leaves) are read,
-    never written.
+    can-be-1 bitsets over the states t_0..t_m.  Bit m - s stands for
+    t_s: t_0 is the top bit and t_m is bit 0, so that a value flows
+    from t_{s+1} to t_s towards the higher bits, the way a carry does.
+    Nodes not listed, the atom leaves among them, are read, never
+    written; each listed node's children must be up to date.
+
+    ``X`` shifts left by one, and its 0-plane gains t_m.  ``U`` is
+    exactly 0 at t_m, and below it v(s) = left(s) & (right(s+1) |
+    v(s+1)), so each of its three planes obeys a carry chain
+    x_s = g_s | (p_s & x_{s+1}): g generates, p propagates.  One integer
+    addition solves such a chain at every state, since (g | p) + g
+    carries out of exactly the bits whose x is set; XOR with the sum
+    bits p & ~g leaves the carries into each bit, one bit too high.
     """
-    top = 1 << m
-    for node in range(first, len(table)):
+    full = (2 << m) - 1
+    for node in nodes:
         op, x, y = table[node]
         if op == "!":
             f[node], b[node], t[node] = t[x], b[x], f[x]
@@ -155,38 +170,29 @@ def _evaluate(
             b[node] = (lb & (rb | rf)) | (rb & (lb | lf))
             t[node] = t[x] | t[y]
         elif op == "X":
-            f[node] = (f[x] >> 1) | top
-            b[node] = b[x] >> 1
-            t[node] = t[x] >> 1
+            f[node] = ((f[x] << 1) & full) | 1
+            b[node] = (b[x] << 1) & full
+            t[node] = (t[x] << 1) & full
         elif op == "U":
-            # The value is exactly 0 at t_m, and below it
-            # v(i) = left(i) & (right(i+1) | v(i+1)).  Each of the three
-            # bits of v then obeys x_i = g_i | (p_i & x_{i+1}); doubling
-            # the span k of that recurrence solves it at every state.
+            # The right child and v itself are read at t_{s+1}: one bit
+            # lower, hence a left shift.  Only the 0-plane's propagate
+            # bits can spill past t_0; every other g and p is masked by
+            # a plane of the left child.
             lb, lt = b[x], t[x]
-            rf, rb, rt = f[y] >> 1, b[y] >> 1, t[y] >> 1
-            gf, pf = f[x] | top, rf
-            gt, pt = lt & rt, lt
-            k = 1
-            while k <= m:
-                gf |= pf & (gf >> k)
-                pf &= pf >> k
-                gt |= pt & (gt >> k)
-                pt &= pt >> k
-                k <<= 1
+            rf, rb, rt = (f[y] << 1) & full, b[y] << 1, t[y] << 1
+            g, p = f[x] | 1, rf
+            vf = (((g | p) + g) ^ (p & ~g)) >> 1
+            g, p = lt & rt, lt
+            vt = (((g | p) + g) ^ (p & ~g)) >> 1
             lbt = lb | lt
-            gb = (lb & (rt | (gt >> 1))) | (lbt & rb & (gf >> 1))
-            pb = lbt & (rb | rf)
-            k = 1
-            while k <= m:
-                gb |= pb & (gb >> k)
-                pb &= pb >> k
-                k <<= 1
-            f[node], b[node], t[node] = gf, gb, gt
+            g = (lb & (rt | (vt << 1))) | (lbt & rb & (vf << 1))
+            p = lbt & (rb | rf)
+            b[node] = (((g | p) + g) ^ (p & ~g)) >> 1
+            f[node], t[node] = vf, vt
         elif op == "true":
-            f[node], b[node], t[node] = 0, 0, (top << 1) - 1
+            f[node], b[node], t[node] = 0, 0, full
         elif op == "false":
-            f[node], b[node], t[node] = (top << 1) - 1, 0, 0
+            f[node], b[node], t[node] = full, 0, 0
 
 
 def _columns(rows: list[int], full: int) -> set[int]:
@@ -218,9 +224,14 @@ def _columns(rows: list[int], full: int) -> set[int]:
 _PARALLEL_ATOMS = 10
 
 
+# Where root_vectors keeps a completed pass: in the base object's own
+# attributes, like its cached table, so that it dies with the base.
+_PASS_KEY = "_root_vectors"
+
+
 def root_vectors(
     kb: KnowledgeBase, *, budget: int = DEFAULT_NODE_BUDGET
-) -> tuple[set[int], int]:
+) -> tuple[frozenset[int], int]:
     """The truth vectors of the formulas at t_0 over all two-valued traces.
 
     Bit j of a vector is the value of ``kb.formulas[j]`` at t_0, and the
@@ -244,7 +255,22 @@ def root_vectors(
     key and assignment.  Raises :class:`BudgetExceededError` as soon as
     the keys expanded and the keys handed on to be expanded would take
     the work past ``budget``, before expanding them.
+
+    The base object keeps its last completed pass, so the pass runs once
+    per base however many measures and checks ask for it.  Each call
+    still returns the work of the pass, to be charged again.  No budget
+    check of a pass exceeds its total work, so a budget of at least that
+    total is met; a smaller one runs the pass again, which raises where
+    it always would.
     """
+    kept = kb.__dict__.get(_PASS_KEY)
+    if kept is None or kept[1] > budget:
+        kept = kb.__dict__[_PASS_KEY] = _root_pass(kb, budget)
+    return kept
+
+
+def _root_pass(kb: KnowledgeBase, budget: int) -> tuple[frozenset[int], int]:
+    """The pass of :func:`root_vectors`, run afresh."""
     atoms = kb.atoms()
     table, roots = kb.table
     step = 1 << len(atoms)
@@ -300,7 +326,7 @@ def root_vectors(
             if work + len(handed) * step > budget:
                 raise BudgetExceededError(budget, work + len(handed) * step)
         keys = handed
-    return vectors, work
+    return frozenset(vectors), work
 
 
 class _Search:
@@ -339,24 +365,52 @@ class _Search:
         self.assignment: list[TruthValue3 | None] = [None] * len(self.cells)
         self.state_b_count = [0] * (self.m + 1)
         self.atom_b_count = [0] * len(self.atoms)
+        # Bit m - s of a bitset stands for t_s (see _evaluate), so a
+        # cell's bit is 1 << (m - state), and the roots are read at t_0.
+        self.cell_bit = [1 << (self.m - state) for state, _ in self.cells]
+        self.top = 1 << self.m
         # Every cell starts open: it can be 0 or 1, and B where b_ok.
-        full = (1 << (self.m + 1)) - 1
+        full = (2 << self.m) - 1
         self.f = [full] * len(self.table)
         self.b = [0] * len(self.table)
         self.t = [full] * len(self.table)
-        for index, (state, atom) in enumerate(self.cells):
+        for index, (_, atom) in enumerate(self.cells):
             if self.b_ok[index]:
-                self.b[atom] |= 1 << state
+                self.b[atom] |= self.cell_bit[index]
+        _evaluate(
+            self.table,
+            range(len(self.atoms), len(self.table)),
+            self.f,
+            self.b,
+            self.t,
+            self.m,
+        )
+        # Later evaluations recompute only the nodes above the atoms
+        # whose cells changed since the last one: the dirty atoms, as a
+        # mask, and for each mask met so far its nodes in table order.
+        self.dirty = 0
+        self.cones: dict[int, list[int]] = {}
 
     def _status(self) -> str:
         """"dead", "decided", or "open" for the current partial assignment."""
         f, b, t = self.f, self.b, self.t
-        _evaluate(self.table, len(self.atoms), f, b, t, self.m)
+        dirty = self.dirty
+        cone = self.cones.get(dirty)
+        if cone is None:
+            below = self.kb.atoms_below
+            cone = self.cones[dirty] = [
+                node
+                for node in range(len(self.atoms), len(self.table))
+                if below[node] & dirty
+            ]
+        _evaluate(self.table, cone, f, b, t, self.m)
+        self.dirty = 0
+        top = self.top
         decided = True
         for root in self.roots:
-            if not (b[root] | t[root]) & 1:
+            if not (b[root] | t[root]) & top:
                 return "dead"
-            if f[root] & 1:
+            if f[root] & top:
                 decided = False
         return "decided" if decided else "open"
 
@@ -404,7 +458,8 @@ class _Search:
                 continue
             cost[index + 1] = new_cost
             self.assignment[index] = value
-            drop = ~(1 << state)
+            self.dirty |= 1 << atom
+            drop = ~self.cell_bit[index]
             if value is TruthValue3.TRUE:
                 self.f[atom] &= drop
                 self.b[atom] &= drop
@@ -421,7 +476,8 @@ class _Search:
 
     def _unassign(self, index: int) -> None:
         state, atom = self.cells[index]
-        bit = 1 << state
+        bit = self.cell_bit[index]
+        self.dirty |= 1 << atom
         if self.assignment[index] is TruthValue3.BOTH:
             self.state_b_count[state] -= 1
             self.atom_b_count[atom] -= 1

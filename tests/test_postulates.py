@@ -2,6 +2,7 @@
 
 import pytest
 
+import ltlim.solver
 from ltlim.formula import KnowledgeBase, parse_formula
 from ltlim.measures import MEASURE_IDS
 from ltlim.postulates import (
@@ -59,6 +60,26 @@ def test_check_co_holds_on_both_sides_of_consistency():
     assert clashing.outcome is Outcome.HOLDS
     assert clashing.details["consistent"] is False
     assert clashing.details["value"] == 1
+
+
+@pytest.mark.parametrize(
+    "check, passes, outcome",
+    [(check_co, 1, Outcome.HOLDS), (check_in, 2, Outcome.HOLDS)],
+)
+def test_the_two_valued_pass_runs_once_per_base(monkeypatch, check, passes, outcome):
+    walked = []
+    real = ltlim.solver._root_pass
+
+    def counted(kb, budget):
+        walked.append(kb)
+        return real(kb, budget)
+
+    monkeypatch.setattr(ltlim.solver, "_root_pass", counted)
+    # check_co asks twice about one base; check_in asks twice about the
+    # base and once about it without its free formula "b".
+    kb = KnowledgeBase.of("G a", "G (! a)", "b", m=3)
+    assert check(kb=kb, measure_id="MI").outcome is outcome
+    assert len(walked) == len({id(base) for base in walked}) == passes
 
 
 def test_check_mo_requires_a_subset_pair():

@@ -283,35 +283,58 @@ def table_formulas(table) -> list[Formula]:
 
 
 def kernel_sets(table, leaf_masks: dict[str, list[int]], m: int):
-    """Run the kernel with the atom leaves set from per-state masks."""
+    """Run the kernel with the atom leaves set from per-state masks.
+
+    The kernel keeps state t_s at bit m - s of each bitset.
+    """
     size = len(table)
     f, b, t = [0] * size, [0] * size, [0] * size
     for atom, name in enumerate(ATOMS):
         for state, mask in enumerate(leaf_masks[name]):
-            f[atom] |= (mask & _MASK_F) << state
-            b[atom] |= ((mask & _MASK_B) >> 1) << state
-            t[atom] |= ((mask & _MASK_T) >> 2) << state
-    _evaluate(table, len(ATOMS), f, b, t, m)
+            f[atom] |= (mask & _MASK_F) << (m - state)
+            b[atom] |= ((mask & _MASK_B) >> 1) << (m - state)
+            t[atom] |= ((mask & _MASK_T) >> 2) << (m - state)
+    _evaluate(table, range(len(ATOMS), len(table)), f, b, t, m)
     return f, b, t
 
 
 @pytest.mark.parametrize("seed", range(260))
 def test_bitset_kernel_matches_the_per_state_reference(seed):
+    check_kernel_against_the_reference(seed, seed % 13)
+
+
+# Long traces carry U's addition across the 30-bit digits of CPython's
+# ints, and leaves that hold one mask over runs of states make chains
+# that span several digits.
+@pytest.mark.parametrize("m", [29, 30, 31, 32, 59, 60, 61, 63, 64, 100])
+@pytest.mark.parametrize("run", [1, 24])
+@pytest.mark.parametrize("seed", range(4))
+def test_bitset_kernel_matches_the_per_state_reference_on_long_traces(seed, run, m):
+    check_kernel_against_the_reference(seed, m, run)
+
+
+def check_kernel_against_the_reference(seed: int, m: int, run: int = 1) -> None:
+    """Compare the kernel with the per-state reference on random leaf
+    masks, each drawn once per ``run`` consecutive states."""
     rng = random.Random(seed)
-    m = seed % 13
     formulas = random_core_formulas(rng, ATOMS[: rng.randint(1, 3)])
     table, roots = _compile(tuple(formulas), ATOMS)
     rebuilt = table_formulas(table)
     assert [rebuilt[root] for root in roots] == formulas
     assert len(set(table)) == len(table)
 
-    leaf_masks = {a: [rng.randint(1, 7) for _ in range(m + 1)] for a in ATOMS}
+    leaf_masks = {}
+    for a in ATOMS:
+        draws = [rng.randint(1, 7) for _ in range(m // run + 1)]
+        leaf_masks[a] = [draws[s // run] for s in range(m + 1)]
     f, b, t = kernel_sets(table, leaf_masks, m)
     memo: dict[int, list[int]] = {}
     for node, formula in enumerate(rebuilt):
         expected = _abstract_eval(formula, leaf_masks, m, memo)
         got = [
-            (f[node] >> s & 1) | (b[node] >> s & 1) << 1 | (t[node] >> s & 1) << 2
+            (f[node] >> (m - s) & 1)
+            | (b[node] >> (m - s) & 1) << 1
+            | (t[node] >> (m - s) & 1) << 2
             for s in range(m + 1)
         ]
         assert got == expected, (node, table[node])
@@ -325,8 +348,59 @@ def test_bitset_kernel_matches_the_per_state_reference(seed):
     planes = {TruthValue3.FALSE: f, TruthValue3.BOTH: b, TruthValue3.TRUE: t}
     for root, formula in zip(roots, formulas):
         for s in range(m + 1):
-            values = {v for v, plane in planes.items() if plane[root] >> s & 1}
+            values = {v for v, plane in planes.items() if plane[root] >> (m - s) & 1}
             assert values == {eval3(nu, s, formula)}
+
+
+class CheckedSearch(ltlim.solver._Search):
+    """A search that checks, after every status, each node's value sets
+    against an evaluation of the whole table from the atom leaves."""
+
+    statuses = 0
+
+    def _status(self) -> str:
+        status = super()._status()
+        f, b, t = list(self.f), list(self.b), list(self.t)
+        _evaluate(self.table, range(len(self.atoms), len(self.table)), f, b, t, self.m)
+        assert (f, b, t) == (self.f, self.b, self.t), self.nodes
+        self.statuses += 1
+        return status
+
+
+def run_checked(kb: KnowledgeBase, mode: CostMode, bound: int, collect_bases: bool) -> int:
+    """Run a checked search as far as a small budget allows; returns the
+    number of statuses checked."""
+    search = CheckedSearch(
+        kb, cost_mode=mode, max_cost=bound, budget=400, collect_bases=collect_bases
+    )
+    try:
+        search.run()
+    except BudgetExceededError:
+        pass
+    assert search.statuses == min(search.nodes, 400)
+    return search.statuses
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("mode", list(CostMode))
+def test_incremental_evaluation_equals_a_full_one(seed, mode):
+    kb = pass_kb(seed)
+    checked = 0
+    for bound in (0, 1, 3):
+        for collect_bases in (False, True):
+            checked += run_checked(kb, mode, bound, collect_bases)
+    assert checked >= 6
+
+
+def test_the_incremental_check_catches_an_atom_missing_from_a_mask(monkeypatch):
+    kb = KnowledgeBase.of("! a", "b", m=2)
+    below = list(kb.atoms_below)
+    _, (negation, _) = kb.table
+    assert below[negation] == 0b01
+    below[negation] = 0
+    monkeypatch.setattr(KnowledgeBase, "atoms_below", property(lambda _: below))
+    with pytest.raises(AssertionError):
+        run_checked(kb, CostMode.CONFLICT_BASE, 0, False)
 
 
 def test_each_base_compiles_once(monkeypatch):
@@ -454,7 +528,8 @@ def test_root_vectors_over_more_atoms_than_run_side_by_side(monkeypatch):
     assert not satisfiable(0, 3, 4)
     assert satisfiable(0, 1, 2, 3) and satisfiable(1, 2, 3, 4) and satisfiable(0, 1, 2, 4)
     monkeypatch.setattr(ltlim.solver, "_PARALLEL_ATOMS", 12)
-    assert root_vectors(kb) == (vectors, work)
+    # A new base object, since each one keeps its own pass.
+    assert root_vectors(kb.replace_formulas(kb.formulas)) == (vectors, work)
 
 
 def test_root_vectors_refuse_a_wide_signature_before_evaluating():
@@ -470,3 +545,18 @@ def test_root_vectors_stop_at_the_budget():
         root_vectors(kb, budget=5)
     assert exc.value.budget == 5
     assert exc.value.nodes > 5
+
+
+def pass_outcome(kb: KnowledgeBase, budget: int):
+    try:
+        return root_vectors(kb, budget=budget)
+    except BudgetExceededError as exc:
+        return exc.budget, exc.nodes
+
+
+@pytest.mark.parametrize("seed", range(0, 80, 8))
+def test_a_kept_pass_meets_every_budget_like_a_fresh_one(seed):
+    kb = pass_kb(seed)
+    _, work = root_vectors(kb)
+    for budget in sorted({0, 1, work // 3, work // 2, work - 1, work, work + 1}):
+        assert pass_outcome(kb, budget) == pass_outcome(pass_kb(seed), budget)
