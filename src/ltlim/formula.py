@@ -534,6 +534,11 @@ class KnowledgeBase:
 
     def atoms(self) -> tuple[str, ...]:
         """All atom names in the base, sorted."""
+        return self._atoms
+
+    @cached_property
+    def _atoms(self) -> tuple[str, ...]:
+        """:meth:`atoms`, collected once per base."""
         names: set[str] = set()
         for formula in self.formulas:
             names |= atoms_of(formula)

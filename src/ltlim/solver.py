@@ -35,16 +35,19 @@ by B (affected states), the B cells themselves (conflict base), or the
 distinct atoms that hold B at some state (B atoms).  Branches whose
 running cost exceeds the bound are cut.  A bound of 0 rules out B
 cells altogether, open cells included, so classical satisfiability is
-the bound-0 decision in any mode.  Minimization wraps the decision
-procedure in a binary search over the bound.
+the bound-0 decision in any mode.
 
 Classical satisfiability of a base, and of every subset of it at once,
 comes from :func:`root_vectors`, a two-valued pass over the same node
 table that walks the states from t_m back to t_0, the way bounded model
-checking unrolls a trace.  All entry points share a node budget (search nodes,
-and for the pass its steps) and raise :class:`BudgetExceededError` when
-it runs out, which callers must treat as "unknown", never as "no
-model".
+checking unrolls a trace.  Minimization probes the decision procedure
+first at the cost ceiling.  When the pass says the base is classically
+unsatisfiable, each further probe asks for a model cheaper than the
+last witness, so the one probe that refutes runs just below the value;
+otherwise the value is 0 and the bound is halved.  All entry points
+share a node budget (search nodes, and for the pass its steps) and
+raise :class:`BudgetExceededError` when it runs out, which callers must
+treat as "unknown", never as "no model".
 """
 
 from __future__ import annotations
@@ -568,10 +571,27 @@ def minimize(
     *,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> MinimizeResult:
-    """Minimal model cost via binary search over decide_upper bounds.
+    """Minimal model cost, from decide_upper probes below the cost of
+    each witness found.
+
+    The first probe runs at the cost ceiling.  When its witness costs
+    more than 0, the two-valued pass (:func:`root_vectors`) says whether
+    the base is classically satisfiable, and its work is charged like
+    that of every other reader of the pass.
+
+    * On a satisfiable base the value is 0, so every probe finds a
+      model; the bound is halved until a witness costs 0.
+    * Otherwise the value v is at least 1.  Each probe runs one below
+      the cost of the last witness, so bound 0 is never searched and
+      the only probe that refutes runs at v - 1.  The witness is still
+      the one a probe at v returns: every bound of at least 1 admits B
+      at the same cells, so a probe at any bound b >= v walks the same
+      tree, cut at b, and a first decided node of cost v there is the
+      first of cost at most v.
 
     Returns value inf with no witness when the base has no admissible
-    three-valued model at all.  The budget is shared across probes.
+    three-valued model at all.  The budget is shared across the probes
+    and the pass.
     """
     ceiling = _cost_ceiling(kb, cost_mode)
     nodes = 0
@@ -592,14 +612,21 @@ def minimize(
         return MinimizeResult(INF, None, nodes, probes)
     best = first.witness
     low, high = 0, _model_cost(best, cost_mode)
+    if high:
+        try:
+            vectors, work = root_vectors(kb, budget=budget - nodes)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(budget, nodes + exc.nodes) from None
+        nodes += work
+        if (1 << len(kb.formulas)) - 1 not in vectors:
+            low = 1
     while low < high:
-        mid = (low + high) // 2
-        attempt = probe(mid)
+        attempt = probe(high - 1 if low else high // 2)
         if attempt.found:
             best = attempt.witness
             high = _model_cost(best, cost_mode)
         else:
-            low = mid + 1
+            low = high
     value = low
     if best is None or not satisfies3(best, kb) or _model_cost(best, cost_mode) != value:
         raise RuntimeError(

@@ -44,9 +44,9 @@ def test_json_reports_match_golden_bytes(capsys, monkeypatch, data_dir, golden, 
 @pytest.mark.parametrize(
     "argv,nodes,probes",
     [
-        (["declare", "double_overlap.decl", "--m", "4", "--measure", "all"], 13174, 6),
-        (["measure", "always_clash.ltlkb", "--m", "8"], 481, 10),
-        (["explain", "always_clash.ltlkb"], 82, 3),
+        (["declare", "double_overlap.decl", "--m", "4", "--measure", "all"], 14365, 5),
+        (["measure", "always_clash.ltlkb", "--m", "8"], 410, 5),
+        (["explain", "always_clash.ltlkb"], 84, 2),
     ],
     ids=["declare-m4", "measure-m8", "explain"],
 )

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import ltlim.formula
 from ltlim.declare import load_declare, translate_model
 from ltlim.formula import KnowledgeBase, parse_formula
 from ltlim.generators import random_kb
@@ -33,6 +34,24 @@ def test_measure_ids_are_fixed():
 def test_unknown_measure_id_rejected():
     with pytest.raises(ValueError):
         measure(kb_of("a"), "zz")
+
+
+def test_a_base_collects_its_atoms_once_per_run(monkeypatch):
+    calls = []
+    original = ltlim.formula.atoms_of
+
+    def counted(formula):
+        calls.append(formula)
+        return original(formula)
+
+    monkeypatch.setattr(ltlim.formula, "atoms_of", counted)
+    assert kb_of(*PROP_MIX).atoms() == ("a", "b", "c", "d")
+    once = len(calls)
+    calls.clear()
+    # ``at`` reads the atoms of the minimal subsets' formulas itself.
+    run = run_measures(kb_of(*PROP_MIX), [mid for mid in MEASURE_IDS if mid != "at"])
+    assert run.probes > 3
+    assert len(calls) == once
 
 
 def test_propositional_mix_baseline_block():

@@ -415,7 +415,7 @@ def test_each_base_compiles_once(monkeypatch):
     run = run_measures(kb)
     assert run.probes > 3
     assert compiled == [kb.core_formulas]
-    clash = KnowledgeBase.of("X a", "X (! a)", "G b", m=3)
+    clash = KnowledgeBase.of("G a", "G (! a)", "G b", m=3)
     assert count_min_conflict_signatures(clash).probes > 1
     assert compiled == [kb.core_formulas, clash.core_formulas]
 
@@ -560,3 +560,131 @@ def test_a_kept_pass_meets_every_budget_like_a_fresh_one(seed):
     _, work = root_vectors(kb)
     for budget in sorted({0, 1, work // 3, work // 2, work - 1, work, work + 1}):
         assert pass_outcome(kb, budget) == pass_outcome(pass_kb(seed), budget)
+
+
+def reference_minimize(
+    kb: KnowledgeBase,
+    cost_mode: CostMode,
+    *,
+    budget: int = ltlim.solver.DEFAULT_NODE_BUDGET,
+) -> ltlim.solver.MinimizeResult:
+    """Minimisation by binary search over the bound, probing halfway
+    between the last refuted bound and the cost of the last witness: the
+    search that stepping down from each witness replaced, kept as its
+    reference."""
+    ceiling = ltlim.solver._cost_ceiling(kb, cost_mode)
+    model_cost = ltlim.solver._model_cost
+    nodes = 0
+    probes = 0
+
+    def probe(bound: int):
+        nonlocal nodes, probes
+        probes += 1
+        try:
+            result = ltlim.solver.decide_upper(kb, bound, cost_mode, budget=budget - nodes)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(budget, nodes + exc.nodes) from None
+        nodes += result.nodes
+        return result
+
+    first = probe(ceiling)
+    if not first.found:
+        return ltlim.solver.MinimizeResult(INF, None, nodes, probes)
+    best = first.witness
+    low, high = 0, model_cost(best, cost_mode)
+    while low < high:
+        mid = (low + high) // 2
+        attempt = probe(mid)
+        if attempt.found:
+            best = attempt.witness
+            high = model_cost(best, cost_mode)
+        else:
+            low = mid + 1
+    return ltlim.solver.MinimizeResult(low, best, nodes, probes)
+
+
+def minimize_kb(seed: int) -> KnowledgeBase:
+    """A base of 1-3 formulas over 1-3 atoms at m = 2..7, under either G
+    reading, with constants and up to two ground cells."""
+    rng = random.Random(seed)
+    atoms = ATOMS[: rng.randint(1, 3)]
+    m = rng.randint(2, 7)
+    g_mode = rng.choice(list(GMode))
+    drawn = random_kb(
+        rng, atoms=atoms, m=m, max_formulas=3, max_depth=3, g_mode=g_mode,
+        allow_constants=True,
+    )
+    ground = {(rng.randint(0, m), rng.choice(atoms)) for _ in range(rng.randint(0, 2))}
+    return KnowledgeBase(
+        formulas=drawn.formulas,
+        trace_length_m=m,
+        g_mode=g_mode,
+        ground_cells=frozenset(ground),
+    )
+
+
+def answer(minimise, kb: KnowledgeBase, mode: CostMode):
+    """A minimisation's value and witness, or that the budget ran out."""
+    try:
+        result = minimise(kb, mode)
+    except BudgetExceededError:
+        return "budget"
+    return result.value, result.witness
+
+
+def signature_bases(kb: KnowledgeBase):
+    """The explain bases of a base whose least affected-state count is
+    at least 1 and finite, None for any other base, or that the budget
+    ran out."""
+    try:
+        return count_min_conflict_signatures(kb).bases
+    except BudgetExceededError:
+        return "budget"
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("block", range(12))
+def test_minimize_matches_the_binary_search_reference(monkeypatch, block):
+    for seed in range(block * 40, block * 40 + 40):
+        kb = minimize_kb(seed)
+        for mode in CostMode:
+            expected = answer(reference_minimize, kb, mode)
+            assert answer(minimize, kb, mode) == expected, (seed, mode)
+        bases = signature_bases(kb)
+        with monkeypatch.context() as patched:
+            patched.setattr(ltlim.solver, "minimize", reference_minimize)
+            assert signature_bases(kb) == bases, seed
+
+
+def recorded_probes(monkeypatch, minimise, kb: KnowledgeBase, mode: CostMode):
+    """The value a minimisation finds and its probes, as (bound, found)."""
+    probes = []
+
+    def recorded(kb, max_cost, cost_mode, **kwargs):
+        result = decide_upper(kb, max_cost, cost_mode, **kwargs)
+        probes.append((max_cost, result.found))
+        return result
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ltlim.solver, "decide_upper", recorded)
+        value = minimise(kb, mode).value
+    return value, probes
+
+
+@pytest.mark.parametrize("block", range(12))
+def test_minimize_refutes_only_at_one_below_the_value(monkeypatch, block):
+    for seed in range(block * 40, block * 40 + 40):
+        kb = minimize_kb(seed)
+        for mode in CostMode:
+            value, probes = recorded_probes(monkeypatch, minimize, kb, mode)
+            if value == INF:
+                ceiling = ltlim.solver._cost_ceiling(kb, mode)
+                assert probes == [(ceiling, False)], (seed, mode)
+            elif value == 0:
+                reference = recorded_probes(monkeypatch, reference_minimize, kb, mode)
+                assert (value, probes) == reference, (seed, mode)
+            else:
+                assert all(bound > 0 for bound, _ in probes), (seed, mode)
+                refuted = [bound for bound, found in probes if not found]
+                assert refuted in ([], [value - 1]), (seed, mode)
