@@ -322,30 +322,49 @@ def expand_derived(formula: Formula, g_mode: GMode = GMode.STRICT) -> Formula:
     !(true U !phi); the reflexive reading conjoins phi itself.  The
     function is idempotent: expanding an already core formula returns
     an equal formula.
+
+    A subformula object met twice is expanded once and its expansion
+    shared, so a formula that reuses one operand at every level, as
+    counted constraint templates do, expands in linear time.
     """
-    if isinstance(formula, (TrueConst, FalseConst, Atom)):
+    return _expand(formula, g_mode, {})
+
+
+def _expand(formula: Formula, g_mode: GMode, memo: dict[int, Formula]) -> Formula:
+    """:func:`expand_derived`, with ``memo`` holding the expansions made
+    so far in the call, keyed by the id of the subformula expanded."""
+    kind = type(formula)
+    if kind is Atom or kind is TrueConst or kind is FalseConst:
         return formula
-    if isinstance(formula, Not):
-        return Not(expand_derived(formula.operand, g_mode))
-    if isinstance(formula, And):
-        return And(expand_derived(formula.left, g_mode), expand_derived(formula.right, g_mode))
-    if isinstance(formula, Or):
-        return Or(expand_derived(formula.left, g_mode), expand_derived(formula.right, g_mode))
-    if isinstance(formula, Implies):
-        return Or(Not(expand_derived(formula.left, g_mode)), expand_derived(formula.right, g_mode))
-    if isinstance(formula, Next):
-        return Next(expand_derived(formula.operand, g_mode))
-    if isinstance(formula, Until):
-        return Until(expand_derived(formula.left, g_mode), expand_derived(formula.right, g_mode))
-    if isinstance(formula, Finally):
-        return Until(TRUE, expand_derived(formula.operand, g_mode))
-    if isinstance(formula, Globally):
-        inner = expand_derived(formula.operand, g_mode)
-        strict_form = Not(Until(TRUE, Not(inner)))
-        if g_mode is GMode.STRICT:
-            return strict_form
-        return And(inner, strict_form)
-    raise TypeError(f"not a formula node: {formula!r}")
+    key = id(formula)
+    done = memo.get(key)
+    if done is not None:
+        return done
+    if kind is Not:
+        done = Not(_expand(formula.operand, g_mode, memo))
+    elif kind is And:
+        done = And(_expand(formula.left, g_mode, memo), _expand(formula.right, g_mode, memo))
+    elif kind is Or:
+        done = Or(_expand(formula.left, g_mode, memo), _expand(formula.right, g_mode, memo))
+    elif kind is Implies:
+        done = Or(
+            Not(_expand(formula.left, g_mode, memo)), _expand(formula.right, g_mode, memo)
+        )
+    elif kind is Next:
+        done = Next(_expand(formula.operand, g_mode, memo))
+    elif kind is Until:
+        done = Until(_expand(formula.left, g_mode, memo), _expand(formula.right, g_mode, memo))
+    elif kind is Finally:
+        done = Until(TRUE, _expand(formula.operand, g_mode, memo))
+    elif kind is Globally:
+        inner = _expand(formula.operand, g_mode, memo)
+        done = Not(Until(TRUE, Not(inner)))
+        if g_mode is GMode.REFLEXIVE:
+            done = And(inner, done)
+    else:
+        raise TypeError(f"not a formula node: {formula!r}")
+    memo[key] = done
+    return done
 
 
 def temporal_depth(formula: Formula) -> int:
@@ -364,16 +383,30 @@ def temporal_depth(formula: Formula) -> int:
 
 
 def atoms_of(formula: Formula) -> frozenset[str]:
-    """The set of atom names occurring in the formula."""
-    if isinstance(formula, Atom):
-        return frozenset((formula.name,))
-    if isinstance(formula, (TrueConst, FalseConst)):
-        return frozenset()
-    if isinstance(formula, (Not, Next, Finally, Globally)):
-        return atoms_of(formula.operand)
-    if isinstance(formula, (And, Or, Implies, Until)):
-        return atoms_of(formula.left) | atoms_of(formula.right)
-    raise TypeError(f"not a formula node: {formula!r}")
+    """The set of atom names occurring in the formula.
+
+    Each subformula object is walked once, however often it is shared.
+    """
+    names: set[str] = set()
+    walked: set[int] = set()
+    stack = [formula]
+    while stack:
+        current = stack.pop()
+        kind = type(current)
+        if kind is Atom:
+            names.add(current.name)
+        elif kind is TrueConst or kind is FalseConst or id(current) in walked:
+            continue
+        elif kind in _BINARY_SYMBOL:
+            walked.add(id(current))
+            stack.append(current.right)
+            stack.append(current.left)
+        elif kind in _UNARY_SYMBOL:
+            walked.add(id(current))
+            stack.append(current.operand)
+        else:
+            raise TypeError(f"not a formula node: {current!r}")
+    return frozenset(names)
 
 
 class SignatureMismatchError(LookupError):

@@ -149,6 +149,6 @@ def random_contingent_formula(
         # true at t_0, so it is contingent iff the traces give both
         # truth vectors.
         both = KnowledgeBase.of(candidate, Not(candidate), m=m, allow_short_trace=True)
-        if root_vectors(both)[0] == {0b01, 0b10}:
+        if root_vectors(both) == {0b01, 0b10}:
             return candidate
     return None

@@ -22,8 +22,8 @@ solver, and are inf when the base has no admissible three-valued model.
 ``at`` need only to know which subsets of the base are classically
 satisfiable.  The solver answers that for every subset at once with one
 two-valued pass over the states (:func:`ltlim.solver.root_vectors`),
-made at most once per run; the oracle backend still enumerates the
-interpretations of each subset it tests.
+made and charged at most once per run; the oracle backend still
+enumerates the interpretations of each subset it tests.
 """
 
 from __future__ import annotations
@@ -35,13 +35,7 @@ from typing import Callable, Iterable, Sequence
 from .formula import Formula, KnowledgeBase, atoms_of
 from .semantics import Interpretation3, conflict_base
 from . import oracle as oracle_mod
-from .solver import (
-    BudgetExceededError,
-    CostMode,
-    DEFAULT_NODE_BUDGET,
-    minimize,
-    root_vectors,
-)
+from .solver import Budget, CostMode, DEFAULT_NODE_BUDGET, minimize, root_vectors
 
 __all__ = [
     "DEFAULT_FORMULA_CAP",
@@ -74,39 +68,16 @@ class MisCapExceeded(ValueError):
     """Too many formulas for exhaustive minimal-subset enumeration."""
 
 
-class _BudgetPool:
-    """A work budget shared across the solver calls of one run: search
-    nodes, and the steps of the satisfiability pass."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.spent = 0
-
-    @property
-    def remaining(self) -> int:
-        return max(self.budget - self.spent, 0)
-
-    def charge(self, nodes: int) -> None:
-        self.spent += nodes
-
-
 # Classical satisfiability of the formulas whose bits are set in a mask.
 _Satisfiable = Callable[[int], bool]
 
 
-def _solver_satisfiable(kb: KnowledgeBase, pool: _BudgetPool) -> _Satisfiable:
-    """Read subsets off the root vectors, computed on the first call."""
-    vectors: frozenset[int] | None = None
+def _solver_satisfiable(kb: KnowledgeBase, budget: Budget) -> _Satisfiable:
+    """Read subsets off the root vectors, which the account keeps from
+    the first call on."""
 
     def satisfiable(mask: int) -> bool:
-        nonlocal vectors
-        if vectors is None:
-            try:
-                vectors, work = root_vectors(kb, budget=pool.remaining)
-            except BudgetExceededError as exc:
-                raise BudgetExceededError(pool.budget, pool.spent + exc.nodes) from None
-            pool.charge(work)
-        return any(vector & mask == mask for vector in vectors)
+        return any(v & mask == mask for v in root_vectors(kb, budget=budget))
 
     return satisfiable
 
@@ -145,7 +116,7 @@ def _mis_index_sets(
 def mis_enumerate(
     kb: KnowledgeBase,
     *,
-    budget: int = DEFAULT_NODE_BUDGET,
+    budget: Budget | int = DEFAULT_NODE_BUDGET,
     formula_cap: int = DEFAULT_FORMULA_CAP,
 ) -> tuple[tuple[Formula, ...], ...]:
     """All minimal classically-unsatisfiable subsets, smallest first.
@@ -153,7 +124,7 @@ def mis_enumerate(
     Subsets are returned as tuples in the base's formula order; the
     family is ordered by size, then by position.
     """
-    satisfiable = _solver_satisfiable(kb, _BudgetPool(budget))
+    satisfiable = _solver_satisfiable(kb, Budget.of(budget))
     index_sets = _mis_index_sets(kb, satisfiable, formula_cap=formula_cap)
     return tuple(
         tuple(kb.formulas[i] for i in sorted(indices))
@@ -162,10 +133,10 @@ def mis_enumerate(
 
 
 def free_formulas(
-    kb: KnowledgeBase, *, budget: int = DEFAULT_NODE_BUDGET
+    kb: KnowledgeBase, *, budget: Budget | int = DEFAULT_NODE_BUDGET
 ) -> tuple[Formula, ...]:
     """Formulas that belong to no minimal unsatisfiable subset."""
-    satisfiable = _solver_satisfiable(kb, _BudgetPool(budget))
+    satisfiable = _solver_satisfiable(kb, Budget.of(budget))
     index_sets = _mis_index_sets(kb, satisfiable, formula_cap=DEFAULT_FORMULA_CAP)
     bound = set().union(*index_sets) if index_sets else set()
     return tuple(f for i, f in enumerate(kb.formulas) if i not in bound)
@@ -217,22 +188,24 @@ def run_measures(
     kb: KnowledgeBase,
     ids: Iterable[str] = MEASURE_IDS,
     *,
-    budget: int = DEFAULT_NODE_BUDGET,
+    budget: Budget | int = DEFAULT_NODE_BUDGET,
     use_oracle: bool = False,
     oracle_cell_cap: int = oracle_mod.DEFAULT_CELL_CAP,
     formula_cap: int = DEFAULT_FORMULA_CAP,
 ) -> MeasureRun:
-    """Evaluate the requested measures, sharing one node budget.
+    """Evaluate the requested measures, charging one work account.
 
     With ``use_oracle`` the values come from exhaustive enumeration
     (subject to the cell cap) instead of backtracking search; results
-    must agree, which is what the oracle-check command verifies.
+    must agree, which is what the oracle-check command verifies.  The
+    run's ``nodes`` is what it charged to the account.
     """
     requested = list(ids)
     unknown = [i for i in requested if i not in MEASURE_IDS]
     if unknown:
         raise ValueError(f"unknown measure ids {unknown!r}; expected {MEASURE_IDS}")
-    pool = _BudgetPool(budget)
+    budget = Budget.of(budget)
+    start = budget.spent
     run = MeasureRun()
     warnings: list[str] = []
     probes = 0
@@ -240,7 +213,7 @@ def run_measures(
     satisfiable = (
         _oracle_satisfiable(kb, oracle_cell_cap)
         if use_oracle
-        else _solver_satisfiable(kb, pool)
+        else _solver_satisfiable(kb, budget)
     )
     index_sets: list[frozenset[int]] | None = None
 
@@ -286,13 +259,7 @@ def run_measures(
             if use_oracle:
                 value, witness = need_oracle_costs()[mode.value]
             else:
-                try:
-                    summary = minimize(kb, mode, budget=pool.remaining)
-                except BudgetExceededError as exc:
-                    raise BudgetExceededError(
-                        pool.budget, pool.spent + exc.nodes
-                    ) from None
-                pool.charge(summary.nodes)
+                summary = minimize(kb, mode, budget=budget)
                 probes += summary.probes
                 value, witness = summary.value, summary.witness
             run.values[mid] = value
@@ -304,7 +271,7 @@ def run_measures(
                 warnings.append(horizon_message(mid, kb.trace_length_m))
 
     run.values = {mid: run.values[mid] for mid in MEASURE_IDS if mid in run.values}
-    run.nodes = pool.spent
+    run.nodes = budget.spent - start
     run.probes = probes
     run.warnings = tuple(warnings)
     return run
@@ -314,7 +281,7 @@ def measure(
     kb: KnowledgeBase,
     measure_id: str,
     *,
-    budget: int = DEFAULT_NODE_BUDGET,
+    budget: Budget | int = DEFAULT_NODE_BUDGET,
     use_oracle: bool = False,
 ) -> int | float:
     """Evaluate one measure and return its value."""

@@ -13,12 +13,14 @@ Five postulates are checked against concrete instances:
       conflict pinned to a single state: I({G phi, G !phi}) is
       strictly larger than I({X phi, X !phi}) for propositional phi.
 
-Each check returns a verdict on its instance; the expected compliance
-matrix records which measures are expected to satisfy which postulate,
-and the sweep harness samples seeded random instances to
-regression-test the expected-holds cells.  Expected-fails cells are
-certified by the curated counterexamples below, which the test suite
-re-verifies by recomputation.  The matrix rows for the trace-window
+Each check returns a verdict on its instance and charges one work
+account (:class:`ltlim.solver.Budget`), so ``budget`` bounds the check
+as a whole and a base it asks about twice runs its two-valued pass
+once.  The expected compliance matrix records which measures are
+expected to satisfy which postulate, and the sweep harness samples
+seeded random instances to regression-test the expected-holds cells.
+Expected-fails cells are certified by the curated counterexamples
+below, which the test suite re-verifies by recomputation.  The matrix rows for the trace-window
 distance are not universal laws: two boundary instances with deeply
 nested temporal operators depart from them, and the test suite pins
 both so any behaviour change surfaces.
@@ -46,7 +48,7 @@ from .formula import (
 )
 from .generators import random_contingent_formula, random_formula, random_kb
 from .measures import free_formulas, measure
-from .solver import DEFAULT_NODE_BUDGET, root_vectors
+from .solver import DEFAULT_NODE_BUDGET, Budget, root_vectors
 
 __all__ = [
     "EXPECTED_MATRIX",
@@ -100,16 +102,16 @@ def _json_value(value: int | float) -> int | str:
     return "inf" if value == float("inf") else int(value)
 
 
-def _satisfiable(kb: KnowledgeBase, budget: int) -> bool:
+def _satisfiable(kb: KnowledgeBase, budget: Budget | int) -> bool:
     """Classical satisfiability: some trace makes every formula true."""
-    vectors, _ = root_vectors(kb, budget=budget)
-    return (1 << len(kb.formulas)) - 1 in vectors
+    return (1 << len(kb.formulas)) - 1 in root_vectors(kb, budget=budget)
 
 
 def check_co(
-    measure_id: str, kb: KnowledgeBase, *, budget: int = DEFAULT_NODE_BUDGET
+    measure_id: str, kb: KnowledgeBase, *, budget: Budget | int = DEFAULT_NODE_BUDGET
 ) -> Verdict:
     """Zero on consistent bases, positive on inconsistent ones."""
+    budget = Budget.of(budget)
     consistent = _satisfiable(kb, budget)
     value = measure(kb, measure_id, budget=budget)
     holds = (value == 0) == consistent
@@ -126,13 +128,14 @@ def check_mo(
     kb: KnowledgeBase,
     kb_sup: KnowledgeBase,
     *,
-    budget: int = DEFAULT_NODE_BUDGET,
+    budget: Budget | int = DEFAULT_NODE_BUDGET,
 ) -> Verdict:
     """The measure never shrinks when formulas are added."""
     if not set(kb.formulas) <= set(kb_sup.formulas):
         raise ValueError("the first base must be a subset of the second")
     if (kb.trace_length_m, kb.g_mode) != (kb_sup.trace_length_m, kb_sup.g_mode):
         raise ValueError("both bases must share trace length and G reading")
+    budget = Budget.of(budget)
     small = measure(kb, measure_id, budget=budget)
     large = measure(kb_sup, measure_id, budget=budget)
     holds = small <= large
@@ -150,12 +153,13 @@ def check_mo(
 
 
 def check_in(
-    measure_id: str, kb: KnowledgeBase, *, budget: int = DEFAULT_NODE_BUDGET
+    measure_id: str, kb: KnowledgeBase, *, budget: Budget | int = DEFAULT_NODE_BUDGET
 ) -> Verdict:
     """Removing any free formula leaves the value unchanged.
 
     Not applicable when the base has no free formulas.
     """
+    budget = Budget.of(budget)
     free = free_formulas(kb, budget=budget)
     if not free:
         return Verdict(
@@ -197,13 +201,14 @@ def check_do(
     alpha: Formula,
     beta: Formula,
     *,
-    budget: int = DEFAULT_NODE_BUDGET,
+    budget: Budget | int = DEFAULT_NODE_BUDGET,
 ) -> Verdict:
     """Adding a formula dominates adding any of its weakenings.
 
     Requires alpha to be classically satisfiable and to entail beta;
     instances missing either precondition are not applicable.
     """
+    budget = Budget.of(budget)
     alpha_kb = kb.replace_formulas((alpha,))
     if not _satisfiable(alpha_kb, budget):
         return Verdict(
@@ -246,7 +251,7 @@ def check_ts(
     phi: Formula,
     *,
     m: int = 3,
-    budget: int = DEFAULT_NODE_BUDGET,
+    budget: Budget | int = DEFAULT_NODE_BUDGET,
 ) -> Verdict:
     """A trace-wide clash on phi must outweigh a single-state clash.
 
@@ -257,10 +262,11 @@ def check_ts(
     """
     if temporal_depth(phi) != 0:
         raise ValueError("the time-sensitivity scheme takes a propositional formula")
+    budget = Budget.of(budget)
     # Every trace makes exactly one of phi and !phi true at t_0, so phi
     # is contingent iff the traces give both truth vectors.
     both = KnowledgeBase((phi, Not(phi)), m, GMode.STRICT)
-    if root_vectors(both, budget=budget)[0] != {0b01, 0b10}:
+    if root_vectors(both, budget=budget) != {0b01, 0b10}:
         return Verdict(
             measure_id,
             Postulate.TIME_SENSITIVITY,

@@ -44,10 +44,15 @@ checking unrolls a trace.  Minimization probes the decision procedure
 first at the cost ceiling.  When the pass says the base is classically
 unsatisfiable, each further probe asks for a model cheaper than the
 last witness, so the one probe that refutes runs just below the value;
-otherwise the value is 0 and the bound is halved.  All entry points
-share a node budget (search nodes, and for the pass its steps) and
-raise :class:`BudgetExceededError` when it runs out, which callers must
-treat as "unknown", never as "no model".
+otherwise the value is 0 and the bound is halved.
+
+Work is charged to one :class:`Budget` per run: a search node costs 1
+and the pass costs its steps.  Every entry point takes ``budget`` as an
+int, which opens a fresh account, or as a :class:`Budget` that callers
+share.  The account keeps each base's pass, so a run charges a pass
+once however many measures read it.  The search and the pass raise
+:class:`BudgetExceededError` when the account runs out, which callers
+must treat as "unknown", never as "no model".
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from .formula import KnowledgeBase, _Node
 from .semantics import Interpretation3, TruthValue3, satisfies3
 
 __all__ = [
+    "Budget",
     "BudgetExceededError",
     "CostMode",
     "DEFAULT_NODE_BUDGET",
@@ -93,6 +99,34 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
         self.nodes = nodes
         super().__init__(f"search exceeded the node budget of {budget}")
+
+
+class Budget:
+    """One run's work account: ``total`` units, of which ``spent`` are used.
+
+    A search node costs one unit and the two-valued pass of
+    :func:`root_vectors` costs its steps.  The account also keeps the
+    pass of each base it has paid for, so that a run charges every pass
+    once, however many measures read it.
+    """
+
+    def __init__(self, total: int):
+        self.total = total
+        self.spent = 0
+        # id(kb) -> (kb, vectors); holding kb keeps its id from being reused.
+        self.passes: dict[int, tuple[KnowledgeBase, frozenset[int]]] = {}
+
+    @classmethod
+    def of(cls, budget: Budget | int) -> Budget:
+        """``budget`` itself, or a fresh account of that many units."""
+        return budget if isinstance(budget, Budget) else cls(budget)
+
+    def charge(self, work: int) -> None:
+        """Spend ``work`` units; raise :class:`BudgetExceededError` when
+        that takes the account past its total."""
+        self.spent += work
+        if self.spent > self.total:
+            raise BudgetExceededError(self.total, self.spent)
 
 
 @dataclass(frozen=True)
@@ -227,14 +261,9 @@ def _columns(rows: list[int], full: int) -> set[int]:
 _PARALLEL_ATOMS = 10
 
 
-# Where root_vectors keeps a completed pass: in the base object's own
-# attributes, like its cached table, so that it dies with the base.
-_PASS_KEY = "_root_vectors"
-
-
 def root_vectors(
-    kb: KnowledgeBase, *, budget: int = DEFAULT_NODE_BUDGET
-) -> tuple[frozenset[int], int]:
+    kb: KnowledgeBase, *, budget: Budget | int = DEFAULT_NODE_BUDGET
+) -> frozenset[int]:
     """The truth vectors of the formulas at t_0 over all two-valued traces.
 
     Bit j of a vector is the value of ``kb.formulas[j]`` at t_0, and the
@@ -254,31 +283,29 @@ def root_vectors(
     bit.  The keys this state hands to t_{i-1} are deduplicated, so the
     pass is linear in m and exponential in k.
 
-    Returns the vectors and the work spent: 2^k units per key, one per
-    key and assignment.  Raises :class:`BudgetExceededError` as soon as
-    the keys expanded and the keys handed on to be expanded would take
-    the work past ``budget``, before expanding them.
-
-    The base object keeps its last completed pass, so the pass runs once
-    per base however many measures and checks ask for it.  Each call
-    still returns the work of the pass, to be charged again.  No budget
-    check of a pass exceeds its total work, so a budget of at least that
-    total is met; a smaller one runs the pass again, which raises where
-    it always would.
+    The pass costs 2^k units per key, one per key and assignment, and
+    raises :class:`BudgetExceededError` as soon as the keys expanded and
+    the keys handed on to be expanded would take the account past its
+    total, before expanding them.  The account keeps the vectors of each
+    base it has paid for, so a run charges a base's pass once, however
+    many measures and checks read it; a fresh account runs it afresh.
     """
-    kept = kb.__dict__.get(_PASS_KEY)
-    if kept is None or kept[1] > budget:
-        kept = kb.__dict__[_PASS_KEY] = _root_pass(kb, budget)
-    return kept
+    budget = Budget.of(budget)
+    kept = budget.passes.get(id(kb))
+    if kept is None:
+        kept = budget.passes[id(kb)] = (kb, _root_pass(kb, budget))
+    return kept[1]
 
 
-def _root_pass(kb: KnowledgeBase, budget: int) -> tuple[frozenset[int], int]:
-    """The pass of :func:`root_vectors`, run afresh."""
+def _root_pass(kb: KnowledgeBase, budget: Budget) -> frozenset[int]:
+    """The pass of :func:`root_vectors`, run afresh and charged to ``budget``."""
     atoms = kb.atoms()
     table, roots = kb.table
     step = 1 << len(atoms)
-    if step > budget:
-        raise BudgetExceededError(budget, step)
+    # What the account has left; any charge past it raises.
+    left = budget.total - budget.spent
+    if step > left:
+        budget.charge(step)
     inner = min(len(atoms), _PARALLEL_ATOMS)
     width = 1 << inner
     full = (1 << width) - 1
@@ -326,10 +353,11 @@ def _root_pass(kb: KnowledgeBase, budget: int) -> tuple[frozenset[int], int]:
                 else:
                     vectors |= _columns([values[root] for root in roots], full)
             # Every handed key costs a step at the next state.
-            if work + len(handed) * step > budget:
-                raise BudgetExceededError(budget, work + len(handed) * step)
+            if work + len(handed) * step > left:
+                budget.charge(work + len(handed) * step)
         keys = handed
-    return frozenset(vectors), work
+    budget.charge(work)
+    return frozenset(vectors)
 
 
 class _Search:
@@ -341,7 +369,7 @@ class _Search:
         *,
         cost_mode: CostMode,
         max_cost: int,
-        budget: int,
+        budget: Budget | int,
         collect_bases: bool = False,
     ):
         self.kb = kb
@@ -356,7 +384,7 @@ class _Search:
         self.table, self.roots = kb.table
         self.cost_mode = cost_mode
         self.max_cost = max_cost
-        self.budget = budget
+        self.budget = Budget.of(budget)
         self.nodes = 0
         self.collect_bases = collect_bases
         self.bases: set[frozenset[tuple[int, str]]] = set()
@@ -494,20 +522,25 @@ class _Search:
         """Depth-first search; the node at depth d has cells 0..d-1 assigned.
 
         Returns the first decided model in value order, or None when
-        there is none (always None when collecting bases).
+        there is none (always None when collecting bases).  The nodes
+        are charged to the budget when the search stops, which raises
+        when it stopped for want of nodes.
         """
         n = len(self.cells)
         tried = [0] * n
         cost = [0] * (n + 1)
         depth = 0
+        left = self.budget.total - self.budget.spent
+        witness = None
         while True:
             self.nodes += 1
-            if self.nodes > self.budget:
-                raise BudgetExceededError(self.budget, self.nodes)
+            if self.nodes > left:
+                break
             status = self._status()
             if status == "decided":
                 if not self.collect_bases:
-                    return self._witness()
+                    witness = self._witness()
+                    break
                 self._record_base()
             # With every cell assigned the sets are singletons, so an
             # open status can not reach depth n.
@@ -523,8 +556,10 @@ class _Search:
                     break
                 level -= 1
             if level < 0:
-                return None
+                break
             depth = level + 1
+        self.budget.charge(self.nodes)
+        return witness
 
 
 def _model_cost(nu: Interpretation3, cost_mode: CostMode) -> int:
@@ -542,7 +577,7 @@ def decide_upper(
     max_cost: int,
     cost_mode: CostMode,
     *,
-    budget: int = DEFAULT_NODE_BUDGET,
+    budget: Budget | int = DEFAULT_NODE_BUDGET,
 ) -> DecisionResult:
     """Is there an admissible three-valued model of cost at most max_cost?"""
     if max_cost < 0:
@@ -569,15 +604,14 @@ def minimize(
     kb: KnowledgeBase,
     cost_mode: CostMode,
     *,
-    budget: int = DEFAULT_NODE_BUDGET,
+    budget: Budget | int = DEFAULT_NODE_BUDGET,
 ) -> MinimizeResult:
     """Minimal model cost, from decide_upper probes below the cost of
     each witness found.
 
     The first probe runs at the cost ceiling.  When its witness costs
     more than 0, the two-valued pass (:func:`root_vectors`) says whether
-    the base is classically satisfiable, and its work is charged like
-    that of every other reader of the pass.
+    the base is classically satisfiable.
 
     * On a satisfiable base the value is 0, so every probe finds a
       model; the bound is halved until a witness costs 0.
@@ -590,38 +624,23 @@ def minimize(
       first of cost at most v.
 
     Returns value inf with no witness when the base has no admissible
-    three-valued model at all.  The budget is shared across the probes
-    and the pass.
+    three-valued model at all.  The probes and the pass are charged to
+    one account; ``nodes`` is what this minimisation charged to it.
     """
-    ceiling = _cost_ceiling(kb, cost_mode)
-    nodes = 0
-    probes = 0
-
-    def probe(bound: int) -> DecisionResult:
-        nonlocal nodes, probes
-        probes += 1
-        try:
-            result = decide_upper(kb, bound, cost_mode, budget=budget - nodes)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(budget, nodes + exc.nodes) from None
-        nodes += result.nodes
-        return result
-
-    first = probe(ceiling)
+    budget = Budget.of(budget)
+    start = budget.spent
+    first = decide_upper(kb, _cost_ceiling(kb, cost_mode), cost_mode, budget=budget)
+    probes = 1
     if not first.found:
-        return MinimizeResult(INF, None, nodes, probes)
+        return MinimizeResult(INF, None, budget.spent - start, probes)
     best = first.witness
     low, high = 0, _model_cost(best, cost_mode)
-    if high:
-        try:
-            vectors, work = root_vectors(kb, budget=budget - nodes)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(budget, nodes + exc.nodes) from None
-        nodes += work
-        if (1 << len(kb.formulas)) - 1 not in vectors:
-            low = 1
+    if high and (1 << len(kb.formulas)) - 1 not in root_vectors(kb, budget=budget):
+        low = 1
     while low < high:
-        attempt = probe(high - 1 if low else high // 2)
+        bound = high - 1 if low else high // 2
+        attempt = decide_upper(kb, bound, cost_mode, budget=budget)
+        probes += 1
         if attempt.found:
             best = attempt.witness
             high = _model_cost(best, cost_mode)
@@ -632,13 +651,13 @@ def minimize(
         raise RuntimeError(
             "internal error: minimization witness failed re-verification"
         )
-    return MinimizeResult(value, best, nodes, probes)
+    return MinimizeResult(value, best, budget.spent - start, probes)
 
 
 def count_min_conflict_signatures(
     kb: KnowledgeBase,
     *,
-    budget: int = DEFAULT_NODE_BUDGET,
+    budget: Budget | int = DEFAULT_NODE_BUDGET,
 ) -> SignatureCount:
     """Distinct inclusion-minimal conflict bases among the models with
     minimal affected-state count.
@@ -649,6 +668,8 @@ def count_min_conflict_signatures(
     of genuinely different minimal ways the base can be read as
     conflicted.  Requires 1 <= minimal cost < inf.
     """
+    budget = Budget.of(budget)
+    start = budget.spent
     summary = minimize(kb, CostMode.AFFECTED_STATES, budget=budget)
     if summary.value == INF:
         raise ValueError("no admissible three-valued model exists")
@@ -658,13 +679,10 @@ def count_min_conflict_signatures(
         kb,
         cost_mode=CostMode.AFFECTED_STATES,
         max_cost=int(summary.value),
-        budget=budget - summary.nodes,
+        budget=budget,
         collect_bases=True,
     )
-    try:
-        search.run()
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(budget, summary.nodes + exc.nodes) from None
+    search.run()
     bases = search.bases
     minimal = [b for b in bases if not any(other < b for other in bases)]
     ordered = tuple(
@@ -675,6 +693,6 @@ def count_min_conflict_signatures(
         min_affected=int(summary.value),
         bases=ordered,
         witness=summary.witness,
-        nodes=summary.nodes + search.nodes,
+        nodes=budget.spent - start,
         probes=summary.probes,
     )

@@ -164,6 +164,32 @@ def test_at_least_feasibility_depends_on_trace_room():
             assert found == (n <= m + 1), (m, n)
 
 
+def distinct_objects(formula) -> int:
+    """The number of distinct subformula objects, shared ones counted once."""
+    seen = {}
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(
+                getattr(node, name)
+                for name in ("operand", "left", "right")
+                if hasattr(node, name)
+            )
+    return len(seen)
+
+
+def test_a_counted_template_expands_its_shared_operands_once():
+    # Each level of AtLeast reuses one operand object in both branches of
+    # a disjunction, so an expansion that rebuilt it per occurrence would
+    # double the formula at every level.
+    kb = translate_model(parse_declare_text("activities: a\nAtLeast(a, 12)\n"), m=3)
+    assert distinct_objects(kb.formulas[0]) == 47
+    assert distinct_objects(kb.core_formulas[0]) == 48
+    assert atoms_of(kb.core_formulas[0]) == {"a"}
+
+
 def test_counted_conflict_grows_with_demand():
     def bounded(n):
         model = parse_declare_text(

@@ -4,7 +4,7 @@ import pytest
 
 import ltlim.solver
 from ltlim.formula import KnowledgeBase, parse_formula
-from ltlim.measures import MEASURE_IDS
+from ltlim.measures import MEASURE_IDS, run_measures
 from ltlim.postulates import (
     EXPECTED_MATRIX,
     Outcome,
@@ -19,6 +19,7 @@ from ltlim.postulates import (
     search_violation,
     sweep,
 )
+from ltlim.solver import Budget, BudgetExceededError
 
 
 def test_matrix_covers_every_measure_and_postulate():
@@ -80,6 +81,18 @@ def test_the_two_valued_pass_runs_once_per_base(monkeypatch, check, passes, outc
     kb = KnowledgeBase.of("G a", "G (! a)", "b", m=3)
     assert check(kb=kb, measure_id="MI").outcome is outcome
     assert len(walked) == len({id(base) for base in walked}) == passes
+
+
+def test_the_budget_bounds_a_check_as_a_whole():
+    small = KnowledgeBase.of("G a", "G (! a)", m=3)
+    large = small.extended((parse_formula("b U a"),))
+    whole = sum(run_measures(kb, ("LTL_c",)).nodes for kb in (small, large))
+    account = Budget(whole)
+    assert check_mo("LTL_c", small, large, budget=account).outcome is Outcome.HOLDS
+    assert account.spent == whole
+    with pytest.raises(BudgetExceededError) as exc:
+        check_mo("LTL_c", small, large, budget=whole - 1)
+    assert exc.value.budget == whole - 1
 
 
 def test_check_mo_requires_a_subset_pair():

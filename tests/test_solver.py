@@ -29,6 +29,8 @@ from ltlim.measures import run_measures
 from ltlim.oracle import oracle_min_cost, oracle_sat2
 from ltlim.semantics import SignatureMismatchError, TruthValue3, eval3, satisfies3
 from ltlim.solver import (
+    DEFAULT_NODE_BUDGET,
+    Budget,
     BudgetExceededError,
     CostMode,
     _evaluate,
@@ -460,10 +462,17 @@ def pass_kb(seed: int) -> KnowledgeBase:
     )
 
 
+def fresh_pass(kb: KnowledgeBase) -> tuple[frozenset[int], int]:
+    """The root vectors of a base and the work a fresh account paid."""
+    account = Budget(DEFAULT_NODE_BUDGET)
+    vectors = root_vectors(kb, budget=account)
+    return vectors, account.spent
+
+
 @pytest.mark.parametrize("seed", range(80))
 def test_root_vectors_decide_every_subset_like_the_search(seed):
     kb = pass_kb(seed)
-    vectors, work = root_vectors(kb)
+    vectors, work = fresh_pass(kb)
     assert work >= (kb.trace_length_m + 1) << len(kb.atoms())
     n = len(kb.formulas)
     small = (kb.trace_length_m + 1) * len(kb.atoms()) <= 12
@@ -480,15 +489,16 @@ def test_root_vectors_decide_every_subset_like_the_search(seed):
 
 def test_the_subset_measures_run_one_pass_and_no_search(monkeypatch):
     passes = []
+    real = ltlim.solver._root_pass
 
-    def counted(kb, **kwargs):
+    def counted(kb, budget):
         passes.append(kb)
-        return root_vectors(kb, **kwargs)
+        return real(kb, budget)
 
     def no_search(*args, **kwargs):
         raise AssertionError("a backtracking search was started")
 
-    monkeypatch.setattr(ltlim.measures, "root_vectors", counted)
+    monkeypatch.setattr(ltlim.solver, "_root_pass", counted)
     monkeypatch.setattr(ltlim.solver, "_Search", no_search)
     kb = KnowledgeBase.of("a", "! a", "b", "(! b) & c & d", "(! a) | (! b)", m=3)
     run = run_measures(kb, ("d", "MI", "p", "r", "at"))
@@ -497,13 +507,31 @@ def test_the_subset_measures_run_one_pass_and_no_search(monkeypatch):
     assert run.nodes == 4 * (1 << 4)
 
 
+def test_a_run_charges_its_pass_once_and_every_search_node(monkeypatch):
+    searched = []
+
+    def recorded(*args, **kwargs):
+        result = decide_upper(*args, **kwargs)
+        searched.append(result.nodes)
+        return result
+
+    monkeypatch.setattr(ltlim.solver, "decide_upper", recorded)
+    # d, MI and each minimisation of c, LTL_d and LTL_c read the pass.
+    kb = KnowledgeBase.of("G a", "G (! a)", "F (a & X b)", "b | X a", m=3)
+    _, work = fresh_pass(kb)
+    run = run_measures(kb)
+    assert run.values["d"] == 1 and min(run.values[i] for i in ("c", "LTL_d", "LTL_c")) > 0
+    assert len(searched) == run.probes > 3
+    assert run.nodes == work + sum(searched)
+
+
 @pytest.mark.parametrize("parallel", [0, 1])
 def test_root_vectors_do_not_depend_on_how_many_atoms_run_side_by_side(
     monkeypatch, parallel
 ):
-    expected = [root_vectors(pass_kb(seed)) for seed in range(40)]
+    expected = [fresh_pass(pass_kb(seed)) for seed in range(40)]
     monkeypatch.setattr(ltlim.solver, "_PARALLEL_ATOMS", parallel)
-    assert [root_vectors(pass_kb(seed)) for seed in range(40)] == expected
+    assert [fresh_pass(pass_kb(seed)) for seed in range(40)] == expected
 
 
 def test_root_vectors_over_more_atoms_than_run_side_by_side(monkeypatch):
@@ -516,7 +544,7 @@ def test_root_vectors_over_more_atoms_than_run_side_by_side(monkeypatch):
         f"G ({atoms[9]} & {atoms[10]})",
         m=2,
     )
-    vectors, work = root_vectors(kb)
+    vectors, work = fresh_pass(kb)
     assert work % (1 << 12) == 0
 
     def satisfiable(*indices):
@@ -528,8 +556,7 @@ def test_root_vectors_over_more_atoms_than_run_side_by_side(monkeypatch):
     assert not satisfiable(0, 3, 4)
     assert satisfiable(0, 1, 2, 3) and satisfiable(1, 2, 3, 4) and satisfiable(0, 1, 2, 4)
     monkeypatch.setattr(ltlim.solver, "_PARALLEL_ATOMS", 12)
-    # A new base object, since each one keeps its own pass.
-    assert root_vectors(kb.replace_formulas(kb.formulas)) == (vectors, work)
+    assert fresh_pass(kb) == (vectors, work)
 
 
 def test_root_vectors_refuse_a_wide_signature_before_evaluating():
@@ -554,42 +581,63 @@ def pass_outcome(kb: KnowledgeBase, budget: int):
         return exc.budget, exc.nodes
 
 
-@pytest.mark.parametrize("seed", range(0, 80, 8))
+# For each seed of pass_kb: the work of the pass, and the nodes that
+# BudgetExceededError reports at each budget below it, in the order of
+# the budgets the next test tries.
+PASS_REFUSALS = {
+    0: (72, [4, 4, 32, 44, 72]),
+    8: (6, [2, 2, 4, 4, 6]),
+    16: (28, [4, 4, 12, 16, 28]),
+    24: (56, [8, 8, 24, 32, 56]),
+    32: (6, [2, 2, 6, 6, 6]),
+    40: (20, [4, 4, 8, 12, 20]),
+    48: (216, [8, 8, 80, 160, 216]),
+    56: (4, [4, 4, 4, 4]),
+    64: (2, [2, 2]),
+    72: (62, [2, 2, 24, 32, 62]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PASS_REFUSALS))
 def test_a_kept_pass_meets_every_budget_like_a_fresh_one(seed):
     kb = pass_kb(seed)
-    _, work = root_vectors(kb)
-    for budget in sorted({0, 1, work // 3, work // 2, work - 1, work, work + 1}):
-        assert pass_outcome(kb, budget) == pass_outcome(pass_kb(seed), budget)
+    work, refused = PASS_REFUSALS[seed]
+    account = Budget(DEFAULT_NODE_BUDGET)
+    vectors = root_vectors(kb, budget=account)
+    assert account.spent == work
+    # A second read within one account is the kept pass, charged nothing.
+    assert root_vectors(kb, budget=account) is vectors
+    assert account.spent == work
+    # Every other budget opens a fresh account, which runs the pass again.
+    budgets = sorted({0, 1, work // 3, work // 2, work - 1, work, work + 1})
+    expected = list(zip(budgets, refused)) + [vectors] * (len(budgets) - len(refused))
+    assert [pass_outcome(kb, budget) for budget in budgets] == expected
 
 
 def reference_minimize(
     kb: KnowledgeBase,
     cost_mode: CostMode,
     *,
-    budget: int = ltlim.solver.DEFAULT_NODE_BUDGET,
+    budget: Budget | int = DEFAULT_NODE_BUDGET,
 ) -> ltlim.solver.MinimizeResult:
     """Minimisation by binary search over the bound, probing halfway
     between the last refuted bound and the cost of the last witness: the
     search that stepping down from each witness replaced, kept as its
     reference."""
+    budget = Budget.of(budget)
+    start = budget.spent
     ceiling = ltlim.solver._cost_ceiling(kb, cost_mode)
     model_cost = ltlim.solver._model_cost
-    nodes = 0
     probes = 0
 
     def probe(bound: int):
-        nonlocal nodes, probes
+        nonlocal probes
         probes += 1
-        try:
-            result = ltlim.solver.decide_upper(kb, bound, cost_mode, budget=budget - nodes)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(budget, nodes + exc.nodes) from None
-        nodes += result.nodes
-        return result
+        return ltlim.solver.decide_upper(kb, bound, cost_mode, budget=budget)
 
     first = probe(ceiling)
     if not first.found:
-        return ltlim.solver.MinimizeResult(INF, None, nodes, probes)
+        return ltlim.solver.MinimizeResult(INF, None, budget.spent - start, probes)
     best = first.witness
     low, high = 0, model_cost(best, cost_mode)
     while low < high:
@@ -600,7 +648,7 @@ def reference_minimize(
             high = model_cost(best, cost_mode)
         else:
             low = mid + 1
-    return ltlim.solver.MinimizeResult(low, best, nodes, probes)
+    return ltlim.solver.MinimizeResult(low, best, budget.spent - start, probes)
 
 
 def minimize_kb(seed: int) -> KnowledgeBase:
