@@ -86,60 +86,81 @@ class Formula:
         return render_formula(self)
 
 
-@dataclass(frozen=True, repr=False)
+def _hash_once(cls: type) -> type:
+    """Keep the hash the dataclass generates for each instance once it is
+    computed, so that a shared operand is hashed once, not at every
+    occurrence, and a base's formulas are hashed once per base."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = field_hash(self)
+        return cached
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+def _node(cls: type) -> type:
+    """A frozen dataclass formula node, its hash kept by :func:`_hash_once`."""
+    return _hash_once(dataclass(frozen=True, repr=False)(cls))
+
+
+@_node
 class TrueConst(Formula):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class FalseConst(Formula):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Next(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Finally(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Globally(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Until(Formula):
     left: Formula
     right: Formula
@@ -499,6 +520,7 @@ def _compile(
 GroundCell = tuple[int, str]
 
 
+@_hash_once
 @dataclass(frozen=True)
 class KnowledgeBase:
     """An ordered, duplicate-free set of formulas plus trace parameters.

@@ -15,15 +15,16 @@ Eight measures are exposed under short string ids:
 The first six treat time through satisfiability only; the last two read
 the temporal structure directly and can tell a conflict pinned to one
 state from one smeared over the whole trace.  ``c``, ``LTL_d`` and
-``LTL_c`` are minimal model costs under the three cost modes of the
-solver, and are inf when the base has no admissible three-valued model.
+``LTL_c`` are minimal model costs, and are inf when the base has no
+admissible three-valued model.
 
 ``d`` and the minimal-subset family behind ``MI``, ``p``, ``r`` and
 ``at`` need only to know which subsets of the base are classically
 satisfiable.  The solver answers that for every subset at once with one
 two-valued pass over the states (:func:`ltlim.solver.root_vectors`),
 made and charged at most once per run; the oracle backend still
-enumerates the interpretations of each subset it tests.
+enumerates the interpretations of each subset it tests.  ``c`` reads
+the same pass run with atoms held at B; the search minimises the rest.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .formula import Formula, KnowledgeBase, atoms_of
 from .semantics import Interpretation3, conflict_base
 from . import oracle as oracle_mod
 from .solver import Budget, CostMode, DEFAULT_NODE_BUDGET, minimize, root_vectors
+from .solver import min_glut_atoms
 
 __all__ = [
     "DEFAULT_FORMULA_CAP",
@@ -57,11 +59,8 @@ MEASURE_IDS = ("d", "MI", "p", "r", "c", "at", "LTL_d", "LTL_c")
 
 DEFAULT_FORMULA_CAP = 12
 
-_COST_MODES = {
-    "c": CostMode.B_ATOMS,
-    "LTL_d": CostMode.AFFECTED_STATES,
-    "LTL_c": CostMode.CONFLICT_BASE,
-}
+# Each cost measure's name in the oracle; LTL_d's and LTL_c's are CostMode values.
+_COSTS = {"c": "b_atoms", "LTL_d": "affected_states", "LTL_c": "conflict_base"}
 
 
 class MisCapExceeded(ValueError):
@@ -230,7 +229,7 @@ def run_measures(
         if oracle_costs is None:
             oracle_costs = oracle_mod.oracle_min_costs(
                 kb,
-                [mode.value for mid, mode in _COST_MODES.items() if mid in requested],
+                [cost for mid, cost in _COSTS.items() if mid in requested],
                 cell_cap=oracle_cell_cap,
             )
         return oracle_costs
@@ -254,12 +253,15 @@ def run_measures(
                 for i in indices:
                     names.update(atoms_of(kb.formulas[i]))
             run.values[mid] = len(names)
+        elif mid == "c" and use_oracle:
+            run.values[mid] = need_oracle_costs()["b_atoms"][0]
+        elif mid == "c":
+            run.values[mid] = min_glut_atoms(kb, budget=budget)
         else:
-            mode = _COST_MODES[mid]
             if use_oracle:
-                value, witness = need_oracle_costs()[mode.value]
+                value, witness = need_oracle_costs()[_COSTS[mid]]
             else:
-                summary = minimize(kb, mode, budget=budget)
+                summary = minimize(kb, CostMode(_COSTS[mid]), budget=budget)
                 probes += summary.probes
                 value, witness = summary.value, summary.witness
             run.values[mid] = value
@@ -267,7 +269,7 @@ def run_measures(
                 run.witness_affected = witness
             elif mid == "LTL_c":
                 run.witness_conflict = witness
-            if mid != "c" and witness is not None and horizon_warning(witness):
+            if witness is not None and horizon_warning(witness):
                 warnings.append(horizon_message(mid, kb.trace_length_m))
 
     run.values = {mid: run.values[mid] for mid in MEASURE_IDS if mid in run.values}

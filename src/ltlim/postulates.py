@@ -15,10 +15,11 @@ Five postulates are checked against concrete instances:
 
 Each check returns a verdict on its instance and charges one work
 account (:class:`ltlim.solver.Budget`), so ``budget`` bounds the check
-as a whole and a base it asks about twice runs its two-valued pass
-once.  The expected compliance matrix records which measures are
-expected to satisfy which postulate, and the sweep harness samples
-seeded random instances to regression-test the expected-holds cells.
+as a whole and a base it asks about twice runs its pass once; a sweep
+instance shares one account between its sampling and its check.  The
+expected compliance matrix records which measures are expected to
+satisfy which postulate, and the sweep harness samples seeded random
+instances to regression-test the expected-holds cells.
 Expected-fails cells are certified by the curated counterexamples
 below, which the test suite re-verifies by recomputation.  The matrix rows for the trace-window
 distance are not universal laws: two boundary instances with deeply
@@ -48,7 +49,7 @@ from .formula import (
 )
 from .generators import random_contingent_formula, random_formula, random_kb
 from .measures import free_formulas, measure
-from .solver import DEFAULT_NODE_BUDGET, Budget, root_vectors
+from .solver import DEFAULT_NODE_BUDGET, Budget, is_satisfiable, root_vectors
 
 __all__ = [
     "EXPECTED_MATRIX",
@@ -102,17 +103,12 @@ def _json_value(value: int | float) -> int | str:
     return "inf" if value == float("inf") else int(value)
 
 
-def _satisfiable(kb: KnowledgeBase, budget: Budget | int) -> bool:
-    """Classical satisfiability: some trace makes every formula true."""
-    return (1 << len(kb.formulas)) - 1 in root_vectors(kb, budget=budget)
-
-
 def check_co(
     measure_id: str, kb: KnowledgeBase, *, budget: Budget | int = DEFAULT_NODE_BUDGET
 ) -> Verdict:
     """Zero on consistent bases, positive on inconsistent ones."""
     budget = Budget.of(budget)
-    consistent = _satisfiable(kb, budget)
+    consistent = is_satisfiable(kb, budget=budget)
     value = measure(kb, measure_id, budget=budget)
     holds = (value == 0) == consistent
     return Verdict(
@@ -210,7 +206,7 @@ def check_do(
     """
     budget = Budget.of(budget)
     alpha_kb = kb.replace_formulas((alpha,))
-    if not _satisfiable(alpha_kb, budget):
+    if not is_satisfiable(alpha_kb, budget=budget):
         return Verdict(
             measure_id,
             Postulate.DOMINANCE,
@@ -218,7 +214,7 @@ def check_do(
             {"reason": "alpha is unsatisfiable", "alpha": render_formula(alpha)},
         )
     entailment_probe = kb.replace_formulas((alpha, Not(beta)))
-    if _satisfiable(entailment_probe, budget):
+    if is_satisfiable(entailment_probe, budget=budget):
         return Verdict(
             measure_id,
             Postulate.DOMINANCE,
@@ -459,25 +455,27 @@ def _sweep_instance(
     atoms: tuple[str, ...],
     budget: int,
 ) -> Verdict:
+    """One seeded instance, sampled and checked on one account."""
+    account = Budget(budget)
     if postulate is Postulate.CONSISTENCY_NULL:
         kb = random_kb(rng, atoms=atoms, m=m, max_formulas=3, max_depth=2)
-        return check_co(measure_id, kb, budget=budget)
+        return check_co(measure_id, kb, budget=account)
     if postulate is Postulate.MONOTONICITY:
         kb_sup = random_kb(
             rng, atoms=atoms, m=m, min_formulas=2, max_formulas=4, max_depth=2
         )
         keep = [f for f in kb_sup.formulas if rng.random() < 0.6]
         kb = kb_sup.replace_formulas(keep)
-        return check_mo(measure_id, kb, kb_sup, budget=budget)
+        return check_mo(measure_id, kb, kb_sup, budget=account)
     if postulate is Postulate.FREE_FORMULA_INDEPENDENCE:
         kb = random_kb(rng, atoms=atoms, m=m, min_formulas=2, max_formulas=4, max_depth=2)
-        return check_in(measure_id, kb, budget=budget)
+        return check_in(measure_id, kb, budget=account)
     if postulate is Postulate.DOMINANCE:
         kb = random_kb(rng, atoms=atoms, m=m, max_formulas=2, max_depth=2)
         alpha = None
         for _ in range(32):
             candidate = random_formula(rng, atoms, 2)
-            if _satisfiable(kb.replace_formulas((candidate,)), budget):
+            if is_satisfiable(kb.replace_formulas((candidate,)), budget=account):
                 alpha = candidate
                 break
         if alpha is None:
@@ -488,7 +486,7 @@ def _sweep_instance(
                 {"reason": "no satisfiable alpha sampled"},
             )
         beta = Or(alpha, random_formula(rng, atoms, 2))
-        return check_do(measure_id, kb, alpha, beta, budget=budget)
+        return check_do(measure_id, kb, alpha, beta, budget=account)
     phi = random_contingent_formula(rng, atoms, 2, m=m)
     if phi is None:
         return Verdict(
@@ -497,7 +495,7 @@ def _sweep_instance(
             Outcome.NOT_APPLICABLE,
             {"reason": "no contingent phi sampled"},
         )
-    return check_ts(measure_id, phi, m=m, budget=budget)
+    return check_ts(measure_id, phi, m=m, budget=account)
 
 
 def sweep(

@@ -30,18 +30,18 @@ with.  Two facts about these sets drive the search:
   designated values the branch is decided, and the cheapest completion
   fills every open cell with 0.
 
-Three cost modes say what a model is charged for: the states touched
-by B (affected states), the B cells themselves (conflict base), or the
-distinct atoms that hold B at some state (B atoms).  Branches whose
-running cost exceeds the bound are cut.  A bound of 0 rules out B
-cells altogether, open cells included, so classical satisfiability is
-the bound-0 decision in any mode.
+Two cost modes say what a model is charged for: the states touched by
+B (affected states) or the B cells themselves (conflict base).  Branches
+whose running cost exceeds the bound are cut.  A bound of 0 rules out B
+cells altogether, so classical satisfiability is the bound-0 decision.
 
 Classical satisfiability of a base, and of every subset of it at once,
-comes from :func:`root_vectors`, a two-valued pass over the same node
-table that walks the states from t_m back to t_0, the way bounded model
-checking unrolls a trace.  Minimization probes the decision procedure
-first at the cost ceiling.  When the pass says the base is classically
+comes from :func:`root_vectors`, a pass over the same node table that
+walks the states from t_m back to t_0, the way bounded model checking
+unrolls a trace.  Its values are dual rail, as in ternary simulation,
+so it also decides bases with chosen atoms held at B, which yields the
+measure c (:func:`min_glut_atoms`).  Minimization probes the search
+first at the cell count.  When the pass says the base is classically
 unsatisfiable, each further probe asks for a model cheaper than the
 last witness, so the one probe that refutes runs just below the value;
 otherwise the value is 0 and the bound is halved.
@@ -49,7 +49,7 @@ otherwise the value is 0 and the bound is halved.
 Work is charged to one :class:`Budget` per run: a search node costs 1
 and the pass costs its steps.  Every entry point takes ``budget`` as an
 int, which opens a fresh account, or as a :class:`Budget` that callers
-share.  The account keeps each base's pass, so a run charges a pass
+share.  The account keeps each pass it ran, so a run charges a pass
 once however many measures read it.  The search and the pass raise
 :class:`BudgetExceededError` when the account runs out, which callers
 must treat as "unknown", never as "no model".
@@ -58,6 +58,7 @@ must treat as "unknown", never as "no model".
 from __future__ import annotations
 
 import enum
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -75,6 +76,8 @@ __all__ = [
     "SignatureCount",
     "count_min_conflict_signatures",
     "decide_upper",
+    "is_satisfiable",
+    "min_glut_atoms",
     "minimize",
     "root_vectors",
 ]
@@ -89,7 +92,6 @@ class CostMode(enum.Enum):
 
     AFFECTED_STATES = "affected_states"
     CONFLICT_BASE = "conflict_base"
-    B_ATOMS = "b_atoms"
 
 
 class BudgetExceededError(RuntimeError):
@@ -104,17 +106,17 @@ class BudgetExceededError(RuntimeError):
 class Budget:
     """One run's work account: ``total`` units, of which ``spent`` are used.
 
-    A search node costs one unit and the two-valued pass of
-    :func:`root_vectors` costs its steps.  The account also keeps the
-    pass of each base it has paid for, so that a run charges every pass
-    once, however many measures read it.
+    A search node costs one unit and a pass of :func:`root_vectors`
+    costs its steps.  The account also keeps each pass it has paid for,
+    so that a run charges every pass once, however many measures read
+    it.
     """
 
     def __init__(self, total: int):
         self.total = total
         self.spent = 0
-        # id(kb) -> (kb, vectors); holding kb keeps its id from being reused.
-        self.passes: dict[int, tuple[KnowledgeBase, frozenset[int]]] = {}
+        # (kb, glut) -> the vectors of that pass.
+        self.passes: dict[tuple[KnowledgeBase, int], frozenset[int]] = {}
 
     @classmethod
     def of(cls, budget: Budget | int) -> Budget:
@@ -262,102 +264,142 @@ _PARALLEL_ATOMS = 10
 
 
 def root_vectors(
-    kb: KnowledgeBase, *, budget: Budget | int = DEFAULT_NODE_BUDGET
+    kb: KnowledgeBase, *, glut: int = 0, budget: Budget | int = DEFAULT_NODE_BUDGET
 ) -> frozenset[int]:
-    """The truth vectors of the formulas at t_0 over all two-valued traces.
+    """The truth vectors of the formulas at t_0, the ``glut`` atoms at B.
 
-    Bit j of a vector is the value of ``kb.formulas[j]`` at t_0, and the
-    set holds the vector of every trace over the base's atoms, so a
-    subset of the formulas is classically satisfiable iff some vector
-    has all of its bits set.  Ground cells only forbid B and play no
-    part here.
+    Bit j of a vector is set when ``kb.formulas[j]`` is designated at
+    t_0.  Bit i of ``glut`` holds atom ``kb.atoms()[i]`` at B at each of
+    its cells that is not ground; every other cell is 0 or 1.  With
+    ``glut`` 0, a subset of the formulas is classically satisfiable iff
+    some vector has all of its bits set.
 
-    The pass walks the states from t_m back to t_0.  What a state t_i
-    needs of its successor is a key with one bit per ``X`` node (its
-    child's value at t_{i+1}) and one per ``U`` node (``right | U`` at
-    t_{i+1}); the key past t_m is all zero, so both are false at t_m.
-    For each distinct key the table is evaluated over all 2^k
-    assignments of the state's k atoms, many at once: each node's value
-    is an int with one bit per assignment.  Inside the state an ``X``
-    node is its key bit and a ``U`` node is its left child and its key
-    bit.  The keys this state hands to t_{i-1} are deduplicated, so the
-    pass is linear in m and exponential in k.
+    The pass walks the states from t_m back to t_0.  A value is the pair
+    (can be 1, can be 0), B being (1, 1), so ``!`` swaps it and ``&``
+    and ``|`` are exact on it.  A state t_i reads t_{i+1} off a key: for
+    reader p of r, an ``X`` node (its child) or a ``U`` node (``right |
+    U``), bit p says the value can be 1 and bit r + p that it is B; past
+    t_m the key is 0.  For each distinct key the table is evaluated over
+    all 2^k assignments of the state's k enumerated atoms, many at once:
+    each rail is an int with one bit per assignment.  Inside the state
+    an ``X`` node is its key value and a ``U`` node is its left child
+    and its key value.  The keys this state hands to t_{i-1} are
+    deduplicated, so the pass is linear in m and exponential in k.
 
     The pass costs 2^k units per key, one per key and assignment, and
     raises :class:`BudgetExceededError` as soon as the keys expanded and
     the keys handed on to be expanded would take the account past its
     total, before expanding them.  The account keeps the vectors of each
-    base it has paid for, so a run charges a base's pass once, however
-    many measures and checks read it; a fresh account runs it afresh.
+    pass it has paid for, so a run charges a pass once, however many
+    measures and checks read it; a fresh account runs it afresh.
     """
     budget = Budget.of(budget)
-    kept = budget.passes.get(id(kb))
+    kept = budget.passes.get((kb, glut))
     if kept is None:
-        kept = budget.passes[id(kb)] = (kb, _root_pass(kb, budget))
-    return kept[1]
+        kept = budget.passes[kb, glut] = _root_pass(kb, glut, budget)
+    return kept
 
 
-def _root_pass(kb: KnowledgeBase, budget: Budget) -> frozenset[int]:
+def _root_pass(kb: KnowledgeBase, glut: int, budget: Budget) -> frozenset[int]:
     """The pass of :func:`root_vectors`, run afresh and charged to ``budget``."""
     atoms = kb.atoms()
     table, roots = kb.table
-    step = 1 << len(atoms)
+    everything = list(range(len(atoms)))
+    # The atoms enumerated at each state: all but the held ones off ground cells.
+    free = [
+        [a for a in everything if not glut >> a & 1 or (s, atoms[a]) in kb.ground_cells]
+        if glut else everything
+        for s in range(kb.trace_length_m + 1)
+    ]
+    steps = [1 << len(enumerated) for enumerated in free]
     # What the account has left; any charge past it raises.
     left = budget.total - budget.spent
-    if step > left:
-        budget.charge(step)
-    inner = min(len(atoms), _PARALLEL_ATOMS)
-    width = 1 << inner
-    full = (1 << width) - 1
-    # Atom i < inner is true in the assignments whose bit i is set; the
-    # other atoms are constant over one block of width assignments.
-    values = [
-        sum(1 << a for a in range(width) if a >> i & 1) for i in range(inner)
-    ] + [0] * (len(table) - inner)
-    readers = [node for node, (op, _, _) in enumerate(table) if op in ("X", "U")]
-    key_bit = {node: 1 << p for p, node in enumerate(readers)}
+    if steps[-1] > left:
+        budget.charge(steps[-1])
+    program = [(node, *table[node]) for node in range(len(atoms), len(table))]
+    # Reader p hands on a | b: X's child, or U's right child and U itself.
+    readers = [
+        (i, y, i) if op == "U" else (i, x, x) for i, op, x, y in program if op in ("X", "U")
+    ]
+    high = {node: 1 << p for p, (node, _, _) in enumerate(readers)}
+    both = {node: bit << len(readers) for node, bit in high.items()}
+    one, zero = [0] * len(table), [0] * len(table)
     vectors: set[int] = set()
     keys = {0}
     work = 0
     for state in range(kb.trace_length_m, -1, -1):
+        enumerated = free[state]
+        # On a change of enumerated atoms: held atoms are B, and enumerated[i] is
+        # true where bit i of the assignment is, i < inner (the rest per block).
+        if free[state + 1 : state + 2] != [enumerated]:
+            inner = min(len(enumerated), _PARALLEL_ATOMS)
+            full = (1 << (1 << inner)) - 1
+            one[: len(atoms)] = zero[: len(atoms)] = [full] * len(atoms)
+            for i, atom in enumerate(enumerated[:inner]):
+                one[atom] = full // ((1 << (1 << i)) + 1) << (1 << i)
+                zero[atom] = full ^ one[atom]
         handed: set[int] = set()
+        step = steps[state]
         for key in keys:
             work += step
             for block in range(step >> inner):
-                for atom in range(inner, len(atoms)):
-                    values[atom] = full if block >> (atom - inner) & 1 else 0
-                for node in range(len(atoms), len(table)):
-                    op, x, y = table[node]
-                    if op == "&":
-                        values[node] = values[x] & values[y]
-                    elif op == "|":
-                        values[node] = values[x] | values[y]
-                    elif op == "!":
-                        values[node] = full ^ values[x]
-                    elif op == "X":
-                        values[node] = full if key & key_bit[node] else 0
+                for i in range(inner, len(enumerated)):
+                    one[enumerated[i]] = full if block >> (i - inner) & 1 else 0
+                    zero[enumerated[i]] = full ^ one[enumerated[i]]
+                # X and U read the key: 0 unless it can be 1, B if marked.
+                for node, op, x, y in program:
+                    if op == "!":
+                        one[node], zero[node] = zero[x], one[x]
                     elif op == "U":
-                        values[node] = values[x] if key & key_bit[node] else 0
+                        if key & high[node]:
+                            one[node] = one[x]
+                            zero[node] = full if key & both[node] else zero[x]
+                        else:
+                            one[node], zero[node] = 0, full
+                    elif op == "|":
+                        one[node], zero[node] = one[x] | one[y], zero[x] & zero[y]
+                    elif op == "&":
+                        one[node], zero[node] = one[x] & one[y], zero[x] | zero[y]
+                    elif op == "X":
+                        one[node] = full if key & high[node] else 0
+                        zero[node] = 0 if one[node] and not key & both[node] else full
                     else:
-                        values[node] = full if op == "true" else 0
+                        one[node], zero[node] = (full, 0) if op == "true" else (0, full)
                 if state:
-                    handed |= _columns(
-                        [
-                            values[table[node][1]]
-                            if table[node][0] == "X"
-                            else values[table[node][2]] | values[node]
-                            for node in readers
-                        ],
-                        full,
-                    )
+                    rows = [one[a] | one[b] for _, a, b in readers]
+                    if glut:
+                        rows += [r & zero[a] & zero[b] for r, (_, a, b) in zip(rows, readers)]
+                    handed |= _columns(rows, full)
                 else:
-                    vectors |= _columns([values[root] for root in roots], full)
-            # Every handed key costs a step at the next state.
-            if work + len(handed) * step > left:
-                budget.charge(work + len(handed) * step)
+                    vectors |= _columns([one[root] for root in roots], full)
+            # Every handed key costs a step at the next state (none at t_0).
+            if work + len(handed) * steps[state - 1] > left:
+                budget.charge(work + len(handed) * steps[state - 1])
         keys = handed
     budget.charge(work)
     return frozenset(vectors)
+
+
+def is_satisfiable(
+    kb: KnowledgeBase, *, glut: int = 0, budget: Budget | int = DEFAULT_NODE_BUDGET
+) -> bool:
+    """Whether some trace of :func:`root_vectors` designates every formula."""
+    return (1 << len(kb.formulas)) - 1 in root_vectors(kb, glut=glut, budget=budget)
+
+
+def min_glut_atoms(
+    kb: KnowledgeBase, *, budget: Budget | int = DEFAULT_NODE_BUDGET
+) -> int | float:
+    """The fewest atoms that hold B in an admissible model, inf if none:
+    as every connective is monotone in B, the least k such that some k
+    atoms held at B (:func:`root_vectors`) leave the base satisfiable."""
+    budget = Budget.of(budget)
+    everything = range(len(kb.atoms()))
+    for size in range(len(everything) + 1):
+        for chosen in itertools.combinations(everything, size):
+            if is_satisfiable(kb, glut=sum(1 << a for a in chosen), budget=budget):
+                return size
+    return INF
 
 
 class _Search:
@@ -395,7 +437,6 @@ class _Search:
         ]
         self.assignment: list[TruthValue3 | None] = [None] * len(self.cells)
         self.state_b_count = [0] * (self.m + 1)
-        self.atom_b_count = [0] * len(self.atoms)
         # Bit m - s of a bitset stands for t_s (see _evaluate), so a
         # cell's bit is 1 << (m - state), and the roots are read at t_0.
         self.cell_bit = [1 << (self.m - state) for state, _ in self.cells]
@@ -478,8 +519,6 @@ class _Search:
                     continue
                 if self.cost_mode is CostMode.CONFLICT_BASE:
                     increment = 1
-                elif self.cost_mode is CostMode.B_ATOMS:
-                    increment = 0 if self.atom_b_count[atom] else 1
                 else:
                     increment = 0 if self.state_b_count[state] else 1
             else:
@@ -501,7 +540,6 @@ class _Search:
                 self.f[atom] &= drop
                 self.t[atom] &= drop
                 self.state_b_count[state] += 1
-                self.atom_b_count[atom] += 1
             return True
         return False
 
@@ -511,7 +549,6 @@ class _Search:
         self.dirty |= 1 << atom
         if self.assignment[index] is TruthValue3.BOTH:
             self.state_b_count[state] -= 1
-            self.atom_b_count[atom] -= 1
         self.assignment[index] = None
         self.f[atom] |= bit
         self.t[atom] |= bit
@@ -567,8 +604,6 @@ def _model_cost(nu: Interpretation3, cost_mode: CostMode) -> int:
 
     if cost_mode is CostMode.AFFECTED_STATES:
         return len(affected_states(nu))
-    if cost_mode is CostMode.B_ATOMS:
-        return len({atom for _, atom in conflict_base(nu)})
     return len(conflict_base(nu))
 
 
@@ -592,14 +627,6 @@ def decide_upper(
     return DecisionResult(witness is not None, witness, search.nodes)
 
 
-def _cost_ceiling(kb: KnowledgeBase, cost_mode: CostMode) -> int:
-    if cost_mode is CostMode.AFFECTED_STATES:
-        return kb.trace_length_m + 1
-    if cost_mode is CostMode.B_ATOMS:
-        return len(kb.atoms())
-    return (kb.trace_length_m + 1) * len(kb.atoms())
-
-
 def minimize(
     kb: KnowledgeBase,
     cost_mode: CostMode,
@@ -609,9 +636,9 @@ def minimize(
     """Minimal model cost, from decide_upper probes below the cost of
     each witness found.
 
-    The first probe runs at the cost ceiling.  When its witness costs
-    more than 0, the two-valued pass (:func:`root_vectors`) says whether
-    the base is classically satisfiable.
+    The first probe runs at the cell count, which cuts nothing.  When its
+    witness costs more than 0, the two-valued pass (:func:`is_satisfiable`)
+    says whether the base is classically satisfiable.
 
     * On a satisfiable base the value is 0, so every probe finds a
       model; the bound is halved until a witness costs 0.
@@ -629,13 +656,14 @@ def minimize(
     """
     budget = Budget.of(budget)
     start = budget.spent
-    first = decide_upper(kb, _cost_ceiling(kb, cost_mode), cost_mode, budget=budget)
+    cells = (kb.trace_length_m + 1) * len(kb.atoms())
+    first = decide_upper(kb, cells, cost_mode, budget=budget)
     probes = 1
     if not first.found:
         return MinimizeResult(INF, None, budget.spent - start, probes)
     best = first.witness
     low, high = 0, _model_cost(best, cost_mode)
-    if high and (1 << len(kb.formulas)) - 1 not in root_vectors(kb, budget=budget):
+    if high and not is_satisfiable(kb, budget=budget):
         low = 1
     while low < high:
         bound = high - 1 if low else high // 2

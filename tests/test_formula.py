@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +28,7 @@ from ltlim.formula import (
     render_formula,
     temporal_depth,
 )
+from ltlim.declare import _at_least
 from ltlim.generators import random_formula
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -167,6 +169,21 @@ def test_atoms_of_collects_each_atom_once():
 def test_kb_deduplicates_preserving_order():
     kb = KnowledgeBase.of("a", "b", "a", m=3)
     assert kb.formulas == (a, b)
+
+
+def test_a_formula_hashes_each_shared_operand_once():
+    # Each level of AtLeast shares one operand between both branches of
+    # a disjunction, so a hash walked per occurrence doubles per level.
+    start = time.perf_counter()
+    kb = KnowledgeBase((_at_least(a, 24),), 3)
+    assert time.perf_counter() - start < 0.1
+    assert hash(kb.formulas[0]) == hash(_at_least(a, 24))
+    # Equal formulas built apart compare equal and hash as the dataclass
+    # would, by the tuple of their fields.
+    first, second = _at_least(a, 3), _at_least(a, 3)
+    assert first is not second and first == second
+    assert hash(first) == hash(second) == hash((first.left, first.right))
+    assert hash(a) == hash(("a",)) and hash(TRUE) == hash(())
 
 
 def test_kb_atoms_sorted():

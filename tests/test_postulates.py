@@ -1,5 +1,7 @@
 """Postulate checks, the compliance matrix, and the sweep harness."""
 
+import random
+
 import pytest
 
 import ltlim.solver
@@ -16,10 +18,11 @@ from ltlim.postulates import (
     check_ts,
     curated_violation,
     run_curated,
+    _sweep_instance,
     search_violation,
     sweep,
 )
-from ltlim.solver import Budget, BudgetExceededError
+from ltlim.solver import DEFAULT_NODE_BUDGET, Budget, BudgetExceededError
 
 
 def test_matrix_covers_every_measure_and_postulate():
@@ -71,9 +74,9 @@ def test_the_two_valued_pass_runs_once_per_base(monkeypatch, check, passes, outc
     walked = []
     real = ltlim.solver._root_pass
 
-    def counted(kb, budget):
+    def counted(kb, glut, budget):
         walked.append(kb)
-        return real(kb, budget)
+        return real(kb, glut, budget)
 
     monkeypatch.setattr(ltlim.solver, "_root_pass", counted)
     # check_co asks twice about one base; check_in asks twice about the
@@ -81,6 +84,29 @@ def test_the_two_valued_pass_runs_once_per_base(monkeypatch, check, passes, outc
     kb = KnowledgeBase.of("G a", "G (! a)", "b", m=3)
     assert check(kb=kb, measure_id="MI").outcome is outcome
     assert len(walked) == len({id(base) for base in walked}) == passes
+
+
+def test_a_dominance_instance_runs_each_pass_once(monkeypatch):
+    walked = []
+    real = ltlim.solver._root_pass
+
+    def counted(kb, glut, budget):
+        walked.append(kb)
+        return real(kb, glut, budget)
+
+    monkeypatch.setattr(ltlim.solver, "_root_pass", counted)
+    # The sampling tests alpha, then check_do tests an equal base again;
+    # one account per instance runs its pass once.
+    verdict = _sweep_instance(
+        random.Random(0), "LTL_d", Postulate.DOMINANCE, m=3, atoms=("a", "b"),
+        budget=DEFAULT_NODE_BUDGET,
+    )
+    assert verdict.outcome is Outcome.HOLDS
+    assert KnowledgeBase.of(verdict.details["alpha"], m=3) in walked
+    assert len(walked) == len(set(walked)) == 2
+    walked.clear()
+    sweep("LTL_d", Postulate.DOMINANCE, instances=250, seed=1)
+    assert len(walked) == 540
 
 
 def test_the_budget_bounds_a_check_as_a_whole():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -36,6 +37,8 @@ from ltlim.solver import (
     _evaluate,
     count_min_conflict_signatures,
     decide_upper,
+    is_satisfiable,
+    min_glut_atoms,
     minimize,
     root_vectors,
 )
@@ -58,12 +61,25 @@ def test_sat2_matches_oracle(seed):
     assert decide_upper(kb, 0, CostMode.CONFLICT_BASE).found == oracle_sat2(kb)[0]
 
 
+# The oracle's cost kinds: the search's two cost modes, and the glut
+# atoms of c, which the glut-fixed passes count.  The case ids name each
+# kind as a cost mode, c's as the mode the search once had for it.
+COST_KINDS = pytest.mark.parametrize(
+    "cost",
+    ["affected_states", "conflict_base", "b_atoms"],
+    ids=lambda cost: f"CostMode.{cost.upper()}",
+)
+
+
 @pytest.mark.parametrize("seed", range(60))
-@pytest.mark.parametrize("mode", list(CostMode))
-def test_minimize_matches_oracle(seed, mode):
+@COST_KINDS
+def test_minimize_matches_oracle(seed, cost):
     kb = small_kb(seed + 1000)
-    summary = minimize(kb, mode)
-    expected, _ = oracle_min_cost(kb, mode.value)
+    expected, _ = oracle_min_cost(kb, cost)
+    if cost == "b_atoms":
+        assert min_glut_atoms(kb) == expected
+        return
+    summary = minimize(kb, CostMode(cost))
     assert summary.value == expected
     if summary.witness is not None:
         assert satisfies3(summary.witness, kb)
@@ -117,22 +133,74 @@ def test_decide_upper_is_monotone_in_the_bound(seed):
     assert answers == sorted(answers)
 
 
+def glut_sets_succeed(kb: KnowledgeBase) -> list[bool]:
+    """For each k, whether some k atoms held at B leave the base
+    satisfiable."""
+    atoms = range(len(kb.atoms()))
+    return [
+        any(
+            is_satisfiable(kb, glut=sum(1 << atom for atom in chosen))
+            for chosen in itertools.combinations(atoms, size)
+        )
+        for size in range(len(atoms) + 1)
+    ]
+
+
 def test_b_atoms_bound_controls_how_many_atoms_may_glut():
     kb = KnowledgeBase.of("(a & (! a)) & b", "! b", m=2)
-    assert not decide_upper(kb, 0, CostMode.B_ATOMS).found
-    assert not decide_upper(kb, 1, CostMode.B_ATOMS).found
-    both = decide_upper(kb, 2, CostMode.B_ATOMS)
-    assert both.found
-    assert satisfies3(both.witness, kb)
+    assert [is_satisfiable(kb, glut=glut) for glut in range(4)] == [
+        False, False, False, True
+    ]
+    assert glut_sets_succeed(kb) == [False, False, True]
+    assert min_glut_atoms(kb) == oracle_min_cost(kb, "b_atoms")[0] == 2
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_b_atoms_reachability_matches_oracle(seed):
     kb = small_kb(seed + 3000)
     best, _ = oracle_min_cost(kb, "b_atoms")
-    bounds = range(len(kb.atoms()) + 1)
-    answers = [decide_upper(kb, k, CostMode.B_ATOMS).found for k in bounds]
-    assert answers == [k >= best for k in bounds]
+    answers = glut_sets_succeed(kb)
+    assert answers == [k >= best for k in range(len(answers))]
+
+
+def grounded_outside(kb: KnowledgeBase, glut: int) -> KnowledgeBase:
+    """The base with every cell of the atoms outside ``glut`` ground."""
+    return KnowledgeBase(
+        formulas=kb.formulas,
+        trace_length_m=kb.trace_length_m,
+        g_mode=kb.g_mode,
+        ground_cells=kb.ground_cells | {
+            (state, name)
+            for atom, name in enumerate(kb.atoms())
+            if not glut >> atom & 1
+            for state in range(kb.trace_length_m + 1)
+        },
+        allow_short_trace=kb.allow_short_trace,
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_glut_passes_decide_like_the_search_on_longer_traces(seed):
+    # Beyond the oracle's cell cap: a glut set leaves the base
+    # satisfiable iff the search finds a model whose B cells all belong
+    # to atoms of the set.
+    rng = random.Random(seed)
+    atoms = ATOMS[: rng.randint(1, 3)]
+    m = rng.randint(2, 8)
+    g_mode = rng.choice(list(GMode))
+    drawn = random_kb(
+        rng, atoms=atoms, m=m, max_formulas=3, max_depth=3, g_mode=g_mode,
+        allow_constants=True,
+    )
+    ground = {(rng.randint(0, m), rng.choice(atoms)) for _ in range(rng.randint(0, 3))}
+    kb = KnowledgeBase(
+        formulas=drawn.formulas, trace_length_m=m, g_mode=g_mode,
+        ground_cells=frozenset(ground),
+    )
+    cells = (m + 1) * len(kb.atoms())
+    for glut in range(1 << len(kb.atoms())):
+        found = decide_upper(grounded_outside(kb, glut), cells, CostMode.CONFLICT_BASE).found
+        assert is_satisfiable(kb, glut=glut) == found, glut
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -384,9 +452,15 @@ def run_checked(kb: KnowledgeBase, mode: CostMode, bound: int, collect_bases: bo
 
 
 @pytest.mark.parametrize("seed", range(40))
-@pytest.mark.parametrize("mode", list(CostMode))
-def test_incremental_evaluation_equals_a_full_one(seed, mode):
+@COST_KINDS
+def test_incremental_evaluation_equals_a_full_one(seed, cost):
     kb = pass_kb(seed)
+    if cost == "b_atoms":
+        # The search as the glut passes are checked against it: on the
+        # base with every cell outside the first atom ground.
+        kb, mode = grounded_outside(kb, 1), CostMode.CONFLICT_BASE
+    else:
+        mode = CostMode(cost)
     checked = 0
     for bound in (0, 1, 3):
         for collect_bases in (False, True):
@@ -491,9 +565,9 @@ def test_the_subset_measures_run_one_pass_and_no_search(monkeypatch):
     passes = []
     real = ltlim.solver._root_pass
 
-    def counted(kb, budget):
+    def counted(kb, glut, budget):
         passes.append(kb)
-        return real(kb, budget)
+        return real(kb, glut, budget)
 
     def no_search(*args, **kwargs):
         raise AssertionError("a backtracking search was started")
@@ -516,13 +590,18 @@ def test_a_run_charges_its_pass_once_and_every_search_node(monkeypatch):
         return result
 
     monkeypatch.setattr(ltlim.solver, "decide_upper", recorded)
-    # d, MI and each minimisation of c, LTL_d and LTL_c read the pass.
+    # d, MI, c and each minimisation of LTL_d and LTL_c read the
+    # classical pass; c then runs the pass that holds a at B.
     kb = KnowledgeBase.of("G a", "G (! a)", "F (a & X b)", "b | X a", m=3)
     _, work = fresh_pass(kb)
+    glutted = Budget(DEFAULT_NODE_BUDGET)
+    root_vectors(kb, glut=0b01, budget=glutted)
+    assert (work, glutted.spent) == (124, 22)
     run = run_measures(kb)
-    assert run.values["d"] == 1 and min(run.values[i] for i in ("c", "LTL_d", "LTL_c")) > 0
+    assert run.values["d"] == 1 and run.values["c"] == 1
+    assert min(run.values[i] for i in ("LTL_d", "LTL_c")) > 0
     assert len(searched) == run.probes > 3
-    assert run.nodes == work + sum(searched)
+    assert run.nodes == work + glutted.spent + sum(searched)
 
 
 @pytest.mark.parametrize("parallel", [0, 1])
@@ -626,7 +705,9 @@ def reference_minimize(
     reference."""
     budget = Budget.of(budget)
     start = budget.spent
-    ceiling = ltlim.solver._cost_ceiling(kb, cost_mode)
+    ceiling = kb.trace_length_m + 1
+    if cost_mode is CostMode.CONFLICT_BASE:
+        ceiling *= len(kb.atoms())
     model_cost = ltlim.solver._model_cost
     probes = 0
 
@@ -726,12 +807,18 @@ def test_minimize_refutes_only_at_one_below_the_value(monkeypatch, block):
         kb = minimize_kb(seed)
         for mode in CostMode:
             value, probes = recorded_probes(monkeypatch, minimize, kb, mode)
+            cells = (kb.trace_length_m + 1) * len(kb.atoms())
             if value == INF:
-                ceiling = ltlim.solver._cost_ceiling(kb, mode)
-                assert probes == [(ceiling, False)], (seed, mode)
+                assert probes == [(cells, False)], (seed, mode)
             elif value == 0:
-                reference = recorded_probes(monkeypatch, reference_minimize, kb, mode)
-                assert (value, probes) == reference, (seed, mode)
+                # The reference's probes, but for the first one's bound:
+                # the cell count, where the reference takes the mode's
+                # own ceiling.
+                expected, reference = recorded_probes(
+                    monkeypatch, reference_minimize, kb, mode
+                )
+                assert value == expected, (seed, mode)
+                assert probes == [(cells, True)] + reference[1:], (seed, mode)
             else:
                 assert all(bound > 0 for bound, _ in probes), (seed, mode)
                 refuted = [bound for bound, found in probes if not found]
