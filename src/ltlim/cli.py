@@ -480,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
             " declare defaults to reflexive)",
         )
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+        p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_NODE_BUDGET)
         p.add_argument("--allow-short-trace", action="store_true")
         p.add_argument(
             "--oracle",
@@ -532,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_post.add_argument(
         "--sweep",
-        type=int,
+        type=_nonnegative_int,
         default=0,
         metavar="N",
         help="run N seeded random instances per cell instead of the matrix",

@@ -94,12 +94,13 @@ def _oracle_satisfiable(kb: KnowledgeBase, cell_cap: int) -> _Satisfiable:
 
 
 def _mis_index_sets(
-    kb: KnowledgeBase, satisfiable: _Satisfiable, *, formula_cap: int
+    kb: KnowledgeBase, satisfiable: _Satisfiable
 ) -> list[frozenset[int]]:
     formulas = kb.formulas
-    if len(formulas) > formula_cap:
+    if len(formulas) > DEFAULT_FORMULA_CAP:
         raise MisCapExceeded(
-            f"{len(formulas)} formulas exceed the minimal-subset cap of {formula_cap}"
+            f"{len(formulas)} formulas exceed the minimal-subset cap"
+            f" of {DEFAULT_FORMULA_CAP}"
         )
     found: list[frozenset[int]] = []
     for size in range(1, len(formulas) + 1):
@@ -116,7 +117,6 @@ def mis_enumerate(
     kb: KnowledgeBase,
     *,
     budget: Budget | int = DEFAULT_NODE_BUDGET,
-    formula_cap: int = DEFAULT_FORMULA_CAP,
 ) -> tuple[tuple[Formula, ...], ...]:
     """All minimal classically-unsatisfiable subsets, smallest first.
 
@@ -124,7 +124,7 @@ def mis_enumerate(
     family is ordered by size, then by position.
     """
     satisfiable = _solver_satisfiable(kb, Budget.of(budget))
-    index_sets = _mis_index_sets(kb, satisfiable, formula_cap=formula_cap)
+    index_sets = _mis_index_sets(kb, satisfiable)
     return tuple(
         tuple(kb.formulas[i] for i in sorted(indices))
         for indices in sorted(index_sets, key=lambda s: (len(s), sorted(s)))
@@ -136,7 +136,7 @@ def free_formulas(
 ) -> tuple[Formula, ...]:
     """Formulas that belong to no minimal unsatisfiable subset."""
     satisfiable = _solver_satisfiable(kb, Budget.of(budget))
-    index_sets = _mis_index_sets(kb, satisfiable, formula_cap=DEFAULT_FORMULA_CAP)
+    index_sets = _mis_index_sets(kb, satisfiable)
     bound = set().union(*index_sets) if index_sets else set()
     return tuple(f for i, f in enumerate(kb.formulas) if i not in bound)
 
@@ -190,7 +190,6 @@ def run_measures(
     budget: Budget | int = DEFAULT_NODE_BUDGET,
     use_oracle: bool = False,
     oracle_cell_cap: int = oracle_mod.DEFAULT_CELL_CAP,
-    formula_cap: int = DEFAULT_FORMULA_CAP,
 ) -> MeasureRun:
     """Evaluate the requested measures, charging one work account.
 
@@ -219,7 +218,7 @@ def run_measures(
     def need_mis() -> list[frozenset[int]]:
         nonlocal index_sets
         if index_sets is None:
-            index_sets = _mis_index_sets(kb, satisfiable, formula_cap=formula_cap)
+            index_sets = _mis_index_sets(kb, satisfiable)
         return index_sets
 
     oracle_costs: dict[str, tuple[int | float, Interpretation3 | None]] | None = None

@@ -34,17 +34,20 @@ Two cost modes say what a model is charged for: the states touched by
 B (affected states) or the B cells themselves (conflict base).  Branches
 whose running cost exceeds the bound are cut.  A bound of 0 rules out B
 cells altogether, so classical satisfiability is the bound-0 decision.
+The search is a branch and bound: at each decided node it takes the
+cheapest completion as its witness and lowers the bound below that
+witness's cost, so one depth-first walk ends at a cheapest model and
+visits no node twice.  It stops early once a witness costs at most its
+floor, and resumes from there when asked again with a lower floor.
 
 Classical satisfiability of a base, and of every subset of it at once,
 comes from :func:`root_vectors`, a pass over the same node table that
 walks the states from t_m back to t_0, the way bounded model checking
 unrolls a trace.  Its values are dual rail, as in ternary simulation,
 so it also decides bases with chosen atoms held at B, which yields the
-measure c (:func:`min_glut_atoms`).  Minimization probes the search
-first at the cell count.  When the pass says the base is classically
-unsatisfiable, each further probe asks for a model cheaper than the
-last witness, so the one probe that refutes runs just below the value;
-otherwise the value is 0 and the bound is halved.
+measure c (:func:`min_glut_atoms`).  Minimization stops the search at
+its first witness; when that costs more than 0 the pass says whether
+the value is 0, and otherwise the same search runs on to the value.
 
 Work is charged to one :class:`Budget` per run: a search node costs 1
 and the pass costs its steps.  Every entry point takes ``budget`` as an
@@ -63,7 +66,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .formula import KnowledgeBase, _Node
-from .semantics import Interpretation3, TruthValue3, satisfies3
+from .semantics import (
+    Interpretation3, TruthValue3, affected_states, conflict_base, satisfies3
+)
 
 __all__ = [
     "Budget",
@@ -150,8 +155,9 @@ class MinimizeResult:
 class SignatureCount:
     """Inclusion-minimal conflict bases over the minimal-cost models.
 
-    ``witness`` and ``probes`` come from the minimization of the
-    affected-state count; ``nodes`` also counts the collection search.
+    One search collects them while it minimises the affected-state
+    count, so ``probes`` is 1; ``witness`` is the first cheapest model it
+    met, and ``nodes`` also counts the two-valued pass.
     """
 
     min_affected: int
@@ -403,7 +409,7 @@ def min_glut_atoms(
 
 
 class _Search:
-    """One backtracking run over the cell grid of a knowledge base."""
+    """One resumable branch-and-bound walk over the cell grid of a base."""
 
     def __init__(
         self,
@@ -425,9 +431,16 @@ class _Search:
         ]
         self.table, self.roots = kb.table
         self.cost_mode = cost_mode
-        self.max_cost = max_cost
+        self.max_cost = self.floor = max_cost
         self.budget = Budget.of(budget)
         self.nodes = 0
+        # Where the walk stands, depth -1 once it is exhausted, and the
+        # cheapest witness it has met.
+        self.depth = 0
+        self.tried = [0] * len(self.cells)
+        self.cost = [0] * (len(self.cells) + 1)
+        self.value: int | float = INF
+        self.witness: Interpretation3 | None = None
         self.collect_bases = collect_bases
         self.bases: set[frozenset[tuple[int, str]]] = set()
         ground = kb.ground_cells
@@ -499,14 +512,6 @@ class _Search:
             rows.append(row)
         return Interpretation3(atoms=self.atoms, values=tuple(rows))
 
-    def _record_base(self) -> None:
-        base = frozenset(
-            (state, self.atoms[atom])
-            for index, (state, atom) in enumerate(self.cells)
-            if self.assignment[index] is TruthValue3.BOTH
-        )
-        self.bases.add(base)
-
     def _assign_next(self, index: int, tried: list[int], cost: list[int]) -> bool:
         """Assign cell ``index`` the next value in order that the bound
         admits, pruning B where the cell may not hold it."""
@@ -556,29 +561,41 @@ class _Search:
             self.b[atom] |= bit
 
     def run(self) -> Interpretation3 | None:
-        """Depth-first search; the node at depth d has cells 0..d-1 assigned.
+        """Depth-first branch and bound; the node at depth d has cells
+        0..d-1 assigned.
 
-        Returns the first decided model in value order, or None when
-        there is none (always None when collecting bases).  The nodes
-        are charged to the budget when the search stops, which raises
-        when it stopped for want of nodes.
+        A decided node whose completion, every open cell 0, is cheaper
+        than the witness becomes the witness, and the bound drops one
+        below its cost, or to its cost when collecting the bases of the
+        cheapest decided nodes.  Returns the witness, None if there is
+        none, once it costs at most ``floor`` or the walk is exhausted;
+        a later call with a lower ``floor`` resumes there.  Each call
+        charges its nodes to the budget, which raises when it stopped
+        for want of nodes.
         """
         n = len(self.cells)
-        tried = [0] * n
-        cost = [0] * (n + 1)
-        depth = 0
-        left = self.budget.total - self.budget.spent
-        witness = None
-        while True:
+        tried, cost = self.tried, self.cost
+        start = self.nodes
+        limit = start + self.budget.total - self.budget.spent
+        while self.value > self.floor and self.depth >= 0:
             self.nodes += 1
-            if self.nodes > left:
+            if self.nodes > limit:
                 break
+            depth = self.depth
             status = self._status()
             if status == "decided":
-                if not self.collect_bases:
-                    witness = self._witness()
-                    break
-                self._record_base()
+                if cost[depth] < self.value:
+                    self.value, self.witness = cost[depth], self._witness()
+                    self.max_cost = cost[depth] if self.collect_bases else cost[depth] - 1
+                    self.bases.clear()
+                if self.collect_bases:
+                    self.bases.add(
+                        frozenset(
+                            (state, self.atoms[atom])
+                            for index, (state, atom) in enumerate(self.cells)
+                            if self.assignment[index] is TruthValue3.BOTH
+                        )
+                    )
             # With every cell assigned the sets are singletons, so an
             # open status can not reach depth n.
             if status == "open" and depth < n:
@@ -592,16 +609,12 @@ class _Search:
                 if self._assign_next(level, tried, cost):
                     break
                 level -= 1
-            if level < 0:
-                break
-            depth = level + 1
-        self.budget.charge(self.nodes)
-        return witness
+            self.depth = level + 1 if level >= 0 else -1
+        self.budget.charge(self.nodes - start)
+        return self.witness
 
 
 def _model_cost(nu: Interpretation3, cost_mode: CostMode) -> int:
-    from .semantics import affected_states, conflict_base
-
     if cost_mode is CostMode.AFFECTED_STATES:
         return len(affected_states(nu))
     return len(conflict_base(nu))
@@ -633,48 +646,40 @@ def minimize(
     *,
     budget: Budget | int = DEFAULT_NODE_BUDGET,
 ) -> MinimizeResult:
-    """Minimal model cost, from decide_upper probes below the cost of
-    each witness found.
+    """Minimal model cost, from one branch-and-bound search.
 
-    The first probe runs at the cell count, which cuts nothing.  When its
-    witness costs more than 0, the two-valued pass (:func:`is_satisfiable`)
-    says whether the base is classically satisfiable.
+    The search starts at the cell count, which cuts nothing, and stops
+    at its first witness.  When that witness costs more than 0, the
+    two-valued pass (:func:`is_satisfiable`) says whether the base is
+    classically satisfiable.
 
-    * On a satisfiable base the value is 0, so every probe finds a
-      model; the bound is halved until a witness costs 0.
-    * Otherwise the value v is at least 1.  Each probe runs one below
-      the cost of the last witness, so bound 0 is never searched and
-      the only probe that refutes runs at v - 1.  The witness is still
-      the one a probe at v returns: every bound of at least 1 admits B
-      at the same cells, so a probe at any bound b >= v walks the same
-      tree, cut at b, and a first decided node of cost v there is the
-      first of cost at most v.
+    * On a satisfiable base the value is 0, and the witness comes from
+      a second search, at bound 0.
+    * Otherwise the value v is at least 1, and the search resumes with
+      floor 1 until it meets a witness of cost 1 or is exhausted.  The
+      witness is the one a search at bound v returns: every bound of at
+      least 1 admits B at the same cells, and the bound stays at least
+      v until the first decided node of cost v is met.
 
     Returns value inf with no witness when the base has no admissible
-    three-valued model at all.  The probes and the pass are charged to
-    one account; ``nodes`` is what this minimisation charged to it.
+    three-valued model at all.  The searches and the pass are charged to
+    one account; ``nodes`` is what this minimisation charged to it and
+    ``probes`` the searches it started.
     """
     budget = Budget.of(budget)
     start = budget.spent
     cells = (kb.trace_length_m + 1) * len(kb.atoms())
-    first = decide_upper(kb, cells, cost_mode, budget=budget)
-    probes = 1
-    if not first.found:
+    search = _Search(kb, cost_mode=cost_mode, max_cost=cells, budget=budget)
+    best, probes = search.run(), 1
+    if best is None:
         return MinimizeResult(INF, None, budget.spent - start, probes)
-    best = first.witness
-    low, high = 0, _model_cost(best, cost_mode)
-    if high and not is_satisfiable(kb, budget=budget):
-        low = 1
-    while low < high:
-        bound = high - 1 if low else high // 2
-        attempt = decide_upper(kb, bound, cost_mode, budget=budget)
-        probes += 1
-        if attempt.found:
-            best = attempt.witness
-            high = _model_cost(best, cost_mode)
-        else:
-            low = high
-    value = low
+    if search.value and is_satisfiable(kb, budget=budget):
+        best, probes = decide_upper(kb, 0, cost_mode, budget=budget).witness, 2
+        value = 0
+    else:
+        search.floor = 1
+        best = search.run()
+        value = search.value
     if best is None or not satisfies3(best, kb) or _model_cost(best, cost_mode) != value:
         raise RuntimeError(
             "internal error: minimization witness failed re-verification"
@@ -698,18 +703,18 @@ def count_min_conflict_signatures(
     """
     budget = Budget.of(budget)
     start = budget.spent
-    summary = minimize(kb, CostMode.AFFECTED_STATES, budget=budget)
-    if summary.value == INF:
-        raise ValueError("no admissible three-valued model exists")
-    if summary.value == 0:
-        raise ValueError("the base is classically consistent; no conflict to explain")
     search = _Search(
         kb,
         cost_mode=CostMode.AFFECTED_STATES,
-        max_cost=int(summary.value),
+        max_cost=(kb.trace_length_m + 1) * len(kb.atoms()),
         budget=budget,
         collect_bases=True,
     )
+    if search.run() is None:
+        raise ValueError("no admissible three-valued model exists")
+    if not search.value or is_satisfiable(kb, budget=budget):
+        raise ValueError("the base is classically consistent; no conflict to explain")
+    search.floor = -1
     search.run()
     bases = search.bases
     minimal = [b for b in bases if not any(other < b for other in bases)]
@@ -718,9 +723,9 @@ def count_min_conflict_signatures(
         for b in sorted(minimal, key=lambda b: (len(b), sorted(b)))
     )
     return SignatureCount(
-        min_affected=int(summary.value),
+        min_affected=search.value,
         bases=ordered,
-        witness=summary.witness,
+        witness=search.witness,
         nodes=budget.spent - start,
-        probes=summary.probes,
+        probes=1,
     )

@@ -44,9 +44,9 @@ def test_json_reports_match_golden_bytes(capsys, monkeypatch, data_dir, golden, 
 @pytest.mark.parametrize(
     "argv,nodes,probes",
     [
-        (["declare", "double_overlap.decl", "--m", "4", "--measure", "all"], 4542, 3),
-        (["measure", "always_clash.ltlkb", "--m", "8"], 249, 4),
-        (["explain", "always_clash.ltlkb"], 84, 2),
+        (["declare", "double_overlap.decl", "--m", "4", "--measure", "all"], 4516, 2),
+        (["measure", "always_clash.ltlkb", "--m", "8"], 199, 2),
+        (["explain", "always_clash.ltlkb"], 48, 1),
     ],
     ids=["declare-m4", "measure-m8", "explain"],
 )
@@ -540,3 +540,29 @@ def test_explain_rejects_a_negative_base_cap(capsys, data_dir):
         main(["explain", str(data_dir / "next_clash.ltlkb"), "--max-bases", "-1"])
     assert exc.value.code == 2
     assert "--max-bases" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--budget", ["measure", "next_clash.ltlkb"]),
+        ("--sweep", ["postulates", "--measure", "d", "--postulate", "CO"]),
+    ],
+)
+def test_a_negative_budget_or_sweep_is_an_input_error(
+    capsys, monkeypatch, data_dir, flag, argv
+):
+    monkeypatch.chdir(data_dir)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "-1", "--format", "json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "expected a nonnegative integer" in err
+
+
+def test_a_zero_budget_is_legal_and_runs_out_at_the_first_work(capsys, data_dir):
+    code, _, err = run_cli(
+        capsys, ["measure", str(data_dir / "next_clash.ltlkb"), "--budget", "0"]
+    )
+    assert code == 3
+    assert "node budget of 0" in err

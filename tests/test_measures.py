@@ -50,8 +50,8 @@ def test_a_base_collects_its_atoms_once_per_run(monkeypatch):
     calls.clear()
     # ``at`` reads the atoms of the minimal subsets' formulas itself.
     run = run_measures(kb_of(*PROP_MIX), [mid for mid in MEASURE_IDS if mid != "at"])
-    # c reads passes; the minimisations of LTL_d and LTL_c probe thrice.
-    assert run.probes == 3
+    # c reads passes; the minimisations of LTL_d and LTL_c search once each.
+    assert run.probes == 2
     assert len(calls) == once
 
 

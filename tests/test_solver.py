@@ -27,7 +27,7 @@ from ltlim.formula import (
 )
 from ltlim.generators import random_interpretation, random_kb
 from ltlim.measures import run_measures
-from ltlim.oracle import oracle_min_cost, oracle_sat2
+from ltlim.oracle import oracle_min_cost, oracle_minimal_conflict_bases, oracle_sat2
 from ltlim.semantics import SignatureMismatchError, TruthValue3, eval3, satisfies3
 from ltlim.solver import (
     DEFAULT_NODE_BUDGET,
@@ -233,6 +233,18 @@ def test_signature_count_always_conflict_has_one_base():
     summary = count_min_conflict_signatures(kb)
     assert summary.min_affected == 3
     assert summary.bases == (((1, "a"), (2, "a"), (3, "a")),)
+
+
+def test_signature_count_drops_the_bases_of_costlier_models():
+    # The search meets a = 1 first, which blurs b at t1 and t2; the
+    # cheaper models it meets later blur only a at t0 or b at t3.
+    kb = KnowledgeBase.of(
+        "a -> (X (b & ! b) & X X (b & ! b))", "! a -> X X X (b & ! b)", m=3
+    )
+    summary = count_min_conflict_signatures(kb)
+    assert summary.bases == (((0, "a"),), ((3, "b"),))
+    assert (summary.min_affected, summary.bases) == oracle_minimal_conflict_bases(kb)[:2]
+    assert summary.witness == minimize(kb, CostMode.AFFECTED_STATES).witness
 
 
 def test_signature_count_rejects_consistent_base():
@@ -479,6 +491,22 @@ def test_the_incremental_check_catches_an_atom_missing_from_a_mask(monkeypatch):
         run_checked(kb, CostMode.CONFLICT_BASE, 0, False)
 
 
+def recorded_runs(monkeypatch) -> list[int]:
+    """The nodes of every call of ``_Search.run`` from now on, in order."""
+    runs = []
+    real = ltlim.solver._Search.run
+
+    def run(search):
+        before = search.nodes
+        try:
+            return real(search)
+        finally:
+            runs.append(search.nodes - before)
+
+    monkeypatch.setattr(ltlim.solver._Search, "run", run)
+    return runs
+
+
 def test_each_base_compiles_once(monkeypatch):
     compiled = []
 
@@ -487,12 +515,15 @@ def test_each_base_compiles_once(monkeypatch):
         return _compile(formulas, atoms)
 
     monkeypatch.setattr(ltlim.formula, "_compile", counted)
+    runs = recorded_runs(monkeypatch)
     kb = KnowledgeBase.of("G a", "G (! a)", "F (a & X b)", "b | X a", m=3)
-    run = run_measures(kb)
-    assert run.probes > 3
+    run_measures(kb)
+    assert len(runs) > 3
     assert compiled == [kb.core_formulas]
+    runs.clear()
     clash = KnowledgeBase.of("G a", "G (! a)", "G b", m=3)
-    assert count_min_conflict_signatures(clash).probes > 1
+    count_min_conflict_signatures(clash)
+    assert len(runs) > 1
     assert compiled == [kb.core_formulas, clash.core_formulas]
 
 
@@ -582,14 +613,7 @@ def test_the_subset_measures_run_one_pass_and_no_search(monkeypatch):
 
 
 def test_a_run_charges_its_pass_once_and_every_search_node(monkeypatch):
-    searched = []
-
-    def recorded(*args, **kwargs):
-        result = decide_upper(*args, **kwargs)
-        searched.append(result.nodes)
-        return result
-
-    monkeypatch.setattr(ltlim.solver, "decide_upper", recorded)
+    searched = recorded_runs(monkeypatch)
     # d, MI, c and each minimisation of LTL_d and LTL_c read the
     # classical pass; c then runs the pass that holds a at B.
     kb = KnowledgeBase.of("G a", "G (! a)", "F (a & X b)", "b | X a", m=3)
@@ -600,7 +624,9 @@ def test_a_run_charges_its_pass_once_and_every_search_node(monkeypatch):
     run = run_measures(kb)
     assert run.values["d"] == 1 and run.values["c"] == 1
     assert min(run.values[i] for i in ("LTL_d", "LTL_c")) > 0
-    assert len(searched) == run.probes > 3
+    # Each minimisation stops its search at the first witness, then
+    # resumes it to the value.
+    assert len(searched) == 2 * run.probes > 3
     assert run.nodes == work + glutted.spent + sum(searched)
 
 
@@ -762,64 +788,84 @@ def answer(minimise, kb: KnowledgeBase, mode: CostMode):
 
 
 def signature_bases(kb: KnowledgeBase):
-    """The explain bases of a base whose least affected-state count is
-    at least 1 and finite, None for any other base, or that the budget
-    ran out."""
+    """The least affected-state count, explain bases and witness of a
+    base whose count is at least 1 and finite, None for any other base,
+    or that the budget ran out."""
     try:
-        return count_min_conflict_signatures(kb).bases
+        summary = count_min_conflict_signatures(kb)
     except BudgetExceededError:
         return "budget"
     except ValueError:
         return None
+    return summary.min_affected, summary.bases, summary.witness
+
+
+def reference_signature_bases(kb: KnowledgeBase):
+    """:func:`signature_bases` by the reference: the value v and witness
+    of ``reference_minimize``, and the bases of every decided node of a
+    collecting search at bound v, all of which cost v."""
+    mode = CostMode.AFFECTED_STATES
+    try:
+        least = reference_minimize(kb, mode)
+        if least.value in (0, INF):
+            return None
+        search = ltlim.solver._Search(
+            kb, cost_mode=mode, max_cost=least.value, budget=DEFAULT_NODE_BUDGET,
+            collect_bases=True,
+        )
+        search.floor = -1
+        search.run()
+    except BudgetExceededError:
+        return "budget"
+    bases = search.bases
+    minimal = [b for b in bases if not any(other < b for other in bases)]
+    ordered = tuple(
+        tuple(sorted(b)) for b in sorted(minimal, key=lambda b: (len(b), sorted(b)))
+    )
+    return least.value, ordered, least.witness
 
 
 @pytest.mark.parametrize("block", range(12))
-def test_minimize_matches_the_binary_search_reference(monkeypatch, block):
+def test_minimize_matches_the_binary_search_reference(block):
     for seed in range(block * 40, block * 40 + 40):
         kb = minimize_kb(seed)
         for mode in CostMode:
             expected = answer(reference_minimize, kb, mode)
             assert answer(minimize, kb, mode) == expected, (seed, mode)
-        bases = signature_bases(kb)
-        with monkeypatch.context() as patched:
-            patched.setattr(ltlim.solver, "minimize", reference_minimize)
-            assert signature_bases(kb) == bases, seed
-
-
-def recorded_probes(monkeypatch, minimise, kb: KnowledgeBase, mode: CostMode):
-    """The value a minimisation finds and its probes, as (bound, found)."""
-    probes = []
-
-    def recorded(kb, max_cost, cost_mode, **kwargs):
-        result = decide_upper(kb, max_cost, cost_mode, **kwargs)
-        probes.append((max_cost, result.found))
-        return result
-
-    with monkeypatch.context() as patched:
-        patched.setattr(ltlim.solver, "decide_upper", recorded)
-        value = minimise(kb, mode).value
-    return value, probes
+        assert signature_bases(kb) == reference_signature_bases(kb), seed
 
 
 @pytest.mark.parametrize("block", range(12))
 def test_minimize_refutes_only_at_one_below_the_value(monkeypatch, block):
+    """One search per minimisation: resumed past its first witness, its
+    bound ends one below the value, the only bound it refutes; a second
+    search, at bound 0, runs only on a satisfiable base whose first
+    witness costs more than 0, after the pass."""
+    searches, passes = [], []
+
+    class Recorded(ltlim.solver._Search):
+        def __init__(self, kb, **kwargs):
+            super().__init__(kb, **kwargs)
+            searches.append((kwargs["max_cost"], self))
+
+    def recorded_pass(kb, **kwargs):
+        passes.append(kb)
+        return is_satisfiable(kb, **kwargs)
+
+    monkeypatch.setattr(ltlim.solver, "_Search", Recorded)
+    monkeypatch.setattr(ltlim.solver, "is_satisfiable", recorded_pass)
     for seed in range(block * 40, block * 40 + 40):
         kb = minimize_kb(seed)
+        cells = (kb.trace_length_m + 1) * len(kb.atoms())
         for mode in CostMode:
-            value, probes = recorded_probes(monkeypatch, minimize, kb, mode)
-            cells = (kb.trace_length_m + 1) * len(kb.atoms())
-            if value == INF:
-                assert probes == [(cells, False)], (seed, mode)
-            elif value == 0:
-                # The reference's probes, but for the first one's bound:
-                # the cell count, where the reference takes the mode's
-                # own ceiling.
-                expected, reference = recorded_probes(
-                    monkeypatch, reference_minimize, kb, mode
-                )
-                assert value == expected, (seed, mode)
-                assert probes == [(cells, True)] + reference[1:], (seed, mode)
+            searches.clear()
+            passes.clear()
+            result = minimize(kb, mode)
+            bounds = [bound for bound, _ in searches]
+            assert result.probes == len(searches), (seed, mode)
+            if result.value == INF or searches[0][1].value == 0:
+                assert (bounds, passes) == ([cells], []), (seed, mode)
+            elif result.value == 0:
+                assert (bounds, passes) == ([cells, 0], [kb]), (seed, mode)
             else:
-                assert all(bound > 0 for bound, _ in probes), (seed, mode)
-                refuted = [bound for bound, found in probes if not found]
-                assert refuted in ([], [value - 1]), (seed, mode)
+                assert (bounds, passes) == ([cells], [kb]), (seed, mode)
