@@ -5,8 +5,17 @@ state index m, so a trace is the state sequence t_0 .. t_m and nothing
 exists beyond t_m.  Core connectives are atoms, the constants true and
 false, negation, conjunction, disjunction, next, and a strictly
 future-looking until.  Eventually (F), always (G), and implication are
-derived connectives; :func:`expand_derived` rewrites them into the core
-fragment and the evaluators accept only core formulas.
+abbreviations over the core connectives.
+
+One connective table (class and symbol) serves the tokenizer, the
+precedence-climbing parser, the renderer and the opcodes of the node
+table.  One iterative post-order walk, which visits each distinct
+subformula object once, serves rendering, temporal depth, atom
+collection and compilation, so shared operands cost nothing extra and
+depth needs no recursion.  :func:`_compile` rewrites the derived
+connectives into the core ones as it interns a base's formulas; it is
+the only place the rewrite rules live, and :func:`expand_derived` reads
+its result back.
 
 Two readings of G are supported.  The strict reading takes G phi as
 "phi holds in every strictly later state", i.e. not (true U not phi).
@@ -20,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Union
@@ -169,8 +178,44 @@ class Until(Formula):
 TRUE = TrueConst()
 FALSE = FalseConst()
 
-_BINARY_SYMBOL = {And: "&", Or: "|", Implies: "->", Until: "U"}
-_UNARY_SYMBOL = {Not: "!", Next: "X", Finally: "F", Globally: "G"}
+# Each connective's class and symbol, read by the tokenizer, the parser
+# and the renderer.  The core symbols are the node table's opcodes.
+_SYMBOL = {
+    Not: "!", Next: "X", Finally: "F", Globally: "G",
+    And: "&", Or: "|", Implies: "->", Until: "U",
+}
+_CONNECTIVE = {symbol: kind for kind, symbol in _SYMBOL.items()}
+
+# Binding power and right grouping of each binary connective.  Every
+# unary prefix binds tighter than all of them.
+_BINDING = {"&": (3, False), "|": (2, False), "->": (1, True), "U": (0, True)}
+_BINARY = frozenset(_CONNECTIVE[symbol] for symbol in _BINDING)
+
+
+def _postorder(formulas: Iterable[Formula]) -> list[Formula]:
+    """Each distinct subformula object of ``formulas`` once, children
+    before parents and left before right, walked without recursion."""
+    order: list[Formula] = []
+    seen: set[int] = set()
+    for formula in formulas:
+        # None above an object on the stack: list it once its children are.
+        stack = [formula]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                order.append(stack.pop())
+            elif id(node) not in seen:
+                seen.add(id(node))
+                kind = type(node)
+                if kind is Atom or kind is TrueConst or kind is FalseConst:
+                    order.append(node)
+                elif kind in _BINARY:
+                    stack += (node, None, node.right, node.left)
+                elif kind in _SYMBOL:
+                    stack += (node, None, node.operand)
+                else:
+                    raise TypeError(f"not a formula node: {node!r}")
+    return order
 
 
 def render_formula(formula: Formula) -> str:
@@ -178,19 +223,19 @@ def render_formula(formula: Formula) -> str:
 
     The output round-trips: parsing it yields an equal AST.
     """
-    if isinstance(formula, TrueConst):
-        return "true"
-    if isinstance(formula, FalseConst):
-        return "false"
-    if isinstance(formula, Atom):
-        return formula.name
-    if isinstance(formula, (Not, Next, Finally, Globally)):
-        op = _UNARY_SYMBOL[type(formula)]
-        return f"({op} {render_formula(formula.operand)})"
-    if isinstance(formula, (And, Or, Implies, Until)):
-        op = _BINARY_SYMBOL[type(formula)]
-        return f"({render_formula(formula.left)} {op} {render_formula(formula.right)})"
-    raise TypeError(f"not a formula node: {formula!r}")
+    text: dict[int, str] = {}
+    for node in _postorder((formula,)):
+        kind = type(node)
+        if kind in _BINARY:
+            out = f"({text[id(node.left)]} {_SYMBOL[kind]} {text[id(node.right)]})"
+        elif kind in _SYMBOL:
+            out = f"({_SYMBOL[kind]} {text[id(node.operand)]})"
+        elif kind is Atom:
+            out = node.name
+        else:
+            out = "true" if kind is TrueConst else "false"
+        text[id(node)] = out
+    return text[id(formula)]
 
 
 class FormulaParseError(ValueError):
@@ -204,230 +249,119 @@ class FormulaParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<arrow>->)
-    | (?P<bang>!)
-    | (?P<amp>&)
-    | (?P<pipe>\|)
-    | (?P<lpar>\()
-    | (?P<rpar>\))
-    | (?P<temporal>[XUFG])
-    | (?P<name>[a-z][a-zA-Z0-9_]*)
-    """,
-    re.VERBOSE,
+    r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<name>[a-z][a-zA-Z0-9_]*)|(?P<op>"
+    + "|".join(re.escape(symbol) for symbol in sorted(_CONNECTIVE, key=len, reverse=True))
+    + r")|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise FormulaParseError(f"unexpected character {text[pos]!r}", pos)
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        value = match.group()
-        if kind == "name" and value in ("true", "false"):
-            kind = value
-        if kind != "ws":
-            tokens.append((kind, value, pos))
-        pos = match.end()
+        value, pos = match[kind], match.start(kind)
+        if kind == "bad":
+            raise FormulaParseError(f"unexpected character {value!r}", pos)
+        tokens.append((value if value in ("true", "false") else kind, value, pos))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    """Recursive descent over the token list.
-
-    Precedence from tightest to loosest: unary (!, X, F, G), then &,
-    then |, then ->, then U.  The binary connectives &, | and -> are
-    left associative; U associates to the right.
-    """
+    """Precedence climbing over the token list (Pratt, 1973): the binary
+    connectives bind as :data:`_BINDING` says, and unary prefixes bind
+    tightest."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
+    def expression(self, floor: int) -> Formula:
+        """The formula at the cursor, up to the first binary connective
+        that binds looser than ``floor``."""
+        left = self.operand()
+        while True:
+            value = self.tokens[self.index][1]
+            binding = _BINDING.get(value)
+            if binding is None or binding[0] < floor:
+                return left
+            self.index += 1
+            power, right_grouping = binding
+            right = self.expression(power if right_grouping else power + 1)
+            left = _CONNECTIVE[value](left, right)
 
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        token = self.peek()
-        if token[0] != kind:
-            raise FormulaParseError(
-                f"expected {kind!r} but found {token[1] or 'end of input'!r}",
-                token[2],
-            )
-        return self.advance()
-
-    def parse(self) -> Formula:
-        formula = self.until_level()
-        token = self.peek()
-        if token[0] != "end":
-            raise FormulaParseError(f"unexpected trailing {token[1]!r}", token[2])
-        return formula
-
-    def until_level(self) -> Formula:
-        left = self.implies_level()
-        if self.peek()[0] == "temporal" and self.peek()[1] == "U":
-            self.advance()
-            return Until(left, self.until_level())
-        return left
-
-    def implies_level(self) -> Formula:
-        node = self.or_level()
-        if self.peek()[0] == "arrow":
-            self.advance()
-            return Implies(node, self.implies_level())
-        return node
-
-    def or_level(self) -> Formula:
-        node = self.and_level()
-        while self.peek()[0] == "pipe":
-            self.advance()
-            node = Or(node, self.and_level())
-        return node
-
-    def and_level(self) -> Formula:
-        node = self.unary_level()
-        while self.peek()[0] == "amp":
-            self.advance()
-            node = And(node, self.unary_level())
-        return node
-
-    def unary_level(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "bang":
-            self.advance()
-            return Not(self.unary_level())
-        if kind == "temporal":
-            if value == "U":
-                raise FormulaParseError("U is a binary connective", pos)
-            self.advance()
-            ctor = {"X": Next, "F": Finally, "G": Globally}[value]
-            return ctor(self.unary_level())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        kind, value, pos = self.advance()
+    def operand(self) -> Formula:
+        """A primary formula under its unary prefixes."""
+        prefixes = []
+        while True:
+            kind, value, pos = self.tokens[self.index]
+            self.index += 1
+            if kind != "op" or value in _BINDING:
+                break
+            prefixes.append(_CONNECTIVE[value])
         if kind == "name":
-            return Atom(value)
-        if kind == "true":
-            return TRUE
-        if kind == "false":
-            return FALSE
-        if kind == "lpar":
-            inner = self.until_level()
-            self.expect("rpar")
-            return inner
-        raise FormulaParseError(
-            f"expected a formula but found {value or 'end of input'!r}", pos
-        )
+            formula: Formula = Atom(value)
+        elif kind == "true" or kind == "false":
+            formula = TRUE if kind == "true" else FALSE
+        elif kind == "lpar":
+            formula = self.expression(0)
+            kind, value, pos = self.tokens[self.index]
+            if kind != "rpar":
+                raise FormulaParseError(
+                    f"expected 'rpar' but found {value or 'end of input'!r}", pos
+                )
+            self.index += 1
+        elif value == "U":
+            raise FormulaParseError("U is a binary connective", pos)
+        else:
+            raise FormulaParseError(
+                f"expected a formula but found {value or 'end of input'!r}", pos
+            )
+        for prefix in reversed(prefixes):
+            formula = prefix(formula)
+        return formula
 
 
 def parse_formula(text: str) -> Formula:
     """Parse formula text into an AST."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    formula = parser.expression(0)
+    kind, value, pos = parser.tokens[parser.index]
+    if kind != "end":
+        raise FormulaParseError(f"unexpected trailing {value!r}", pos)
+    return formula
 
 
 def expand_derived(formula: Formula, g_mode: GMode = GMode.STRICT) -> Formula:
-    """Rewrite F, G and -> into the core connectives.
+    """The core formula of a one-formula base under ``g_mode``, as
+    :func:`_compile` rewrites it, read back with one object per node.
 
     F phi becomes true U phi.  Under the strict reading G phi becomes
     !(true U !phi); the reflexive reading conjoins phi itself.  The
     function is idempotent: expanding an already core formula returns
     an equal formula.
-
-    A subformula object met twice is expanded once and its expansion
-    shared, so a formula that reuses one operand at every level, as
-    counted constraint templates do, expands in linear time.
     """
-    return _expand(formula, g_mode, {})
-
-
-def _expand(formula: Formula, g_mode: GMode, memo: dict[int, Formula]) -> Formula:
-    """:func:`expand_derived`, with ``memo`` holding the expansions made
-    so far in the call, keyed by the id of the subformula expanded."""
-    kind = type(formula)
-    if kind is Atom or kind is TrueConst or kind is FalseConst:
-        return formula
-    key = id(formula)
-    done = memo.get(key)
-    if done is not None:
-        return done
-    if kind is Not:
-        done = Not(_expand(formula.operand, g_mode, memo))
-    elif kind is And:
-        done = And(_expand(formula.left, g_mode, memo), _expand(formula.right, g_mode, memo))
-    elif kind is Or:
-        done = Or(_expand(formula.left, g_mode, memo), _expand(formula.right, g_mode, memo))
-    elif kind is Implies:
-        done = Or(
-            Not(_expand(formula.left, g_mode, memo)), _expand(formula.right, g_mode, memo)
-        )
-    elif kind is Next:
-        done = Next(_expand(formula.operand, g_mode, memo))
-    elif kind is Until:
-        done = Until(_expand(formula.left, g_mode, memo), _expand(formula.right, g_mode, memo))
-    elif kind is Finally:
-        done = Until(TRUE, _expand(formula.operand, g_mode, memo))
-    elif kind is Globally:
-        inner = _expand(formula.operand, g_mode, memo)
-        done = Not(Until(TRUE, Not(inner)))
-        if g_mode is GMode.REFLEXIVE:
-            done = And(inner, done)
-    else:
-        raise TypeError(f"not a formula node: {formula!r}")
-    memo[key] = done
-    return done
+    return KnowledgeBase((formula,), DEFAULT_TRACE_LENGTH, g_mode).core_formulas[0]
 
 
 def temporal_depth(formula: Formula) -> int:
     """Nesting depth of temporal connectives (X, U, F, G)."""
-    if isinstance(formula, (TrueConst, FalseConst, Atom)):
-        return 0
-    if isinstance(formula, Not):
-        return temporal_depth(formula.operand)
-    if isinstance(formula, (And, Or, Implies)):
-        return max(temporal_depth(formula.left), temporal_depth(formula.right))
-    if isinstance(formula, (Next, Finally, Globally)):
-        return 1 + temporal_depth(formula.operand)
-    if isinstance(formula, Until):
-        return 1 + max(temporal_depth(formula.left), temporal_depth(formula.right))
-    raise TypeError(f"not a formula node: {formula!r}")
+    depth: dict[int, int] = {}
+    for node in _postorder((formula,)):
+        kind = type(node)
+        if kind in _BINARY:
+            below = max(depth[id(node.left)], depth[id(node.right)])
+        elif kind in _SYMBOL:
+            below = depth[id(node.operand)]
+        else:
+            below = 0
+        depth[id(node)] = below + (kind in (Next, Until, Finally, Globally))
+    return depth[id(formula)]
 
 
 def atoms_of(formula: Formula) -> frozenset[str]:
-    """The set of atom names occurring in the formula.
-
-    Each subformula object is walked once, however often it is shared.
-    """
-    names: set[str] = set()
-    walked: set[int] = set()
-    stack = [formula]
-    while stack:
-        current = stack.pop()
-        kind = type(current)
-        if kind is Atom:
-            names.add(current.name)
-        elif kind is TrueConst or kind is FalseConst or id(current) in walked:
-            continue
-        elif kind in _BINARY_SYMBOL:
-            walked.add(id(current))
-            stack.append(current.right)
-            stack.append(current.left)
-        elif kind in _UNARY_SYMBOL:
-            walked.add(id(current))
-            stack.append(current.operand)
-        else:
-            raise TypeError(f"not a formula node: {current!r}")
-    return frozenset(names)
+    """The set of atom names occurring in the formula."""
+    return frozenset(node.name for node in _postorder((formula,)) if type(node) is Atom)
 
 
 class SignatureMismatchError(LookupError):
@@ -436,15 +370,16 @@ class SignatureMismatchError(LookupError):
 
 _Node = tuple[str, int, int]
 
-# Opcodes of the compiled node table, by formula class.
-_UNARY_OPS = {Not: "!", Next: "X"}
-_BINARY_OPS = {And: "&", Or: "|", Until: "U"}
-
 
 def _compile(
-    formulas: tuple[Formula, ...], atoms: tuple[str, ...]
+    formulas: tuple[Formula, ...],
+    atoms: tuple[str, ...],
+    g_mode: GMode = GMode.STRICT,
+    order: list[Formula] | None = None,
 ) -> tuple[list[_Node], list[int]]:
-    """Intern core formulas into a topologically ordered node table.
+    """Intern formulas into a topologically ordered node table over the
+    core connectives, given the walk ``order`` of ``formulas`` if the
+    caller has it.
 
     A node is ``(op, x, y)``.  Node ``i < len(atoms)`` is
     ``("atom", i, -1)``, the atom ``atoms[i]``; ``("true", -1, -1)``
@@ -453,68 +388,48 @@ def _compile(
     children ``x`` and ``y``.  Structurally equal subformulas share one
     node, and every child comes before its parent.  Returns the table
     and the root node of each formula.
+
+    F phi is interned as true U phi, G phi as !(true U !phi), conjoined
+    with phi under the reflexive reading, and phi -> psi as !phi | psi.
     """
-    table: list[_Node] = [("atom", i, -1) for i in range(len(atoms))]
-    interned = {node: i for i, node in enumerate(table)}
+    # Insertion order is table order, so the table is the dict's keys.
+    interned: dict[_Node, int] = {("atom", i, -1): i for i in range(len(atoms))}
+
+    def intern(entry: _Node) -> int:
+        return interned.setdefault(entry, len(interned))
+
     atom_ids = {name: i for i, name in enumerate(atoms)}
-    # Expansion shares operand objects between subformulas, so each
-    # object is walked once, keyed by identity.
     compiled: dict[int, int] = {}
-    roots = []
-    for formula in formulas:
-        # A formula object is popped once to be checked and to push its
-        # children, left on top, and once more to be interned; so bad
-        # input is reported at the node a left-to-right recursive walk
-        # would meet first.
-        stack = [(formula, False)]
-        while stack:
-            current, children_done = stack.pop()
-            if id(current) in compiled:
-                continue
-            kind = type(current)
-            if kind in _BINARY_OPS:
-                if not children_done:
-                    stack.append((current, True))
-                    stack.append((current.right, False))
-                    stack.append((current.left, False))
-                    continue
-                node = (
-                    _BINARY_OPS[kind],
-                    compiled[id(current.left)],
-                    compiled[id(current.right)],
-                )
-            elif kind in _UNARY_OPS:
-                if not children_done:
-                    stack.append((current, True))
-                    stack.append((current.operand, False))
-                    continue
-                node = (_UNARY_OPS[kind], compiled[id(current.operand)], -1)
-            elif kind is Atom:
-                try:
-                    compiled[id(current)] = atom_ids[current.name]
-                except KeyError:
-                    raise SignatureMismatchError(
-                        f"atom {current.name!r} is not in the signature"
-                    ) from None
-                continue
-            elif kind is TrueConst:
-                node = ("true", -1, -1)
-            elif kind is FalseConst:
-                node = ("false", -1, -1)
-            elif isinstance(current, (Finally, Globally, Implies)):
-                raise ValueError(
-                    f"derived connective in compiler input: {current!r};"
-                    " expand_derived first"
-                )
+    for node in _postorder(formulas) if order is None else order:
+        kind = type(node)
+        if kind is Atom:
+            try:
+                index = atom_ids[node.name]
+            except KeyError:
+                raise SignatureMismatchError(
+                    f"atom {node.name!r} is not in the signature"
+                ) from None
+        elif kind is TrueConst or kind is FalseConst:
+            index = intern(("true" if kind is TrueConst else "false", -1, -1))
+        elif kind in _BINARY:
+            x, y = compiled[id(node.left)], compiled[id(node.right)]
+            if kind is Implies:
+                index = intern(("|", intern(("!", x, -1)), y))
             else:
-                raise TypeError(f"not a formula node: {current!r}")
-            index = interned.get(node)
-            if index is None:
-                index = interned[node] = len(table)
-                table.append(node)
-            compiled[id(current)] = index
-        roots.append(compiled[id(formula)])
-    return table, roots
+                index = intern((_SYMBOL[kind], x, y))
+        else:
+            x = compiled[id(node.operand)]
+            if kind is Finally:
+                index = intern(("U", intern(("true", -1, -1)), x))
+            elif kind is Globally:
+                index = intern(("U", intern(("true", -1, -1)), intern(("!", x, -1))))
+                index = intern(("!", index, -1))
+                if g_mode is GMode.REFLEXIVE:
+                    index = intern(("&", x, index))
+            else:
+                index = intern((_SYMBOL[kind], x, -1))
+        compiled[id(node)] = index
+    return list(interned), [compiled[id(formula)] for formula in formulas]
 
 
 GroundCell = tuple[int, str]
@@ -592,28 +507,43 @@ class KnowledgeBase:
         return self._atoms
 
     @cached_property
+    def _subformulas(self) -> list[Formula]:
+        """The base's one walk (:func:`_postorder`): :meth:`atoms` and
+        :attr:`table` both read it."""
+        return _postorder(self.formulas)
+
+    @cached_property
     def _atoms(self) -> tuple[str, ...]:
         """:meth:`atoms`, collected once per base."""
-        names: set[str] = set()
-        for formula in self.formulas:
-            names |= atoms_of(formula)
-        names |= {atom for _, atom in self.ground_cells}
+        names = {node.name for node in self._subformulas if type(node) is Atom}
+        names.update(atom for _, atom in self.ground_cells)
         return tuple(sorted(names))
 
     @cached_property
     def core_formulas(self) -> tuple[Formula, ...]:
-        """The formulas with derived connectives expanded under g_mode."""
-        return tuple(expand_derived(f, self.g_mode) for f in self.formulas)
+        """The formulas over the core connectives, read back off
+        :attr:`table` with one object per node."""
+        atoms, (table, roots) = self.atoms(), self.table
+        built: list[Formula] = []
+        for op, x, y in table:
+            if op == "atom":
+                built.append(Atom(atoms[x]))
+            elif op == "true" or op == "false":
+                built.append(TRUE if op == "true" else FALSE)
+            else:
+                kind = _CONNECTIVE[op]
+                built.append(kind(built[x]) if y < 0 else kind(built[x], built[y]))
+        return tuple(built[root] for root in roots)
 
     @cached_property
     def table(self) -> tuple[list[_Node], list[int]]:
-        """The core formulas compiled over ``atoms()``: the node table
-        and each formula's root, as :func:`_compile` returns them.
+        """The formulas compiled over ``atoms()`` under ``g_mode``, as
+        :func:`_compile` returns them.
 
         Every evaluator of a base (the search, the two-valued pass and
         the oracle) reads this one table; none may modify it.
         """
-        return _compile(self.core_formulas, self.atoms())
+        return _compile(self.formulas, self.atoms(), self.g_mode, self._subformulas)
 
     @cached_property
     def atoms_below(self) -> list[int]:

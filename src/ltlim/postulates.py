@@ -446,35 +446,39 @@ class SweepResult:
         return not self.violations
 
 
+# The atoms every sampled instance is drawn over.
+_SWEEP_ATOMS = ("a", "b")
+
+
 def _sweep_instance(
     rng: random.Random,
     measure_id: str,
     postulate: Postulate,
     *,
     m: int,
-    atoms: tuple[str, ...],
     budget: int,
 ) -> Verdict:
-    """One seeded instance, sampled and checked on one account."""
+    """One seeded instance over :data:`_SWEEP_ATOMS`, sampled and
+    checked on one account."""
     account = Budget(budget)
     if postulate is Postulate.CONSISTENCY_NULL:
-        kb = random_kb(rng, atoms=atoms, m=m, max_formulas=3, max_depth=2)
+        kb = random_kb(rng, atoms=_SWEEP_ATOMS, m=m, max_formulas=3, max_depth=2)
         return check_co(measure_id, kb, budget=account)
     if postulate is Postulate.MONOTONICITY:
         kb_sup = random_kb(
-            rng, atoms=atoms, m=m, min_formulas=2, max_formulas=4, max_depth=2
+            rng, atoms=_SWEEP_ATOMS, m=m, min_formulas=2, max_formulas=4, max_depth=2
         )
         keep = [f for f in kb_sup.formulas if rng.random() < 0.6]
         kb = kb_sup.replace_formulas(keep)
         return check_mo(measure_id, kb, kb_sup, budget=account)
     if postulate is Postulate.FREE_FORMULA_INDEPENDENCE:
-        kb = random_kb(rng, atoms=atoms, m=m, min_formulas=2, max_formulas=4, max_depth=2)
+        kb = random_kb(rng, atoms=_SWEEP_ATOMS, m=m, min_formulas=2, max_formulas=4, max_depth=2)
         return check_in(measure_id, kb, budget=account)
     if postulate is Postulate.DOMINANCE:
-        kb = random_kb(rng, atoms=atoms, m=m, max_formulas=2, max_depth=2)
+        kb = random_kb(rng, atoms=_SWEEP_ATOMS, m=m, max_formulas=2, max_depth=2)
         alpha = None
         for _ in range(32):
-            candidate = random_formula(rng, atoms, 2)
+            candidate = random_formula(rng, _SWEEP_ATOMS, 2)
             if is_satisfiable(kb.replace_formulas((candidate,)), budget=account):
                 alpha = candidate
                 break
@@ -485,9 +489,9 @@ def _sweep_instance(
                 Outcome.NOT_APPLICABLE,
                 {"reason": "no satisfiable alpha sampled"},
             )
-        beta = Or(alpha, random_formula(rng, atoms, 2))
+        beta = Or(alpha, random_formula(rng, _SWEEP_ATOMS, 2))
         return check_do(measure_id, kb, alpha, beta, budget=account)
-    phi = random_contingent_formula(rng, atoms, 2, m=m)
+    phi = random_contingent_formula(rng, _SWEEP_ATOMS, 2, m=m)
     if phi is None:
         return Verdict(
             measure_id,
@@ -505,7 +509,6 @@ def sweep(
     instances: int,
     seed: int,
     m: int = 3,
-    atoms: tuple[str, ...] = ("a", "b"),
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SweepResult:
     """Check seeded random instances of a postulate against a measure."""
@@ -514,9 +517,7 @@ def sweep(
     not_applicable = 0
     violations: list[Verdict] = []
     for _ in range(instances):
-        verdict = _sweep_instance(
-            rng, measure_id, postulate, m=m, atoms=atoms, budget=budget
-        )
+        verdict = _sweep_instance(rng, measure_id, postulate, m=m, budget=budget)
         if verdict.outcome is Outcome.HOLDS:
             holds += 1
         elif verdict.outcome is Outcome.NOT_APPLICABLE:
@@ -541,15 +542,12 @@ def search_violation(
     instances: int,
     seed: int,
     m: int = 3,
-    atoms: tuple[str, ...] = ("a", "b"),
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> Verdict | None:
     """Random hunt for a violating instance; None when none is found."""
     rng = random.Random(seed)
     for _ in range(instances):
-        verdict = _sweep_instance(
-            rng, measure_id, postulate, m=m, atoms=atoms, budget=budget
-        )
+        verdict = _sweep_instance(rng, measure_id, postulate, m=m, budget=budget)
         if verdict.outcome is Outcome.VIOLATED:
             return verdict
     return None

@@ -311,17 +311,27 @@ def _root_pass(kb: KnowledgeBase, glut: int, budget: Budget) -> frozenset[int]:
     atoms = kb.atoms()
     table, roots = kb.table
     everything = list(range(len(atoms)))
-    # The atoms enumerated at each state: all but the held ones off ground cells.
-    free = [
-        [a for a in everything if not glut >> a & 1 or (s, atoms[a]) in kb.ground_cells]
-        if glut else everything
-        for s in range(kb.trace_length_m + 1)
-    ]
-    steps = [1 << len(enumerated) for enumerated in free]
-    # What the account has left; any charge past it raises.
+    m = kb.trace_length_m
+
+    def enumerated_at(state: int) -> list[int]:
+        """The atoms enumerated at a state: all but the held ones off ground cells."""
+        if not glut:
+            return everything
+        return [
+            a for a in everything if not glut >> a & 1 or (state, atoms[a]) in kb.ground_cells
+        ]
+
+    # What the account has left; any charge past it raises.  The pass
+    # expands one key at t_m, at 2^k units for its k enumerated atoms,
+    # and at least one key at every state, so a charge past either bound
+    # is refused before the per-state lists are built.
     left = budget.total - budget.spent
-    if steps[-1] > left:
-        budget.charge(steps[-1])
+    if 1 << len(enumerated_at(m)) > left:
+        budget.charge(1 << len(enumerated_at(m)))
+    if m + 1 > left:
+        budget.charge(m + 1)
+    free = [enumerated_at(state) for state in range(m + 1)]
+    steps = [1 << len(enumerated) for enumerated in free]
     program = [(node, *table[node]) for node in range(len(atoms), len(table))]
     # Reader p hands on a | b: X's child, or U's right child and U itself.
     readers = [

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -8,6 +9,7 @@ from ltlim.formula import (
     And,
     Atom,
     FALSE,
+    FalseConst,
     Finally,
     FormulaParseError,
     Globally,
@@ -19,6 +21,7 @@ from ltlim.formula import (
     Not,
     Or,
     TRUE,
+    TrueConst,
     Until,
     atoms_of,
     expand_derived,
@@ -76,6 +79,39 @@ def test_parse_precedence(text, expected):
     assert parse_formula(text) == expected
 
 
+# Binding power and right grouping of each binary connective, as the
+# grammar states them; & binds tightest, U loosest.
+BINARY = {
+    "&": (And, 3, False),
+    "|": (Or, 2, False),
+    "->": (Implies, 1, True),
+    "U": (Until, 0, True),
+}
+
+
+@pytest.mark.parametrize("first,second", itertools.product(BINARY, repeat=2))
+def test_parse_groups_every_pair_of_binary_connectives(first, second):
+    (outer, p1, _), (inner, p2, right) = BINARY[first], BINARY[second]
+    parsed = parse_formula(f"a {first} b {second} c")
+    if p1 > p2 or (p1 == p2 and not right):
+        assert parsed == inner(outer(a, b), c)
+    else:
+        assert parsed == outer(a, inner(b, c))
+
+
+def test_parse_applies_unary_prefix_chains_innermost_last():
+    unary = {"!": Not, "X": Next, "F": Finally, "G": Globally}
+    for length in range(4):
+        for chain in itertools.product(unary, repeat=length):
+            left, right = a, b
+            for symbol in reversed(chain):
+                left = unary[symbol](left)
+            for symbol in chain:
+                right = unary[symbol](right)
+            text = f"{' '.join(chain)} a -> {' '.join(reversed(chain))} b"
+            assert parse_formula(text) == Implies(left, right), text
+
+
 @pytest.mark.parametrize("text", ["", "a &", "(a", "a b", "U a", "a -> -> b", "1x"])
 def test_parse_rejects_garbage(text):
     with pytest.raises(FormulaParseError):
@@ -116,6 +152,40 @@ def test_expand_globally_reflexive_adds_current_state():
 
 def test_expand_implies():
     assert expand_derived(Implies(a, b)) == Or(Not(a), b)
+
+
+def reference_expand(formula, mode):
+    """The abbreviations F, G and -> rewritten clause by clause."""
+    if isinstance(formula, (Atom, TrueConst, FalseConst)):
+        return formula
+    if isinstance(formula, Finally):
+        return Until(TRUE, reference_expand(formula.operand, mode))
+    if isinstance(formula, Globally):
+        inner = reference_expand(formula.operand, mode)
+        always = Not(Until(TRUE, Not(inner)))
+        return And(inner, always) if mode is GMode.REFLEXIVE else always
+    if isinstance(formula, Implies):
+        left = reference_expand(formula.left, mode)
+        return Or(Not(left), reference_expand(formula.right, mode))
+    if isinstance(formula, (Not, Next)):
+        return type(formula)(reference_expand(formula.operand, mode))
+    return type(formula)(
+        reference_expand(formula.left, mode), reference_expand(formula.right, mode)
+    )
+
+
+@pytest.mark.parametrize("mode", list(GMode))
+def test_expansion_matches_the_clause_by_clause_reference(mode):
+    rng = random.Random(13)
+    for _ in range(250):
+        formulas = [
+            random_formula(rng, ("a", "b", "c"), 4, allow_constants=True)
+            for _ in range(rng.randint(1, 3))
+        ]
+        for formula in formulas:
+            assert expand_derived(formula, mode) == reference_expand(formula, mode)
+        kb = KnowledgeBase(tuple(formulas), 3, g_mode=mode)
+        assert kb.core_formulas == tuple(reference_expand(f, mode) for f in kb.formulas)
 
 
 def _core_kinds_only(formula):
@@ -160,6 +230,14 @@ def test_expand_preserves_temporal_depth(seed, mode):
 )
 def test_temporal_depth(text, depth):
     assert temporal_depth(parse_formula(text)) == depth
+
+
+def test_temporal_depth_walks_each_shared_operand_once():
+    # AtLeast shares one operand between both branches of a disjunction at
+    # every level, so a depth computed per occurrence doubles per level.
+    start = time.perf_counter()
+    assert temporal_depth(_at_least(a, 200)) == 399
+    assert time.perf_counter() - start < 0.1
 
 
 def test_atoms_of_collects_each_atom_once():

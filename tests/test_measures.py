@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -202,6 +203,20 @@ def test_subset_measures_report_the_whole_budget():
         run_measures(kb, ("d", "MI"), budget=20)
     assert exc.value.budget == 20
     assert exc.value.nodes > 20
+
+
+def test_a_trace_longer_than_the_budget_is_refused_before_allocating():
+    # The pass costs at least one unit per state, so m + 1 units past the
+    # budget are refused before any per-state list is built.
+    kb = kb_of("a & (! a)", m=10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            run_measures(kb, ("d",), budget=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("seed", range(25))

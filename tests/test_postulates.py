@@ -98,7 +98,7 @@ def test_a_dominance_instance_runs_each_pass_once(monkeypatch):
     # The sampling tests alpha, then check_do tests an equal base again;
     # one account per instance runs its pass once.
     verdict = _sweep_instance(
-        random.Random(0), "LTL_d", Postulate.DOMINANCE, m=3, atoms=("a", "b"),
+        random.Random(0), "LTL_d", Postulate.DOMINANCE, m=3,
         budget=DEFAULT_NODE_BUDGET,
     )
     assert verdict.outcome is Outcome.HOLDS
