@@ -43,7 +43,6 @@ from .measures import (
     horizon_warning,
     run_measures,
 )
-from .oracle import DEFAULT_CELL_CAP, MAX_CELL_CAP, _minimal_conflicts
 from .postulates import (
     EXPECTED_MATRIX,
     Postulate,
@@ -53,7 +52,9 @@ from .postulates import (
     run_curated,
     sweep,
 )
-from .semantics import Interpretation3, affected_states, conflict_base
+from .semantics import (
+    DEFAULT_CELL_CAP, MAX_CELL_CAP, Interpretation3, affected_states, conflict_base
+)
 from .solver import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
@@ -239,6 +240,8 @@ def _cmd_explain(args) -> int:
         allow_short_trace=args.allow_short_trace,
     )
     if args.oracle:
+        from .oracle import _minimal_conflicts
+
         min_affected, bases, raw_models, witness = _minimal_conflicts(
             kb, cell_cap=args.oracle_cap
         )
@@ -304,6 +307,19 @@ def _cmd_postulates(args) -> int:
         if args.postulate == "all"
         else tuple(p for p in _POSTULATE_ORDER if p.value == args.postulate)
     )
+    # One sweep per postulate checks each instance against every measure.
+    swept = {}
+    if args.sweep:
+        for postulate in postulates:
+            for result in sweep(
+                measures,
+                postulate,
+                instances=args.sweep,
+                seed=args.seed,
+                m=args.m if args.m is not None else DEFAULT_TRACE_LENGTH,
+                budget=args.budget,
+            ):
+                swept[result.measure_id, postulate] = result
     cells = []
     for mid in measures:
         for postulate in postulates:
@@ -314,14 +330,7 @@ def _cmd_postulates(args) -> int:
                 "expected": "holds" if expected else "fails",
             }
             if args.sweep:
-                result = sweep(
-                    mid,
-                    postulate,
-                    instances=args.sweep,
-                    seed=args.seed,
-                    m=args.m if args.m is not None else DEFAULT_TRACE_LENGTH,
-                    budget=args.budget,
-                )
+                result = swept[mid, postulate]
                 cell["instances"] = result.instances
                 cell["holds"] = result.holds
                 cell["not_applicable"] = result.not_applicable

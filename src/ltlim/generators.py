@@ -22,7 +22,7 @@ from .formula import (
     Until,
 )
 from .semantics import Interpretation3, TruthValue3
-from .solver import root_vectors
+from .solver import DEFAULT_NODE_BUDGET, Budget, root_vectors
 
 __all__ = [
     "random_contingent_formula",
@@ -138,10 +138,14 @@ def random_contingent_formula(
     m: int,
     temporal: bool = False,
     max_tries: int = 64,
+    shared: dict | None = None,
 ) -> Formula | None:
     """A random formula that is neither valid nor unsatisfiable.
 
     Returns None when no contingent sample shows up within max_tries.
+    Each try's two-valued pass is charged to a fresh account, which
+    reads and adds to the pass table ``shared`` when one is given
+    (:class:`ltlim.solver.Budget`).
     """
     for _ in range(max_tries):
         candidate = random_formula(rng, atoms, max_depth, temporal=temporal)
@@ -149,6 +153,6 @@ def random_contingent_formula(
         # true at t_0, so it is contingent iff the traces give both
         # truth vectors.
         both = KnowledgeBase.of(candidate, Not(candidate), m=m, allow_short_trace=True)
-        if root_vectors(both) == {0b01, 0b10}:
+        if root_vectors(both, budget=Budget(DEFAULT_NODE_BUDGET, shared)) == {0b01, 0b10}:
             return candidate
     return None

@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .formula import Formula, KnowledgeBase, atoms_of
-from .semantics import Interpretation3, conflict_base
-from . import oracle as oracle_mod
+from .semantics import DEFAULT_CELL_CAP, Interpretation3, conflict_base
 from .solver import Budget, CostMode, DEFAULT_NODE_BUDGET, minimize, root_vectors
 from .solver import min_glut_atoms
 
@@ -83,12 +82,13 @@ def _solver_satisfiable(kb: KnowledgeBase, budget: Budget) -> _Satisfiable:
 
 def _oracle_satisfiable(kb: KnowledgeBase, cell_cap: int) -> _Satisfiable:
     """Enumerate the two-valued interpretations of each subset tested."""
+    from .oracle import oracle_sat2
 
     def satisfiable(mask: int) -> bool:
         subset = kb.replace_formulas(
             f for i, f in enumerate(kb.formulas) if mask >> i & 1
         )
-        return oracle_mod.oracle_sat2(subset, cell_cap=cell_cap)[0]
+        return oracle_sat2(subset, cell_cap=cell_cap)[0]
 
     return satisfiable
 
@@ -189,7 +189,7 @@ def run_measures(
     *,
     budget: Budget | int = DEFAULT_NODE_BUDGET,
     use_oracle: bool = False,
-    oracle_cell_cap: int = oracle_mod.DEFAULT_CELL_CAP,
+    oracle_cell_cap: int = DEFAULT_CELL_CAP,
 ) -> MeasureRun:
     """Evaluate the requested measures, charging one work account.
 
@@ -226,7 +226,9 @@ def run_measures(
     def need_oracle_costs() -> dict[str, tuple[int | float, Interpretation3 | None]]:
         nonlocal oracle_costs
         if oracle_costs is None:
-            oracle_costs = oracle_mod.oracle_min_costs(
+            from .oracle import oracle_min_costs
+
+            oracle_costs = oracle_min_costs(
                 kb,
                 [cost for mid, cost in _COSTS.items() if mid in requested],
                 cell_cap=oracle_cell_cap,

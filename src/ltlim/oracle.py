@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .formula import KnowledgeBase, _Node
-from .semantics import Interpretation3, TruthValue3
+from .semantics import DEFAULT_CELL_CAP, MAX_CELL_CAP, Interpretation3, TruthValue3
 
 __all__ = [
     "DEFAULT_CELL_CAP",
@@ -52,13 +52,6 @@ __all__ = [
     "oracle_minimal_conflict_bases",
     "oracle_sat2",
 ]
-
-DEFAULT_CELL_CAP = 12
-
-# The largest --oracle-cap the command line accepts.  Peak memory grows
-# about 3x per cell (one run of every oracle measure on a one-atom base
-# added 20 MB at 12 cells and 63 MB at 13), so 15 cells stay under 1 GB.
-MAX_CELL_CAP = 15
 
 INF = float("inf")
 

@@ -19,7 +19,11 @@ as a whole and a base it asks about twice runs its pass once; a sweep
 instance shares one account between its sampling and its check.  The
 expected compliance matrix records which measures are expected to
 satisfy which postulate, and the sweep harness samples seeded random
-instances to regression-test the expected-holds cells.
+instances to regression-test the expected-holds cells.  One sweep
+checks each instance against all of its measures in turn: every
+measure's check keeps its own account, but the checks of one instance
+share its two-valued passes, which run once for all of them and are
+dropped with the instance.
 Expected-fails cells are certified by the curated counterexamples
 below, which the test suite re-verifies by recomputation.  The matrix rows for the trace-window
 distance are not universal laws: two boundary instances with deeply
@@ -32,7 +36,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Sequence
 
 from .formula import (
     Atom,
@@ -456,11 +460,11 @@ def _sweep_instance(
     postulate: Postulate,
     *,
     m: int,
-    budget: int,
+    budget: Budget | int,
 ) -> Verdict:
     """One seeded instance over :data:`_SWEEP_ATOMS`, sampled and
     checked on one account."""
-    account = Budget(budget)
+    account = Budget.of(budget)
     if postulate is Postulate.CONSISTENCY_NULL:
         kb = random_kb(rng, atoms=_SWEEP_ATOMS, m=m, max_formulas=3, max_depth=2)
         return check_co(measure_id, kb, budget=account)
@@ -491,7 +495,7 @@ def _sweep_instance(
             )
         beta = Or(alpha, random_formula(rng, _SWEEP_ATOMS, 2))
         return check_do(measure_id, kb, alpha, beta, budget=account)
-    phi = random_contingent_formula(rng, _SWEEP_ATOMS, 2, m=m)
+    phi = random_contingent_formula(rng, _SWEEP_ATOMS, 2, m=m, shared=account.shared)
     if phi is None:
         return Verdict(
             measure_id,
@@ -503,36 +507,42 @@ def _sweep_instance(
 
 
 def sweep(
-    measure_id: str,
+    measure_ids: str | Sequence[str],
     postulate: Postulate,
     *,
     instances: int,
     seed: int,
     m: int = 3,
     budget: int = DEFAULT_NODE_BUDGET,
-) -> SweepResult:
-    """Check seeded random instances of a postulate against a measure."""
+) -> SweepResult | tuple[SweepResult, ...]:
+    """Check seeded random instances of a postulate against measures.
+
+    ``measure_ids`` is one measure id, answered with its result, or a
+    sequence of them, answered with one result per id in that order.
+    Every measure checks the instances that a sweep of it alone draws:
+    each instance is drawn again from the same generator state for each
+    measure.  Each check opens its own account of ``budget`` units, and
+    the checks of one instance share its two-valued passes, which no
+    later instance sees.
+    """
+    ids = (measure_ids,) if isinstance(measure_ids, str) else tuple(measure_ids)
+    results = tuple(SweepResult(mid, postulate, instances, 0, 0, [], seed) for mid in ids)
     rng = random.Random(seed)
-    holds = 0
-    not_applicable = 0
-    violations: list[Verdict] = []
     for _ in range(instances):
-        verdict = _sweep_instance(rng, measure_id, postulate, m=m, budget=budget)
-        if verdict.outcome is Outcome.HOLDS:
-            holds += 1
-        elif verdict.outcome is Outcome.NOT_APPLICABLE:
-            not_applicable += 1
-        else:
-            violations.append(verdict)
-    return SweepResult(
-        measure_id=measure_id,
-        postulate=postulate,
-        instances=instances,
-        holds=holds,
-        not_applicable=not_applicable,
-        violations=violations,
-        seed=seed,
-    )
+        drawn = rng.getstate()
+        shared: dict = {}
+        for result in results:
+            rng.setstate(drawn)
+            verdict = _sweep_instance(
+                rng, result.measure_id, postulate, m=m, budget=Budget(budget, shared)
+            )
+            if verdict.outcome is Outcome.HOLDS:
+                result.holds += 1
+            elif verdict.outcome is Outcome.NOT_APPLICABLE:
+                result.not_applicable += 1
+            else:
+                result.violations.append(verdict)
+    return results[0] if isinstance(measure_ids, str) else results
 
 
 def search_violation(

@@ -46,7 +46,9 @@ from .formula import (
 )
 
 __all__ = [
+    "DEFAULT_CELL_CAP",
     "Interpretation3",
+    "MAX_CELL_CAP",
     "SignatureMismatchError",
     "TruthValue3",
     "affected_states",
@@ -59,6 +61,15 @@ __all__ = [
     "satisfies2",
     "satisfies3",
 ]
+
+# The most (state, atom) cells whose interpretations the exhaustive
+# oracle (ltlim.oracle) enumerates by default, and the largest cap the
+# command line accepts.  Peak memory grows about 3x per cell (one run of
+# every oracle measure on a one-atom base added 20 MB at 12 cells and
+# 63 MB at 13), so 15 cells stay under 1 GB.  They live here, not in the
+# oracle, so that reading them does not import numpy.
+DEFAULT_CELL_CAP = 12
+MAX_CELL_CAP = 15
 
 
 class TruthValue3(enum.IntEnum):

@@ -52,10 +52,11 @@ the value is 0, and otherwise the same search runs on to the value.
 Work is charged to one :class:`Budget` per run: a search node costs 1
 and the pass costs its steps.  Every entry point takes ``budget`` as an
 int, which opens a fresh account, or as a :class:`Budget` that callers
-share.  The account keeps each pass it ran, so a run charges a pass
-once however many measures read it.  The search and the pass raise
-:class:`BudgetExceededError` when the account runs out, which callers
-must treat as "unknown", never as "no model".
+share.  The account charges each pass once however many measures read
+it, and accounts may share the passes they ran, as the checks of one
+sweep instance do, each still charged as if it ran them.  The search
+and the pass raise :class:`BudgetExceededError` when the account runs
+out, which callers must treat as "unknown", never as "no model".
 """
 
 from __future__ import annotations
@@ -99,6 +100,12 @@ class CostMode(enum.Enum):
     CONFLICT_BASE = "conflict_base"
 
 
+# A pass of root_vectors is asked for by base and held atoms, and once
+# finished it is its vectors and the work it cost.
+_PassKey = tuple[KnowledgeBase, int]
+_Pass = tuple[frozenset[int], int]
+
+
 class BudgetExceededError(RuntimeError):
     """The node budget ran out before the search reached a verdict."""
 
@@ -112,16 +119,21 @@ class Budget:
     """One run's work account: ``total`` units, of which ``spent`` are used.
 
     A search node costs one unit and a pass of :func:`root_vectors`
-    costs its steps.  The account also keeps each pass it has paid for,
-    so that a run charges every pass once, however many measures read
-    it.
+    costs its steps.  The account keeps each pass it has paid for, so
+    that a run charges every pass once, however many measures read it.
+    It finds the passes it has not paid for yet in ``shared``, a table of
+    each pass's vectors and work that accounts may share: the accounts of
+    one sweep instance run each pass once, and each of them is charged
+    its work as if it had run the pass itself.
     """
 
-    def __init__(self, total: int):
+    def __init__(self, total: int, shared: dict[_PassKey, _Pass] | None = None):
         self.total = total
         self.spent = 0
-        # (kb, glut) -> the vectors of that pass.
-        self.passes: dict[tuple[KnowledgeBase, int], frozenset[int]] = {}
+        # (kb, glut) -> the vectors of a pass this account has paid for.
+        self.passes: dict[_PassKey, frozenset[int]] = {}
+        # (kb, glut) -> the vectors and the work of a pass run so far.
+        self.shared = {} if shared is None else shared
 
     @classmethod
     def of(cls, budget: Budget | int) -> Budget:
@@ -295,19 +307,32 @@ def root_vectors(
     The pass costs 2^k units per key, one per key and assignment, and
     raises :class:`BudgetExceededError` as soon as the keys expanded and
     the keys handed on to be expanded would take the account past its
-    total, before expanding them.  The account keeps the vectors of each
-    pass it has paid for, so a run charges a pass once, however many
-    measures and checks read it; a fresh account runs it afresh.
+    total, before expanding them.  An account is charged a pass's work
+    the first time it reads it, and keeps its vectors, so a run charges
+    a pass once, however many measures and checks read it.  The pass
+    runs only when the account's table (:attr:`Budget.shared`) lacks it,
+    so the accounts that share one table, those of one sweep instance,
+    run it once.  An account that finds the pass there raises exactly when the
+    pass would, because the pass refuses only when its whole work would
+    exceed what is left; the error then reports that whole work as
+    spent.  A fresh account runs the pass afresh.
     """
     budget = Budget.of(budget)
-    kept = budget.passes.get((kb, glut))
-    if kept is None:
-        kept = budget.passes[kb, glut] = _root_pass(kb, glut, budget)
-    return kept
+    key = (kb, glut)
+    vectors = budget.passes.get(key)
+    if vectors is None:
+        kept = budget.shared.get(key)
+        if kept is None:
+            kept = budget.shared[key] = _root_pass(kb, glut, budget)
+        budget.charge(kept[1])
+        vectors = budget.passes[key] = kept[0]
+    return vectors
 
 
-def _root_pass(kb: KnowledgeBase, glut: int, budget: Budget) -> frozenset[int]:
-    """The pass of :func:`root_vectors`, run afresh and charged to ``budget``."""
+def _root_pass(kb: KnowledgeBase, glut: int, budget: Budget) -> _Pass:
+    """The pass of :func:`root_vectors`, run afresh: its vectors and its
+    work, which it leaves to the caller to charge unless ``budget`` has
+    too little left for it."""
     atoms = kb.atoms()
     table, roots = kb.table
     everything = list(range(len(atoms)))
@@ -392,8 +417,7 @@ def _root_pass(kb: KnowledgeBase, glut: int, budget: Budget) -> frozenset[int]:
             if work + len(handed) * steps[state - 1] > left:
                 budget.charge(work + len(handed) * steps[state - 1])
         keys = handed
-    budget.charge(work)
-    return frozenset(vectors)
+    return frozenset(vectors), work
 
 
 def is_satisfiable(

@@ -6,6 +6,7 @@ report content, and byte stability against golden files under
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -186,6 +187,36 @@ def test_deeply_nested_input_exits_with_code_two(
     assert code == 2
     assert "nested too deeply" in err
     assert "Traceback" not in err
+
+
+_WITHOUT_THE_ORACLE = """
+import contextlib, io, sys
+import ltlim.cli
+data, out = sys.argv[1:]
+for argv in (
+    ["measure", data + "/next_clash.ltlkb"],
+    ["declare", data + "/overlap.decl", "--m", "3", "--emit", out],
+    ["explain", data + "/next_clash.ltlkb"],
+    ["postulates", "--sweep", "2"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ltlim.cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_commands_without_the_oracle_never_import_numpy(tmp_path, data_dir):
+    # A fresh interpreter: this one has imported numpy already.
+    result = subprocess.run(
+        [
+            sys.executable, "-c", _WITHOUT_THE_ORACLE,
+            str(data_dir), str(tmp_path / "overlap.ltlkb"),
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_oracle_cap_above_the_maximum_is_rejected(capsys, data_dir):

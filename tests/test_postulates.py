@@ -5,6 +5,7 @@ import random
 import pytest
 
 import ltlim.solver
+from ltlim.cli import main
 from ltlim.formula import KnowledgeBase, parse_formula
 from ltlim.measures import MEASURE_IDS, run_measures
 from ltlim.postulates import (
@@ -107,6 +108,32 @@ def test_a_dominance_instance_runs_each_pass_once(monkeypatch):
     walked.clear()
     sweep("LTL_d", Postulate.DOMINANCE, instances=250, seed=1)
     assert len(walked) == 540
+
+
+def test_the_measures_of_a_sweep_instance_share_its_passes(monkeypatch, capsys):
+    walked = []
+    real = ltlim.solver._root_pass
+
+    def counted(kb, glut, budget):
+        walked.append((kb, glut))
+        return real(kb, glut, budget)
+
+    monkeypatch.setattr(ltlim.solver, "_root_pass", counted)
+    argv = ["postulates", "--measure", "all", "--postulate", "DO"]
+    assert main(argv + ["--sweep", "250", "--seed", "1"]) == 0
+    # The eight measures of an instance share its passes; eight sweeps of
+    # one measure each run 7172.
+    assert len(walked) == 1082
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("postulate", list(Postulate), ids=lambda p: p.value)
+def test_a_sweep_of_every_measure_matches_a_sweep_of_each(postulate, seed):
+    grouped = sweep(MEASURE_IDS, postulate, instances=30, seed=seed)
+    assert [result.measure_id for result in grouped] == list(MEASURE_IDS)
+    for result in grouped:
+        # Equal holds, n/a counts and violation lists.
+        assert result == sweep(result.measure_id, postulate, instances=30, seed=seed)
 
 
 def test_the_budget_bounds_a_check_as_a_whole():

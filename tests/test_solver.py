@@ -730,6 +730,41 @@ def test_a_kept_pass_meets_every_budget_like_a_fresh_one(seed):
     assert [pass_outcome(kb, budget) for budget in budgets] == expected
 
 
+@pytest.mark.parametrize("seed", sorted(PASS_REFUSALS))
+def test_a_shared_pass_is_charged_like_a_pass_run_afresh(monkeypatch, seed):
+    kb = pass_kb(seed)
+    work = PASS_REFUSALS[seed][0]
+    shared = {}
+    vectors = root_vectors(kb, budget=Budget(DEFAULT_NODE_BUDGET, shared))
+
+    def read(total, spent, table):
+        """The vectors and spent units of an account that has spent some
+        units and reads the pass twice, or None if it raises."""
+        account = Budget(total, table)
+        account.spent = spent
+        try:
+            root_vectors(kb, budget=account)
+            return root_vectors(kb, budget=account), account.spent
+        except BudgetExceededError as exc:
+            assert exc.budget == total
+            return None
+
+    lefts = {0, 1, work // 3, work // 2, work - 1, work, work + 1}
+    cases = [(spent + left, spent) for spent in (0, 3) for left in sorted(lefts)]
+    afresh = [read(total, spent, None) for total, spent in cases]
+    assert afresh == [
+        (vectors, spent + work) if total - spent >= work else None for total, spent in cases
+    ]
+
+    def no_pass(*args):
+        raise AssertionError("a shared pass ran again")
+
+    # An account that finds the pass in its table is charged the same,
+    # and raises at the same budgets, as one that runs it.
+    monkeypatch.setattr(ltlim.solver, "_root_pass", no_pass)
+    assert [read(total, spent, shared) for total, spent in cases] == afresh
+
+
 def reference_minimize(
     kb: KnowledgeBase,
     cost_mode: CostMode,
