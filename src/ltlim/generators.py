@@ -138,21 +138,23 @@ def random_contingent_formula(
     m: int,
     temporal: bool = False,
     max_tries: int = 64,
-    shared: dict | None = None,
+    budget: Budget | int = DEFAULT_NODE_BUDGET,
 ) -> Formula | None:
     """A random formula that is neither valid nor unsatisfiable.
 
     Returns None when no contingent sample shows up within max_tries.
-    Each try's two-valued pass is charged to a fresh account, which
-    reads and adds to the pass table ``shared`` when one is given
-    (:class:`ltlim.solver.Budget`).
+    Every try's two-valued pass is charged to one account
+    (:class:`ltlim.solver.Budget`), on the base that
+    :func:`ltlim.postulates.check_ts` tests, so a check on the same
+    account reads the accepted formula's pass back.
     """
+    budget = Budget.of(budget)
     for _ in range(max_tries):
         candidate = random_formula(rng, atoms, max_depth, temporal=temporal)
         # Every trace makes exactly one of the candidate and its negation
         # true at t_0, so it is contingent iff the traces give both
         # truth vectors.
-        both = KnowledgeBase.of(candidate, Not(candidate), m=m, allow_short_trace=True)
-        if root_vectors(both, budget=Budget(DEFAULT_NODE_BUDGET, shared)) == {0b01, 0b10}:
+        both = KnowledgeBase((candidate, Not(candidate)), m, GMode.STRICT)
+        if root_vectors(both, budget=budget) == {0b01, 0b10}:
             return candidate
     return None

@@ -24,7 +24,8 @@ satisfiable.  The solver answers that for every subset at once with one
 two-valued pass over the states (:func:`ltlim.solver.root_vectors`),
 made and charged at most once per run; the oracle backend still
 enumerates the interpretations of each subset it tests.  ``c`` reads
-the same pass run with atoms held at B; the search minimises the rest.
+the same pass run with atoms held at B; the search minimises the rest,
+down to ``LTL_d`` from the state pass (:func:`ltlim.solver.minimize`).
 """
 
 from __future__ import annotations

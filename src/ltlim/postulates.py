@@ -495,7 +495,7 @@ def _sweep_instance(
             )
         beta = Or(alpha, random_formula(rng, _SWEEP_ATOMS, 2))
         return check_do(measure_id, kb, alpha, beta, budget=account)
-    phi = random_contingent_formula(rng, _SWEEP_ATOMS, 2, m=m, shared=account.shared)
+    phi = random_contingent_formula(rng, _SWEEP_ATOMS, 2, m=m, budget=account)
     if phi is None:
         return Verdict(
             measure_id,

@@ -46,7 +46,7 @@ def test_json_reports_match_golden_bytes(capsys, monkeypatch, data_dir, golden, 
     "argv,nodes,probes",
     [
         (["declare", "double_overlap.decl", "--m", "4", "--measure", "all"], 4516, 2),
-        (["measure", "always_clash.ltlkb", "--m", "8"], 199, 2),
+        (["measure", "always_clash.ltlkb", "--m", "8"], 247, 2),
         (["explain", "always_clash.ltlkb"], 48, 1),
     ],
     ids=["declare-m4", "measure-m8", "explain"],
@@ -564,6 +564,40 @@ def test_module_entry_point_runs_as_a_subprocess(data_dir):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["measures"]["LTL_d"] == 1
+
+
+def _cap_memory() -> None:
+    """Cap the child's address space at 2 GB."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--measure", "d"],
+        ["measure", "--measure", "LTL_d"],
+        ["measure", "--measure", "LTL_c"],
+        ["explain"],
+    ],
+    ids=["d", "LTL_d", "LTL_c", "explain"],
+)
+def test_a_trace_longer_than_the_budget_exits_3_without_allocating(tmp_path, argv):
+    # The pass and the search refuse before they build anything per
+    # state or per cell; under the cap, building it would end in a
+    # MemoryError traceback and exit 1.
+    base = tmp_path / "long_trace.ltlkb"
+    base.write_text("m = 99999999999\na & !a\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "ltlim.cli", argv[0], str(base), *argv[1:]],
+        capture_output=True,
+        text=True,
+        preexec_fn=_cap_memory,
+        timeout=120,
+    )
+    assert result.returncode == 3, result.stderr
+    assert "node budget of 10000000" in result.stderr
 
 
 def test_explain_rejects_a_negative_base_cap(capsys, data_dir):

@@ -75,9 +75,9 @@ def test_the_two_valued_pass_runs_once_per_base(monkeypatch, check, passes, outc
     walked = []
     real = ltlim.solver._root_pass
 
-    def counted(kb, glut, budget):
+    def counted(kb, choices, budget):
         walked.append(kb)
-        return real(kb, glut, budget)
+        return real(kb, choices, budget)
 
     monkeypatch.setattr(ltlim.solver, "_root_pass", counted)
     # check_co asks twice about one base; check_in asks twice about the
@@ -91,9 +91,9 @@ def test_a_dominance_instance_runs_each_pass_once(monkeypatch):
     walked = []
     real = ltlim.solver._root_pass
 
-    def counted(kb, glut, budget):
-        walked.append(kb)
-        return real(kb, glut, budget)
+    def counted(kb, choices, budget):
+        walked.append((kb, choices))
+        return real(kb, choices, budget)
 
     monkeypatch.setattr(ltlim.solver, "_root_pass", counted)
     # The sampling tests alpha, then check_do tests an equal base again;
@@ -103,27 +103,71 @@ def test_a_dominance_instance_runs_each_pass_once(monkeypatch):
         budget=DEFAULT_NODE_BUDGET,
     )
     assert verdict.outcome is Outcome.HOLDS
-    assert KnowledgeBase.of(verdict.details["alpha"], m=3) in walked
+    assert (KnowledgeBase.of(verdict.details["alpha"], m=3), ((0, 0),)) in walked
     assert len(walked) == len(set(walked)) == 2
     walked.clear()
     sweep("LTL_d", Postulate.DOMINANCE, instances=250, seed=1)
-    assert len(walked) == 540
+    # 540 two-valued passes, and one state pass for an LTL_d whose
+    # first witness costs 2.
+    assert len(walked) == 541
+    assert sum(choices != ((0, 0),) for _, choices in walked) == 1
 
 
 def test_the_measures_of_a_sweep_instance_share_its_passes(monkeypatch, capsys):
     walked = []
     real = ltlim.solver._root_pass
 
-    def counted(kb, glut, budget):
-        walked.append((kb, glut))
-        return real(kb, glut, budget)
+    def counted(kb, choices, budget):
+        walked.append((kb, choices))
+        return real(kb, choices, budget)
 
     monkeypatch.setattr(ltlim.solver, "_root_pass", counted)
     argv = ["postulates", "--measure", "all", "--postulate", "DO"]
     assert main(argv + ["--sweep", "250", "--seed", "1"]) == 0
-    # The eight measures of an instance share its passes; eight sweeps of
-    # one measure each run 7172.
-    assert len(walked) == 1082
+    # The eight measures of an instance share its passes, the one state
+    # pass among them too; eight sweeps of one measure each run 7172.
+    assert len(walked) == 1083
+
+
+def test_the_ts_sampler_charges_its_tries_to_the_instance(monkeypatch):
+    walked = []
+    real = ltlim.solver._root_pass
+
+    def counted(kb, choices, budget):
+        kept = real(kb, choices, budget)
+        walked.append((kb, kept[1]))
+        return kept
+
+    monkeypatch.setattr(ltlim.solver, "_root_pass", counted)
+    account = Budget(DEFAULT_NODE_BUDGET)
+    rng = random.Random(0)
+    verdict = _sweep_instance(rng, "d", Postulate.TIME_SENSITIVITY, m=3, budget=account)
+    assert verdict.outcome is Outcome.VIOLATED
+    # Two tries sample phi; check_ts reads the accepted try's pass back,
+    # and runs only the passes of its spread and pinned bases.
+    assert len(walked) == len({kb for kb, _ in walked}) == 4
+    assert account.spent == sum(work for _, work in walked)
+    # So the budget bounds the sampling too.
+    with pytest.raises(BudgetExceededError):
+        rng = random.Random(0)
+        _sweep_instance(rng, "d", Postulate.TIME_SENSITIVITY, m=3, budget=account.spent - 1)
+
+
+def test_a_ts_sweep_runs_one_clash_pass_per_instance(monkeypatch, capsys):
+    walked = []
+    real = ltlim.solver._root_pass
+
+    def counted(kb, choices, budget):
+        walked.append(choices)
+        return real(kb, choices, budget)
+
+    monkeypatch.setattr(ltlim.solver, "_root_pass", counted)
+    argv = ["postulates", "--postulate", "TS", "--measure", "LTL_d"]
+    assert main(argv + ["--sweep", "250", "--seed", "1"]) == 0
+    # 790 two-valued passes, each instance's clash base once among them
+    # (1040 when the sampler built an unequal one), and 250 state passes.
+    assert len(walked) == 1040
+    assert walked.count(((0, 0),)) == 790
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

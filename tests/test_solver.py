@@ -29,17 +29,20 @@ from ltlim.formula import (
 from ltlim.generators import random_interpretation, random_kb
 from ltlim.measures import run_measures
 from ltlim.oracle import oracle_min_cost, oracle_minimal_conflict_bases, oracle_sat2
+from ltlim.postulates import Postulate, sweep
+from ltlim.search import _evaluate
 from ltlim.semantics import SignatureMismatchError, TruthValue3, eval3, satisfies3
 from ltlim.solver import (
     DEFAULT_NODE_BUDGET,
     Budget,
     BudgetExceededError,
     CostMode,
-    _evaluate,
+    _STATE_CHOICES,
     count_min_conflict_signatures,
     decide_upper,
     is_satisfiable,
     min_glut_atoms,
+    min_glut_states,
     minimize,
     root_vectors,
 )
@@ -219,6 +222,21 @@ def test_budget_is_enforced():
         minimize(kb, CostMode.CONFLICT_BASE, budget=10)
     assert exc.value.budget == 10
     assert exc.value.nodes >= 10
+
+
+def test_a_search_refuses_a_grid_larger_than_the_account_has_left():
+    # Eight cells; the search decides after a few nodes, but keeps
+    # entries per cell, so an account with less left refuses it.
+    kb = KnowledgeBase.of("a", "b", m=3)
+    assert decide_upper(kb, 0, CostMode.CONFLICT_BASE, budget=8).found
+    with pytest.raises(BudgetExceededError) as exc:
+        decide_upper(kb, 0, CostMode.CONFLICT_BASE, budget=7)
+    assert (exc.value.budget, exc.value.nodes) == (7, 8)
+    account = Budget(10)
+    account.spent = 3
+    with pytest.raises(BudgetExceededError) as exc:
+        minimize(kb, CostMode.AFFECTED_STATES, budget=account)
+    assert (exc.value.budget, exc.value.nodes) == (10, 11)
 
 
 def test_signature_count_single_next_conflict():
@@ -605,9 +623,9 @@ def test_the_subset_measures_run_one_pass_and_no_search(monkeypatch):
     passes = []
     real = ltlim.solver._root_pass
 
-    def counted(kb, glut, budget):
+    def counted(kb, choices, budget):
         passes.append(kb)
-        return real(kb, glut, budget)
+        return real(kb, choices, budget)
 
     def no_search(*args, **kwargs):
         raise AssertionError("a backtracking search was started")
@@ -627,16 +645,18 @@ def test_a_run_charges_its_pass_once_and_every_search_node(monkeypatch):
     # classical pass; c then runs the pass that holds a at B.
     kb = KnowledgeBase.of("G a", "G (! a)", "F (a & X b)", "b | X a", m=3)
     _, work = fresh_pass(kb)
-    glutted = Budget(DEFAULT_NODE_BUDGET)
+    glutted, state_pass = Budget(DEFAULT_NODE_BUDGET), Budget(DEFAULT_NODE_BUDGET)
     root_vectors(kb, glut=0b01, budget=glutted)
-    assert (work, glutted.spent) == (124, 22)
+    assert min_glut_states(kb, budget=state_pass) == 3
+    assert (work, glutted.spent, state_pass.spent) == (124, 22, 310)
     run = run_measures(kb)
     assert run.values["d"] == 1 and run.values["c"] == 1
-    assert min(run.values[i] for i in ("LTL_d", "LTL_c")) > 0
+    assert run.values["LTL_d"] == run.values["LTL_c"] == 3
     # Each minimisation stops its search at the first witness, then
-    # resumes it to the value.
+    # resumes it down to its floor, LTL_d from the state pass, which
+    # LTL_d runs and LTL_c reads back.
     assert len(searched) == 2 * run.probes > 3
-    assert run.nodes == work + glutted.spent + sum(searched)
+    assert run.nodes == work + glutted.spent + state_pass.spent + sum(searched)
 
 
 @pytest.mark.parametrize("parallel", [0, 1])
@@ -881,37 +901,168 @@ def test_minimize_matches_the_binary_search_reference(block):
         assert signature_bases(kb) == reference_signature_bases(kb), seed
 
 
-@pytest.mark.parametrize("block", range(12))
-def test_minimize_refutes_only_at_one_below_the_value(monkeypatch, block):
-    """One search per minimisation: resumed past its first witness, its
-    bound ends one below the value, the only bound it refutes; a second
-    search, at bound 0, runs only on a satisfiable base whose first
-    witness costs more than 0, after the pass."""
-    searches, passes = [], []
+def recorded_searches(monkeypatch) -> list:
+    """Every ``_Search`` that ``ltlim.solver`` starts from now on.  Each
+    keeps the bound it started at, its value after each run, and the
+    node count at its last witness."""
+    searches = []
 
     class Recorded(ltlim.solver._Search):
         def __init__(self, kb, **kwargs):
             super().__init__(kb, **kwargs)
-            searches.append((kwargs["max_cost"], self))
+            self.bound, self.values = kwargs["max_cost"], []
+            searches.append(self)
+
+        def run(self):
+            try:
+                return super().run()
+            finally:
+                self.values.append(self.value)
+
+        def _witness(self):
+            self.met = self.nodes
+            return super()._witness()
+
+    monkeypatch.setattr(ltlim.solver, "_Search", Recorded)
+    return searches
+
+
+@pytest.mark.parametrize("block", range(12))
+def test_minimize_refutes_only_at_one_below_the_value(monkeypatch, block):
+    """One search per minimisation, resumed past its first witness down
+    to a floor.  For affected states whose first witness costs 2 or more
+    the floor is the state pass's LTL_d, the value, so the walk stops at
+    its first witness of that cost and refutes nothing; conflict
+    bases never start a state pass, so their floor is 1 and the only
+    bound they refute is one below the value.  A second search, at bound
+    0, runs only on a satisfiable base whose first witness costs more
+    than 0, after the two-valued pass."""
+    searches = recorded_searches(monkeypatch)
+    passes, states = [], []
 
     def recorded_pass(kb, **kwargs):
         passes.append(kb)
         return is_satisfiable(kb, **kwargs)
 
-    monkeypatch.setattr(ltlim.solver, "_Search", Recorded)
+    real = ltlim.solver._root_pass
+
+    def recorded_states(kb, choices, budget):
+        if choices == _STATE_CHOICES:
+            states.append(kb)
+        return real(kb, choices, budget)
+
     monkeypatch.setattr(ltlim.solver, "is_satisfiable", recorded_pass)
+    monkeypatch.setattr(ltlim.solver, "_root_pass", recorded_states)
     for seed in range(block * 40, block * 40 + 40):
         kb = minimize_kb(seed)
         cells = (kb.trace_length_m + 1) * len(kb.atoms())
         for mode in CostMode:
             searches.clear()
             passes.clear()
+            states.clear()
             result = minimize(kb, mode)
-            bounds = [bound for bound, _ in searches]
+            bounds = [search.bound for search in searches]
             assert result.probes == len(searches), (seed, mode)
-            if result.value == INF or searches[0][1].value == 0:
-                assert (bounds, passes) == ([cells], []), (seed, mode)
+            first = searches[0]
+            if result.value == INF or first.values[0] == 0:
+                assert (bounds, passes, states) == ([cells], [], []), (seed, mode)
             elif result.value == 0:
-                assert (bounds, passes) == ([cells, 0], [kb]), (seed, mode)
+                assert (bounds, passes, states) == ([cells, 0], [kb], []), (seed, mode)
+            elif mode is CostMode.AFFECTED_STATES and first.values[0] >= 2:
+                assert (bounds, passes, states) == ([cells], [kb], [kb]), (seed, mode)
+                # The walk ends at the node of its witness.
+                assert first.floor == result.value and first.met == first.nodes, (seed, mode)
             else:
-                assert (bounds, passes) == ([cells], [kb]), (seed, mode)
+                assert (bounds, passes, states) == ([cells], [kb], []), (seed, mode)
+                assert first.floor == 1, (seed, mode)
+                # Above 1 the walk refutes one below the value, exhausted.
+                assert result.value == 1 or first.depth == -1, (seed, mode)
+
+
+def resumed_kb(seed: int) -> KnowledgeBase:
+    """A base of 2-4 formulas over 1-2 atoms at m = 3..8, under either G
+    reading."""
+    rng = random.Random(seed)
+    return random_kb(
+        rng, atoms=ATOMS[: rng.randint(1, 2)], m=rng.randint(3, 8), min_formulas=2,
+        max_formulas=4, max_depth=3, g_mode=rng.choice(list(GMode)),
+    )
+
+
+@pytest.mark.parametrize("seed", [4629, 4863, 12384, 13266, 16786])
+def test_an_affected_state_walk_stops_at_the_first_witness_of_its_floor(monkeypatch, seed):
+    kb = resumed_kb(seed)
+    mode = CostMode.AFFECTED_STATES
+    expected = reference_minimize(kb, mode)
+    cells = (kb.trace_length_m + 1) * len(kb.atoms())
+    searches = recorded_searches(monkeypatch)
+    result = minimize(kb, mode)
+    assert (result.value, result.witness) == (expected.value, expected.witness)
+    # The first witness costs more than the value, so the walk resumed
+    # down to the state pass's floor, and stopped at a witness meeting it.
+    (walk,) = searches
+    assert walk.values[0] > walk.values[1] == walk.floor == result.value
+    assert walk.met == walk.nodes
+    # Resumed down to 1, as without the state pass, the walk returns the
+    # same witness, then runs on to refute the value minus one.
+    refuting = ltlim.solver._Search(
+        kb, cost_mode=mode, max_cost=cells, budget=DEFAULT_NODE_BUDGET
+    )
+    refuting.run()
+    refuting.floor = 1
+    assert refuting.run() == result.witness
+    assert refuting.depth == -1 and refuting.nodes > walk.nodes
+
+
+def state_pass_bases():
+    """The bases of ``minimize_kb`` and ``pass_kb``: ground cells, both
+    G readings, constants, and traces of 1 to 8 states."""
+    return [minimize_kb(seed) for seed in range(480)] + [pass_kb(seed) for seed in range(80)]
+
+
+def test_the_state_pass_is_the_least_affected_state_count():
+    enumerated, values = 0, set()
+    for kb in state_pass_bases():
+        least = min_glut_states(kb)
+        values.add(least)
+        if (kb.trace_length_m + 1) * len(kb.atoms()) <= 12:
+            enumerated += 1
+            assert least == oracle_min_cost(kb, "affected_states")[0], kb
+        else:
+            assert least == minimize(kb, CostMode.AFFECTED_STATES).value, kb
+    assert enumerated >= 200
+    assert {0, 1, 2, INF} <= values
+
+
+def test_the_state_pass_is_charged_once_per_run_and_per_sweep_instance(monkeypatch):
+    states = []
+    real = ltlim.solver._root_pass
+
+    def counted(kb, choices, budget):
+        if choices == _STATE_CHOICES:
+            states.append(kb)
+        return real(kb, choices, budget)
+
+    monkeypatch.setattr(ltlim.solver, "_root_pass", counted)
+    searched = recorded_runs(monkeypatch)
+    # LTL_d runs the state pass; LTL_c reads it off the account as its
+    # floor, 3, which its walk meets without refuting anything.
+    kb = KnowledgeBase.of("G a", "G (! a)", m=3)
+    two_valued, state_pass = Budget(DEFAULT_NODE_BUDGET), Budget(DEFAULT_NODE_BUDGET)
+    root_vectors(kb, budget=two_valued)
+    assert min_glut_states(kb, budget=state_pass) == 3
+    run = run_measures(kb, ("LTL_d", "LTL_c"))
+    assert run.values == {"LTL_d": 3, "LTL_c": 3}
+    assert states == [kb, kb]
+    assert run.nodes == two_valued.spent + state_pass.spent + sum(searched)
+    # Alone, LTL_c starts no state pass of its own.
+    states.clear()
+    assert run_measures(kb, ("LTL_c",)).values == {"LTL_c": 3}
+    assert states == []
+    # The checks of a sweep instance share one: LTL_c's read it off the
+    # instance's table.
+    sweep("LTL_d", Postulate.TIME_SENSITIVITY, instances=30, seed=1)
+    alone = list(states)
+    states.clear()
+    sweep(("LTL_d", "LTL_c"), Postulate.TIME_SENSITIVITY, instances=30, seed=1)
+    assert states == alone and len(alone) > 10
