@@ -20,6 +20,7 @@ environment echoes, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -132,10 +133,13 @@ def _measure_ids(selection: str) -> tuple[str, ...]:
     return MEASURE_IDS if selection == "all" else (selection,)
 
 
-def _resolve_g_mode(value: str | None, default: GMode) -> GMode:
-    if value is None:
-        return default
-    return GMode(value)
+def _load_kb(args, source: str) -> KnowledgeBase:
+    return load_kb(
+        source,
+        m=args.m,
+        g_mode=GMode(args.g_semantics),
+        allow_short_trace=args.allow_short_trace,
+    )
 
 
 def _measure_text(source: str, kb: KnowledgeBase, run: MeasureRun, args) -> list[str]:
@@ -171,12 +175,7 @@ def _measure_text(source: str, kb: KnowledgeBase, run: MeasureRun, args) -> list
 
 
 def _cmd_measure(args) -> int:
-    kb = load_kb(
-        args.input,
-        m=args.m,
-        g_mode=_resolve_g_mode(args.g_semantics, GMode.STRICT),
-        allow_short_trace=args.allow_short_trace,
-    )
+    kb = _load_kb(args, args.input)
     ids = _measure_ids(args.measure)
     run = run_measures(
         kb, ids, budget=args.budget, use_oracle=args.oracle,
@@ -197,7 +196,7 @@ def _cmd_declare(args) -> int:
     kb = translate_model(
         model,
         m=args.m,
-        g_mode=_resolve_g_mode(args.g_semantics, GMode.REFLEXIVE),
+        g_mode=GMode(args.g_semantics),
         ground_init=not args.no_ground_init,
         allow_short_trace=args.allow_short_trace,
     )
@@ -233,12 +232,7 @@ def _cmd_declare(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    kb = load_kb(
-        args.input,
-        m=args.m,
-        g_mode=_resolve_g_mode(args.g_semantics, GMode.STRICT),
-        allow_short_trace=args.allow_short_trace,
-    )
+    kb = _load_kb(args, args.input)
     if args.oracle:
         from .oracle import _minimal_conflicts
 
@@ -316,7 +310,7 @@ def _cmd_postulates(args) -> int:
                 postulate,
                 instances=args.sweep,
                 seed=args.seed,
-                m=args.m if args.m is not None else DEFAULT_TRACE_LENGTH,
+                m=args.m,
                 budget=args.budget,
             ):
                 swept[result.measure_id, postulate] = result
@@ -351,7 +345,7 @@ def _cmd_postulates(args) -> int:
 
     payload = {
         "command": "postulates",
-        "m": args.m if args.m is not None else DEFAULT_TRACE_LENGTH,
+        "m": args.m,
         "seed": args.seed,
         "sweep": args.sweep,
         "cells": cells,
@@ -404,12 +398,7 @@ def _cmd_oracle_check(args) -> int:
     results = []
     all_agree = True
     for source in args.inputs:
-        kb = load_kb(
-            source,
-            m=args.m,
-            g_mode=_resolve_g_mode(args.g_semantics, GMode.STRICT),
-            allow_short_trace=args.allow_short_trace,
-        )
+        kb = _load_kb(args, source)
         solver_run = run_measures(kb, budget=args.budget)
         oracle_run = run_measures(kb, use_oracle=True, oracle_cell_cap=args.oracle_cap)
         comparison = {
@@ -462,106 +451,94 @@ def _oracle_cap(text: str) -> int:
     return value
 
 
+def _sweep_trace_length(text: str) -> int:
+    """The postulate checks build bases that need m >= 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
+    return value
+
+
+# Each subcommand: its handler, its help, and the defaults it sets over
+# those of its options.
+_COMMANDS = {
+    "measure": (_cmd_measure, "evaluate measures on a .ltlkb base", {}),
+    "declare": (_cmd_declare, "translate a .decl constraint model and measure it",
+                {"g_semantics": "reflexive"}),
+    "explain": (_cmd_explain, "show where a conflict can occur and in how many ways", {}),
+    "postulates": (_cmd_postulates, "compliance matrix, certificates, and sweeps", {}),
+    "oracle-check": (_cmd_oracle_check,
+                     "compare search backend against exhaustive enumeration", {}),
+}
+# The subcommands that load bases, and those of them that take one base
+# and may hand it to the oracle instead of the search.
+_LOADERS = ("measure", "declare", "explain", "oracle-check")
+_SEARCHERS = ("measure", "declare", "explain")
+_TRACE_HELP = "number of future states in the trace (t_0..t_m)"
+
+# The options in the order --help lists them: the subcommands that read
+# each, its names, and its keywords.  postulates has its own --m, which
+# has a default and must be at least 2.
+_OPTIONS = (
+    (_SEARCHERS, ("input",), {}),
+    (("oracle-check",), ("inputs",), {"nargs": "+"}),
+    (("measure", "declare", "postulates"), ("--measure",),
+     {"choices": _MEASURE_CHOICES, "default": "all"}),
+    (("declare",), ("--emit",), {"help": "path for the translated .ltlkb (default: input stem)"}),
+    (("declare",), ("--no-ground-init",),
+     {"action": "store_true", "help": "skip pinning Init activities two-valued at t_0"}),
+    (("explain",), ("--max-bases",), {"type": _nonnegative_int, "default": 10}),
+    (("postulates",), ("--postulate",),
+     {"choices": tuple(p.value for p in _POSTULATE_ORDER) + ("all",), "default": "all"}),
+    (("postulates",), ("--sweep",),
+     {"type": _nonnegative_int, "default": 0, "metavar": "N",
+      "help": "run N seeded random instances per cell instead of the matrix"}),
+    (_LOADERS, ("--m", "--trace-length"), {"type": int, "help": _TRACE_HELP}),
+    (("postulates",), ("--m", "--trace-length"),
+     {"type": _sweep_trace_length, "default": DEFAULT_TRACE_LENGTH,
+      "help": _TRACE_HELP + " (default: %(default)s, at least 2)"}),
+    (_LOADERS, ("--g-semantics",),
+     {"choices": ("strict", "reflexive"), "default": "strict",
+      "help": "reading of the always operator (default: strict; declare defaults to reflexive)"}),
+    (tuple(_COMMANDS), ("--format",), {"choices": ("text", "json"), "default": "text"}),
+    (tuple(_COMMANDS), ("--budget",), {"type": _nonnegative_int, "default": DEFAULT_NODE_BUDGET}),
+    (_LOADERS, ("--allow-short-trace",), {"action": "store_true"}),
+    (_SEARCHERS, ("--oracle",),
+     {"action": "store_true", "help": "recompute by exhaustive enumeration (small bases only)"}),
+    (_LOADERS, ("--oracle-cap",), {"type": _oracle_cap, "default": DEFAULT_CELL_CAP}),
+    (("postulates",), ("--seed",), {"type": int, "default": 0}),
+)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process.  No option
+    may be abbreviated, so that an option a subcommand lacks is never
+    read as the prefix of one it has (``--oracle`` of ``--oracle-cap``)."""
     parser = argparse.ArgumentParser(
         prog="ltlim",
         description=(
             "Inconsistency measurement for linear temporal logic over"
             " fixed-length traces"
         ),
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, seed: bool = False) -> None:
-        p.add_argument(
-            "--m",
-            "--trace-length",
-            dest="m",
-            type=int,
-            default=None,
-            help="number of future states in the trace (t_0..t_m)",
-        )
-        p.add_argument(
-            "--g-semantics",
-            choices=("strict", "reflexive"),
-            default=None,
-            help="reading of the always operator (default: strict;"
-            " declare defaults to reflexive)",
-        )
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_NODE_BUDGET)
-        p.add_argument("--allow-short-trace", action="store_true")
-        p.add_argument(
-            "--oracle",
-            action="store_true",
-            help="recompute by exhaustive enumeration (small bases only)",
-        )
-        p.add_argument("--oracle-cap", type=_oracle_cap, default=DEFAULT_CELL_CAP)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-
-    p_measure = sub.add_parser("measure", help="evaluate measures on a .ltlkb base")
-    p_measure.add_argument("input")
-    p_measure.add_argument("--measure", choices=_MEASURE_CHOICES, default="all")
-    common(p_measure)
-    p_measure.set_defaults(func=_cmd_measure)
-
-    p_declare = sub.add_parser(
-        "declare", help="translate a .decl constraint model and measure it"
-    )
-    p_declare.add_argument("input")
-    p_declare.add_argument("--measure", choices=_MEASURE_CHOICES, default="all")
-    p_declare.add_argument(
-        "--emit", default=None, help="path for the translated .ltlkb (default: input stem)"
-    )
-    p_declare.add_argument(
-        "--no-ground-init",
-        action="store_true",
-        help="skip pinning Init activities two-valued at t_0",
-    )
-    common(p_declare)
-    p_declare.set_defaults(func=_cmd_declare)
-
-    p_explain = sub.add_parser(
-        "explain", help="show where a conflict can occur and in how many ways"
-    )
-    p_explain.add_argument("input")
-    p_explain.add_argument("--max-bases", type=_nonnegative_int, default=10)
-    common(p_explain)
-    p_explain.set_defaults(func=_cmd_explain)
-
-    p_post = sub.add_parser(
-        "postulates", help="compliance matrix, certificates, and sweeps"
-    )
-    p_post.add_argument("--measure", choices=_MEASURE_CHOICES, default="all")
-    p_post.add_argument(
-        "--postulate",
-        choices=tuple(p.value for p in _POSTULATE_ORDER) + ("all",),
-        default="all",
-    )
-    p_post.add_argument(
-        "--sweep",
-        type=_nonnegative_int,
-        default=0,
-        metavar="N",
-        help="run N seeded random instances per cell instead of the matrix",
-    )
-    common(p_post, seed=True)
-    p_post.set_defaults(func=_cmd_postulates)
-
-    p_oracle = sub.add_parser(
-        "oracle-check", help="compare search backend against exhaustive enumeration"
-    )
-    p_oracle.add_argument("inputs", nargs="+")
-    common(p_oracle)
-    p_oracle.set_defaults(func=_cmd_oracle_check)
-
+    for name, (func, help_text, defaults) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for readers, flags, keywords in _OPTIONS:
+            if name in readers:
+                command.add_argument(*flags, **keywords)
+        # After the options, so that these defaults replace theirs.
+        command.set_defaults(func=func, **defaults)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

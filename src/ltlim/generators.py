@@ -25,6 +25,7 @@ from .semantics import Interpretation3, TruthValue3
 from .solver import DEFAULT_NODE_BUDGET, Budget, root_vectors
 
 __all__ = [
+    "is_contingent",
     "random_contingent_formula",
     "random_formula",
     "random_interpretation",
@@ -143,18 +144,25 @@ def random_contingent_formula(
     """A random formula that is neither valid nor unsatisfiable.
 
     Returns None when no contingent sample shows up within max_tries.
-    Every try's two-valued pass is charged to one account
-    (:class:`ltlim.solver.Budget`), on the base that
-    :func:`ltlim.postulates.check_ts` tests, so a check on the same
-    account reads the accepted formula's pass back.
+    Every try's :func:`is_contingent` test is charged to one account
+    (:class:`ltlim.solver.Budget`); :func:`ltlim.postulates.check_ts`
+    makes the same test, so a check on the same account reads the
+    accepted formula's pass back.
     """
     budget = Budget.of(budget)
     for _ in range(max_tries):
         candidate = random_formula(rng, atoms, max_depth, temporal=temporal)
-        # Every trace makes exactly one of the candidate and its negation
-        # true at t_0, so it is contingent iff the traces give both
-        # truth vectors.
-        both = KnowledgeBase((candidate, Not(candidate)), m, GMode.STRICT)
-        if root_vectors(both, budget=budget) == {0b01, 0b10}:
+        if is_contingent(candidate, m=m, budget=budget):
             return candidate
     return None
+
+
+def is_contingent(
+    phi: Formula, *, m: int, budget: Budget | int = DEFAULT_NODE_BUDGET
+) -> bool:
+    """Whether some trace of length m makes phi true at t_0 and some
+    makes it false, read off the two-valued pass of the strict base
+    ``{phi, !phi}``: every trace makes exactly one of them true there, so
+    phi is contingent iff the traces give both truth vectors."""
+    both = KnowledgeBase((phi, Not(phi)), m, GMode.STRICT)
+    return root_vectors(both, budget=budget) == {0b01, 0b10}

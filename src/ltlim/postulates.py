@@ -51,9 +51,9 @@ from .formula import (
     render_formula,
     temporal_depth,
 )
-from .generators import random_contingent_formula, random_formula, random_kb
+from .generators import is_contingent, random_contingent_formula, random_formula, random_kb
 from .measures import free_formulas, measure
-from .solver import DEFAULT_NODE_BUDGET, Budget, is_satisfiable, root_vectors
+from .solver import DEFAULT_NODE_BUDGET, Budget, is_satisfiable
 
 __all__ = [
     "EXPECTED_MATRIX",
@@ -263,10 +263,7 @@ def check_ts(
     if temporal_depth(phi) != 0:
         raise ValueError("the time-sensitivity scheme takes a propositional formula")
     budget = Budget.of(budget)
-    # Every trace makes exactly one of phi and !phi true at t_0, so phi
-    # is contingent iff the traces give both truth vectors.
-    both = KnowledgeBase((phi, Not(phi)), m, GMode.STRICT)
-    if root_vectors(both, budget=budget) != {0b01, 0b10}:
+    if not is_contingent(phi, m=m, budget=budget):
         return Verdict(
             measure_id,
             Postulate.TIME_SENSITIVITY,

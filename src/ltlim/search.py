@@ -74,11 +74,10 @@ class CostMode(enum.Enum):
 
 # A pass of :mod:`ltlim.solver` lets each state take one of its
 # choices: a mask of the atoms held at B, -1 for all of them, and the
-# cost of taking it.  It is asked for by base and held atoms when it has
-# one choice at no cost, else by base and choices.  Once run it is its
-# vectors by least cost, and its work.
+# cost of taking it.  It is asked for by base and choices.  Once run it
+# is its vectors by least cost, and its work.
 _Choices = tuple[tuple[int, int], ...]
-_PassKey = tuple[KnowledgeBase, int | _Choices]
+_PassKey = tuple[KnowledgeBase, _Choices]
 _Levels = tuple[frozenset[int], ...]
 _Pass = tuple[_Levels, int]
 
@@ -101,14 +100,17 @@ class Budget:
     It finds the passes it has not paid for yet in ``shared``, a table of
     each pass's vectors and work that accounts may share: the accounts of
     one sweep instance run each pass once, and each of them is charged
-    its work as if it had run the pass itself.
+    its work as if it had run the pass itself.  ``passes`` is keyed by
+    the account's own bases, which the checks of a sweep instance build
+    apart, so a read finds them by identity and does not compare equal
+    bases formula by formula, as a read of ``shared`` would.
     """
 
     def __init__(self, total: int, shared: dict[_PassKey, _Pass] | None = None):
         self.total = total
         self.spent = 0
-        # (kb, glut or choices) -> the vectors of a pass this account has
-        # paid for, and -> the vectors and the work of a pass run so far.
+        # (kb, choices) -> the vectors of a pass this account has paid
+        # for, and -> the vectors and the work of a pass run so far.
         self.passes: dict[_PassKey, _Levels] = {}
         self.shared = {} if shared is None else shared
 

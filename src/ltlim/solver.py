@@ -124,7 +124,7 @@ def _columns(rows: list[int], full: int) -> set[int]:
 _PARALLEL_ATOMS = 10
 
 
-def _read_pass(budget: Budget, key: _PassKey, choices: _Choices) -> _Levels:
+def _read_pass(budget: Budget, key: _PassKey) -> _Levels:
     """The vectors of the pass that ``key`` names, by least cost: charged
     to the account the first time it reads them, and run only when its
     table lacks them."""
@@ -132,7 +132,7 @@ def _read_pass(budget: Budget, key: _PassKey, choices: _Choices) -> _Levels:
     if levels is None:
         kept = budget.shared.get(key)
         if kept is None:
-            kept = budget.shared[key] = _root_pass(key[0], choices, budget)
+            kept = budget.shared[key] = _root_pass(*key, budget)
         budget.charge(kept[1])
         levels = budget.passes[key] = kept[0]
     return levels
@@ -160,7 +160,7 @@ def root_vectors(
     is left; the error then reports that whole work as spent.  A fresh
     account runs the pass afresh.
     """
-    return _read_pass(Budget.of(budget), (kb, glut), ((glut, 0),))[0]
+    return _read_pass(Budget.of(budget), (kb, ((glut, 0),)))[0]
 
 
 def min_glut_states(
@@ -172,7 +172,7 @@ def min_glut_states(
     is the least cost of the state pass (:data:`_STATE_CHOICES`) that
     designates every formula.  It is read and charged as
     :func:`root_vectors` is."""
-    levels = _read_pass(Budget.of(budget), (kb, _STATE_CHOICES), _STATE_CHOICES)
+    levels = _read_pass(Budget.of(budget), (kb, _STATE_CHOICES))
     full = (1 << len(kb.formulas)) - 1
     return next((cost for cost, vectors in enumerate(levels) if full in vectors), INF)
 
@@ -390,8 +390,8 @@ def minimize(
       or more, ``LTL_d`` from the state pass (:func:`min_glut_states`):
       for affected states that is v, so the walk stops at its first
       witness of cost v and refutes nothing, and for conflict bases
-      v is at least ``LTL_d``, which is read only when the account or
-      its table already holds the state pass.  The witness is the one
+      v is at least ``LTL_d``, which is read only when the account's
+      table already holds the state pass.  The witness is the one
       a search at bound v returns: every bound of at least 1 admits B
       at the same cells, and the bound stays at least v until the first
       decided node of cost v is met.
@@ -416,7 +416,6 @@ def minimize(
         floor = min(search.value, 1)
         if search.value > 1 and (
             cost_mode is CostMode.AFFECTED_STATES
-            or (kb, _STATE_CHOICES) in budget.passes
             or (kb, _STATE_CHOICES) in budget.shared
         ):
             floor = min_glut_states(kb, budget=budget)

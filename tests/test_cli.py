@@ -5,6 +5,7 @@ report content, and byte stability against golden files under
 ``tests/data``.
 """
 
+import argparse
 import json
 import os
 import shutil
@@ -14,8 +15,8 @@ import sys
 import pytest
 
 from ltlim import oracle
-from ltlim.cli import main
-from ltlim.formula import load_kb
+from ltlim.cli import _build_parser, main
+from ltlim.formula import DEFAULT_TRACE_LENGTH, load_kb
 from ltlim.measures import run_measures
 from ltlim.oracle import MAX_CELL_CAP
 from ltlim.postulates import EXPECTED_MATRIX, Postulate
@@ -631,3 +632,136 @@ def test_a_zero_budget_is_legal_and_runs_out_at_the_first_work(capsys, data_dir)
     )
     assert code == 3
     assert "node budget of 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv,unread",
+    [
+        (["postulates"], ["--g-semantics", "strict"]),
+        (["postulates"], ["--allow-short-trace"]),
+        (["postulates"], ["--oracle"]),
+        (["postulates"], ["--oracle-cap", "12"]),
+        # Not taken for an abbreviation of --oracle-cap.
+        (["oracle-check", "next_clash.ltlkb"], ["--oracle"]),
+    ],
+    ids=["postulates-g", "postulates-short", "postulates-oracle", "postulates-cap", "oracle"],
+)
+def test_options_a_command_never_read_are_unrecognized(
+    capsys, monkeypatch, data_dir, argv, unread
+):
+    monkeypatch.chdir(data_dir)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + unread)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
+
+
+def _fields_read(args: argparse.Namespace) -> set[str]:
+    """The fields of ``args`` that its subcommand reads when it runs."""
+    read = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    assert args.func(Recorder(**vars(args))) == 0
+    return read & set(vars(args))
+
+
+# Command lines that, together, take every branch of a subcommand that
+# reads an option.
+_READING_RUNS = {
+    "measure": [
+        ["measure", "next_clash.ltlkb"],
+        ["measure", "next_clash.ltlkb", "--format", "json"],
+    ],
+    "declare": [["declare", "overlap.decl", "--m", "3", "--emit", "{tmp}/overlap.ltlkb"]],
+    "explain": [
+        ["explain", "next_clash.ltlkb"],
+        ["explain", "next_clash.ltlkb", "--oracle"],
+    ],
+    "postulates": [
+        ["postulates", "--measure", "d", "--postulate", "TS"],
+        ["postulates", "--measure", "d", "--postulate", "CO", "--sweep", "1"],
+    ],
+    "oracle-check": [["oracle-check", "next_clash.ltlkb"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_READING_RUNS))
+def test_help_lists_exactly_the_options_a_command_reads(
+    capsys, monkeypatch, tmp_path, data_dir, command
+):
+    monkeypatch.chdir(data_dir)
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    listed = {
+        line.split()[0].rstrip(",")[2:].replace("-", "_")
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  --")
+    }
+    read = set()
+    for argv in _READING_RUNS[command]:
+        read |= _fields_read(_build_parser().parse_args([a.format(tmp=tmp_path) for a in argv]))
+    assert listed == read - {"input", "inputs"}
+
+
+def test_repeated_calls_in_one_process_give_the_same_output(
+    capsys, monkeypatch, tmp_path, data_dir
+):
+    argvs = [
+        ["measure", "next_clash.ltlkb", "--format", "json"],
+        ["postulates", "--measure", "d", "--postulate", "CO", "--sweep", "2"],
+        ["explain", "next_clash.ltlkb", "--format", "json"],
+        ["measure", "next_clash.ltlkb", "--no-such-option"],
+        ["declare", "overlap.decl", "--m", "3", "--emit", str(tmp_path / "overlap.ltlkb")],
+        ["explain", "--help"],
+        ["oracle-check", "next_clash.ltlkb", "--format", "json"],
+        ["measure", "next_clash.ltlkb", "--measure", "LTL_c"],
+    ]
+    built = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    monkeypatch.chdir(data_dir)
+    _build_parser.cache_clear()
+
+    def one_round():
+        outputs = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            outputs.append((code, *capsys.readouterr()))
+        return outputs
+
+    first = one_round()
+    per_build = len(built)
+    assert [code for code, _, _ in first] == [0, 0, 0, 2, 0, 0, 0, 0]
+    assert "unrecognized arguments: --no-such-option" in first[3][2]
+    assert first[5][1].startswith("usage: ltlim explain")
+    assert one_round() == first
+    # The parser is built once, by the first call.
+    assert per_build and len(built) == per_build
+
+
+@pytest.mark.parametrize("value", ["1", "-3", "two"])
+def test_postulates_rejects_a_trace_shorter_than_two(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["postulates", "--m", value, "--format", "json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--m" in captured.err and "at least 2" in captured.err
+
+
+def test_postulates_reads_the_default_trace_length(capsys):
+    code, out, _ = run_cli(capsys, ["postulates", "--measure", "d", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["m"] == DEFAULT_TRACE_LENGTH
