@@ -339,7 +339,7 @@ def _cmd_postulates(args) -> int:
                     )
                 else:
                     cell["certificate"] = _verdict_dict(
-                        run_curated(mid, postulate, budget=args.budget)
+                        run_curated(mid, postulate, m=args.m, budget=args.budget)
                     )
             cells.append(cell)
 

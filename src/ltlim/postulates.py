@@ -20,9 +20,10 @@ instance shares one account between its sampling and its check.  The
 expected compliance matrix records which measures are expected to
 satisfy which postulate, and the sweep harness samples seeded random
 instances to regression-test the expected-holds cells.  One sweep
-checks each instance against all of its measures in turn: every
-measure's check keeps its own account, but the checks of one instance
-share its two-valued passes, which run once for all of them and are
+samples each instance once and checks it against all of its measures
+in turn: every measure's check keeps its own account, a copy of the
+one the sampling was charged to, but the checks of one instance share
+its bases and its passes, which run once for all of them and are
 dropped with the instance.
 Expected-fails cells are certified by the curated counterexamples
 below, which the test suite re-verifies by recomputation.  The matrix rows for the trace-window
@@ -35,8 +36,9 @@ from __future__ import annotations
 
 import enum
 import random
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
 
 from .formula import (
     Atom,
@@ -349,13 +351,10 @@ EXPECTED_MATRIX: dict[str, dict[Postulate, bool]] = {
 }
 
 
-def _fixture_kb(*texts: str, m: int = 3) -> KnowledgeBase:
-    return KnowledgeBase.of(*texts, m=m)
-
-
-# Curated counterexamples for the expected-fails cells.  Each entry is
-# a zero-argument builder returning check inputs; run_curated executes
-# the corresponding check and the suite asserts the verdict.  Cells
+# Curated counterexamples for the expected-fails cells.  Each entry
+# holds the check's inputs as text; run_curated builds them at the
+# trace length it is given, executes the corresponding check, and the
+# suite asserts the verdict.  Cells
 # with value None have no counterexample: the unnormalized atom-count
 # measure provably satisfies MO and IN (growing a base only ever grows
 # the minimal-subset family, and removing a free formula leaves the
@@ -408,18 +407,19 @@ def curated_violation(measure_id: str, postulate: Postulate) -> dict | None:
 
 
 def run_curated(
-    measure_id: str, postulate: Postulate, *, budget: int = DEFAULT_NODE_BUDGET
+    measure_id: str, postulate: Postulate, *, m: int = 3, budget: int = DEFAULT_NODE_BUDGET
 ) -> Verdict:
-    """Re-verify the curated counterexample for an expected-fails cell."""
+    """Re-verify the curated counterexample for an expected-fails cell
+    over traces of length ``m``."""
     recipe = curated_violation(measure_id, postulate)
     if recipe is None:
         raise ValueError(
             f"({measure_id}, {postulate.value}) has no realizable counterexample"
         )
     if postulate is Postulate.TIME_SENSITIVITY:
-        return check_ts(measure_id, parse_formula(recipe["phi"]), budget=budget)
+        return check_ts(measure_id, parse_formula(recipe["phi"]), m=m, budget=budget)
     if postulate is Postulate.DOMINANCE:
-        kb = _fixture_kb(*recipe["kb"])
+        kb = KnowledgeBase.of(*recipe["kb"], m=m)
         return check_do(
             measure_id,
             kb,
@@ -428,7 +428,7 @@ def run_curated(
             budget=budget,
         )
     if postulate is Postulate.FREE_FORMULA_INDEPENDENCE:
-        return check_in(measure_id, _fixture_kb(*recipe["kb"]), budget=budget)
+        return check_in(measure_id, KnowledgeBase.of(*recipe["kb"], m=m), budget=budget)
     raise ValueError(f"no curated recipe kind for {postulate.value}")
 
 
@@ -451,56 +451,52 @@ class SweepResult:
 _SWEEP_ATOMS = ("a", "b")
 
 
-def _sweep_instance(
-    rng: random.Random,
-    measure_id: str,
-    postulate: Postulate,
-    *,
-    m: int,
-    budget: Budget | int,
+def _not_applicable(
+    postulate: Postulate, reason: str, measure_id: str, *, budget: Budget
 ) -> Verdict:
-    """One seeded instance over :data:`_SWEEP_ATOMS`, sampled and
-    checked on one account."""
-    account = Budget.of(budget)
+    """The check of an instance that could not be sampled."""
+    return Verdict(measure_id, postulate, Outcome.NOT_APPLICABLE, {"reason": reason})
+
+
+def _sample(
+    rng: random.Random, postulate: Postulate, *, m: int, budget: Budget
+) -> Callable[..., Verdict]:
+    """One seeded instance over :data:`_SWEEP_ATOMS`, sampled on
+    ``budget``: the postulate's check with the instance bound, or the
+    reason why no instance applies, to be called with a measure id and
+    an account."""
     if postulate is Postulate.CONSISTENCY_NULL:
         kb = random_kb(rng, atoms=_SWEEP_ATOMS, m=m, max_formulas=3, max_depth=2)
-        return check_co(measure_id, kb, budget=account)
+        return partial(check_co, kb=kb)
     if postulate is Postulate.MONOTONICITY:
         kb_sup = random_kb(
             rng, atoms=_SWEEP_ATOMS, m=m, min_formulas=2, max_formulas=4, max_depth=2
         )
         keep = [f for f in kb_sup.formulas if rng.random() < 0.6]
-        kb = kb_sup.replace_formulas(keep)
-        return check_mo(measure_id, kb, kb_sup, budget=account)
+        return partial(check_mo, kb=kb_sup.replace_formulas(keep), kb_sup=kb_sup)
     if postulate is Postulate.FREE_FORMULA_INDEPENDENCE:
         kb = random_kb(rng, atoms=_SWEEP_ATOMS, m=m, min_formulas=2, max_formulas=4, max_depth=2)
-        return check_in(measure_id, kb, budget=account)
+        return partial(check_in, kb=kb)
     if postulate is Postulate.DOMINANCE:
         kb = random_kb(rng, atoms=_SWEEP_ATOMS, m=m, max_formulas=2, max_depth=2)
-        alpha = None
         for _ in range(32):
-            candidate = random_formula(rng, _SWEEP_ATOMS, 2)
-            if is_satisfiable(kb.replace_formulas((candidate,)), budget=account):
-                alpha = candidate
-                break
-        if alpha is None:
-            return Verdict(
-                measure_id,
-                postulate,
-                Outcome.NOT_APPLICABLE,
-                {"reason": "no satisfiable alpha sampled"},
-            )
-        beta = Or(alpha, random_formula(rng, _SWEEP_ATOMS, 2))
-        return check_do(measure_id, kb, alpha, beta, budget=account)
-    phi = random_contingent_formula(rng, _SWEEP_ATOMS, 2, m=m, budget=account)
+            alpha = random_formula(rng, _SWEEP_ATOMS, 2)
+            if is_satisfiable(kb.replace_formulas((alpha,)), budget=budget):
+                beta = Or(alpha, random_formula(rng, _SWEEP_ATOMS, 2))
+                return partial(check_do, kb=kb, alpha=alpha, beta=beta)
+        return partial(_not_applicable, postulate, "no satisfiable alpha sampled")
+    phi = random_contingent_formula(rng, _SWEEP_ATOMS, 2, m=m, budget=budget)
     if phi is None:
-        return Verdict(
-            measure_id,
-            postulate,
-            Outcome.NOT_APPLICABLE,
-            {"reason": "no contingent phi sampled"},
-        )
-    return check_ts(measure_id, phi, m=m, budget=account)
+        return partial(_not_applicable, postulate, "no contingent phi sampled")
+    return partial(check_ts, phi=phi, m=m)
+
+
+def _sweep_instance(
+    rng: random.Random, measure_id: str, postulate: Postulate, *, m: int, budget: Budget | int
+) -> Verdict:
+    """One seeded instance, sampled and checked on one account."""
+    account = Budget.of(budget)
+    return _sample(rng, postulate, m=m, budget=account)(measure_id, budget=account)
 
 
 def sweep(
@@ -516,23 +512,19 @@ def sweep(
 
     ``measure_ids`` is one measure id, answered with its result, or a
     sequence of them, answered with one result per id in that order.
-    Every measure checks the instances that a sweep of it alone draws:
-    each instance is drawn again from the same generator state for each
-    measure.  Each check opens its own account of ``budget`` units, and
-    the checks of one instance share its two-valued passes, which no
-    later instance sees.
+    Each instance is sampled once, on an account of ``budget`` units,
+    and every measure checks the same objects, on its own copy of that
+    account, so each check is charged the sampling too.  The accounts of
+    one instance share its passes, which no later instance sees.
     """
     ids = (measure_ids,) if isinstance(measure_ids, str) else tuple(measure_ids)
     results = tuple(SweepResult(mid, postulate, instances, 0, 0, [], seed) for mid in ids)
     rng = random.Random(seed)
     for _ in range(instances):
-        drawn = rng.getstate()
-        shared: dict = {}
+        sampling = Budget(budget)
+        check = _sample(rng, postulate, m=m, budget=sampling)
         for result in results:
-            rng.setstate(drawn)
-            verdict = _sweep_instance(
-                rng, result.measure_id, postulate, m=m, budget=Budget(budget, shared)
-            )
+            verdict = check(result.measure_id, budget=sampling.fork())
             if verdict.outcome is Outcome.HOLDS:
                 result.holds += 1
             elif verdict.outcome is Outcome.NOT_APPLICABLE:

@@ -52,6 +52,7 @@ must treat as "unknown", never as "no model".
 
 from __future__ import annotations
 
+import copy
 import enum
 from collections.abc import Iterable
 
@@ -95,24 +96,27 @@ class Budget:
     """One run's work account: ``total`` units, of which ``spent`` are used.
 
     A search node costs one unit and a pass over the states costs its
-    steps.  The account keeps each pass it has paid for, so
-    that a run charges every pass once, however many measures read it.
-    It finds the passes it has not paid for yet in ``shared``, a table of
-    each pass's vectors and work that accounts may share: the accounts of
-    one sweep instance run each pass once, and each of them is charged
-    its work as if it had run the pass itself.  ``passes`` is keyed by
-    the account's own bases, which the checks of a sweep instance build
-    apart, so a read finds them by identity and does not compare equal
-    bases formula by formula, as a read of ``shared`` would.
+    steps.  The account finds each pass in ``shared``, a table of each
+    pass's vectors and work that accounts may share, and keeps the keys
+    of the passes it has paid for in ``paid``, so that a run charges
+    every pass once, however many measures read it.  The accounts of one
+    sweep instance share one table, so they run each pass once, and each
+    of them is charged its work as if it had run the pass itself.
     """
 
     def __init__(self, total: int, shared: dict[_PassKey, _Pass] | None = None):
         self.total = total
         self.spent = 0
-        # (kb, choices) -> the vectors of a pass this account has paid
-        # for, and -> the vectors and the work of a pass run so far.
-        self.passes: dict[_PassKey, _Levels] = {}
+        self.paid: set[_PassKey] = set()
+        # (kb, choices) -> the vectors and the work of a pass run so far.
         self.shared = {} if shared is None else shared
+
+    def fork(self) -> Budget:
+        """A copy of this account, on the same table, that keeps its own
+        paid keys from here on."""
+        account = copy.copy(self)
+        account.paid = set(self.paid)
+        return account
 
     @classmethod
     def of(cls, budget: Budget | int) -> Budget:

@@ -20,9 +20,10 @@ down to a floor: ``LTL_d`` when it is known, else 1.
 Work is charged to one :class:`Budget` per run (:mod:`ltlim.search`).
 Every entry point takes ``budget`` as an int, which opens a fresh
 account, or as a :class:`Budget` that callers share.  The account
-charges each pass once however many measures read it, and accounts may
-share the passes they ran, as the checks of one sweep instance do, each
-still charged as if it ran them.
+reads each pass from its table and charges it the first time it reads
+it, however many measures read it.  Accounts may share one table, as
+the checks of one sweep instance do, each still charged as if it ran
+the passes.
 """
 
 from __future__ import annotations
@@ -125,17 +126,16 @@ _PARALLEL_ATOMS = 10
 
 
 def _read_pass(budget: Budget, key: _PassKey) -> _Levels:
-    """The vectors of the pass that ``key`` names, by least cost: charged
-    to the account the first time it reads them, and run only when its
-    table lacks them."""
-    levels = budget.passes.get(key)
-    if levels is None:
-        kept = budget.shared.get(key)
-        if kept is None:
-            kept = budget.shared[key] = _root_pass(*key, budget)
+    """The vectors of the pass that ``key`` names, by least cost: run
+    only when the account's table lacks them, and charged to the account
+    the first time it reads them."""
+    kept = budget.shared.get(key)
+    if kept is None:
+        kept = budget.shared[key] = _root_pass(*key, budget)
+    if key not in budget.paid:
         budget.charge(kept[1])
-        levels = budget.passes[key] = kept[0]
-    return levels
+        budget.paid.add(key)
+    return kept[0]
 
 
 def root_vectors(
@@ -150,14 +150,14 @@ def root_vectors(
     some vector has all of its bits set.  This is the pass of
     :func:`_root_pass` with one choice, at no cost.
 
-    An account is charged a pass's work the first time it reads it, and
-    keeps its vectors, so a run charges a pass once, however many
-    measures and checks read it.  The pass runs only when the account's
-    table (:attr:`Budget.shared`) lacks it, so the accounts that share
-    one table, those of one sweep instance, run it once.  An account
-    that finds the pass there raises exactly when the pass would,
-    because the pass refuses only when its whole work would exceed what
-    is left; the error then reports that whole work as spent.  A fresh
+    An account is charged a pass's work the first time it reads it, so
+    a run charges a pass once, however many measures and checks read
+    it.  The pass runs only when the account's table
+    (:attr:`Budget.shared`) lacks it, so the accounts that share one
+    table, those of one sweep instance, run it once.  An account that
+    finds the pass there raises exactly when the pass would, because
+    the pass refuses only when its whole work would exceed what is
+    left; the error then reports that whole work as spent.  A fresh
     account runs the pass afresh.
     """
     return _read_pass(Budget.of(budget), (kb, ((glut, 0),)))[0]

@@ -765,3 +765,15 @@ def test_postulates_reads_the_default_trace_length(capsys):
     code, out, _ = run_cli(capsys, ["postulates", "--measure", "d", "--format", "json"])
     assert code == 0
     assert json.loads(out)["m"] == DEFAULT_TRACE_LENGTH
+
+
+def test_postulates_builds_its_certificates_at_the_trace_length_given(capsys):
+    code, out, _ = run_cli(capsys, ["postulates", "--m", "5", "--format", "json"])
+    assert code == 0
+    cells = json.loads(out)["cells"]
+    certificates = [cell["certificate"] for cell in cells if cell.get("certificate")]
+    assert len(certificates) == 12
+    for certificate in certificates:
+        details = certificate["details"]
+        assert certificate["outcome"] == "violated"
+        assert (details["kb"]["m"] if "kb" in details else details["m"]) == 5
