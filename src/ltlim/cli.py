@@ -111,10 +111,44 @@ def _stats_dict(nodes: int, probes: int, args) -> dict:
     }
 
 
+def _run_measures(kb: KnowledgeBase, args) -> tuple[MeasureRun, BudgetExceededError | None]:
+    """The run that measure and declare report, and the error if the
+    budget ran out: the run then holds the measures computed before."""
+    try:
+        run = run_measures(
+            kb, _measure_ids(args.measure), budget=args.budget, use_oracle=args.oracle,
+            oracle_cell_cap=args.oracle_cap,
+        )
+    except BudgetExceededError as exc:
+        return exc.run, exc
+    return run, None
+
+
+def _report_values(run: MeasureRun, args) -> dict[str, int | str]:
+    """Each requested measure's reported value: "unknown" for one that
+    the budget did not reach."""
+    return {
+        mid: _json_value(run.values[mid]) if mid in run.values else "unknown"
+        for mid in _measure_ids(args.measure)
+    }
+
+
+def _exit_code(exhausted: BudgetExceededError | None) -> int:
+    """0 for a complete report; 3, naming the measure, for a partial one."""
+    if exhausted is None:
+        return 0
+    print(
+        f"error: {exhausted} (measure {exhausted.measure_id});"
+        " the measures it did not reach are reported as unknown",
+        file=sys.stderr,
+    )
+    return 3
+
+
 def _run_fields(run: MeasureRun, args) -> dict:
     """The report fields that measure and declare share, in order."""
     return {
-        "measures": {mid: _json_value(v) for mid, v in run.values.items()},
+        "measures": _report_values(run, args),
         "witness_min_states": _witness_dict(run.witness_affected),
         "witness_min_conflict": _witness_dict(run.witness_conflict),
         "warnings": list(run.warnings),
@@ -154,9 +188,10 @@ def _measure_text(source: str, kb: KnowledgeBase, run: MeasureRun, args) -> list
     if not kb.formulas:
         lines.append("  (empty base)")
     lines.append("measures:")
-    width = max(len(i) for i in run.values)
-    for mid, value in run.values.items():
-        lines.append(f"  {mid:<{width}} = {_json_value(value)}")
+    values = _report_values(run, args)
+    width = max(len(i) for i in values)
+    for mid, value in values.items():
+        lines.append(f"  {mid:<{width}} = {value}")
     if "LTL_d" in run.values:
         lines += _witness_lines(
             "witness (minimal affected states)", run.witness_affected
@@ -176,14 +211,10 @@ def _measure_text(source: str, kb: KnowledgeBase, run: MeasureRun, args) -> list
 
 def _cmd_measure(args) -> int:
     kb = _load_kb(args, args.input)
-    ids = _measure_ids(args.measure)
-    run = run_measures(
-        kb, ids, budget=args.budget, use_oracle=args.oracle,
-        oracle_cell_cap=args.oracle_cap,
-    )
+    run, exhausted = _run_measures(kb, args)
     payload = _kb_echo("measure", args.input, kb) | _run_fields(run, args)
     _emit(payload, _measure_text(args.input, kb, run, args), args.format)
-    return 0
+    return _exit_code(exhausted)
 
 
 def _cmd_declare(args) -> int:
@@ -202,11 +233,7 @@ def _cmd_declare(args) -> int:
     )
     emit_path = Path(args.emit) if args.emit else Path(args.input).with_suffix(".ltlkb")
     emit_path.write_text(format_kb_text(kb), encoding="utf-8")
-    ids = _measure_ids(args.measure)
-    run = run_measures(
-        kb, ids, budget=args.budget, use_oracle=args.oracle,
-        oracle_cell_cap=args.oracle_cap,
-    )
+    run, exhausted = _run_measures(kb, args)
 
     payload = _kb_echo("declare", args.input, kb)
     payload["constraints"] = [str(c) for c in model.constraints]
@@ -228,7 +255,7 @@ def _cmd_declare(args) -> int:
         )
     lines += _measure_text(str(emit_path), kb, run, args)[1:]
     _emit(payload, lines, args.format)
-    return 0
+    return _exit_code(exhausted)
 
 
 def _cmd_explain(args) -> int:

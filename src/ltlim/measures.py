@@ -36,8 +36,8 @@ from typing import Callable, Iterable, Sequence
 
 from .formula import Formula, KnowledgeBase, atoms_of
 from .semantics import DEFAULT_CELL_CAP, Interpretation3, conflict_base
-from .solver import Budget, CostMode, DEFAULT_NODE_BUDGET, minimize, root_vectors
-from .solver import min_glut_atoms
+from .solver import Budget, BudgetExceededError, CostMode, DEFAULT_NODE_BUDGET, minimize
+from .solver import min_glut_atoms, root_vectors
 
 __all__ = [
     "DEFAULT_FORMULA_CAP",
@@ -198,6 +198,10 @@ def run_measures(
     (subject to the cell cap) instead of backtracking search; results
     must agree, which is what the oracle-check command verifies.  The
     run's ``nodes`` is what it charged to the account.
+
+    When the account runs out, the :class:`BudgetExceededError` carries
+    the id of the measure that ran out and the run so far, whose
+    ``values`` hold the measures computed before it.
     """
     requested = list(ids)
     unknown = [i for i in requested if i not in MEASURE_IDS]
@@ -236,48 +240,51 @@ def run_measures(
             )
         return oracle_costs
 
-    for mid in MEASURE_IDS:
-        if mid not in requested:
-            continue
-        if mid == "d":
-            run.values[mid] = 0 if satisfiable((1 << len(kb.formulas)) - 1) else 1
-        elif mid == "MI":
-            run.values[mid] = len(need_mis())
-        elif mid == "p":
-            mis = need_mis()
-            run.values[mid] = len(set().union(*mis)) if mis else 0
-        elif mid == "r":
-            run.values[mid] = _min_hitting_set_size(need_mis())
-        elif mid == "at":
-            mis = need_mis()
-            names: set[str] = set()
-            for indices in mis:
-                for i in indices:
-                    names.update(atoms_of(kb.formulas[i]))
-            run.values[mid] = len(names)
-        elif mid == "c" and use_oracle:
-            run.values[mid] = need_oracle_costs()["b_atoms"][0]
-        elif mid == "c":
-            run.values[mid] = min_glut_atoms(kb, budget=budget)
-        else:
-            if use_oracle:
-                value, witness = need_oracle_costs()[_COSTS[mid]]
+    try:
+        for mid in MEASURE_IDS:
+            if mid not in requested:
+                continue
+            if mid == "d":
+                run.values[mid] = 0 if satisfiable((1 << len(kb.formulas)) - 1) else 1
+            elif mid == "MI":
+                run.values[mid] = len(need_mis())
+            elif mid == "p":
+                mis = need_mis()
+                run.values[mid] = len(set().union(*mis)) if mis else 0
+            elif mid == "r":
+                run.values[mid] = _min_hitting_set_size(need_mis())
+            elif mid == "at":
+                mis = need_mis()
+                names: set[str] = set()
+                for indices in mis:
+                    for i in indices:
+                        names.update(atoms_of(kb.formulas[i]))
+                run.values[mid] = len(names)
+            elif mid == "c" and use_oracle:
+                run.values[mid] = need_oracle_costs()["b_atoms"][0]
+            elif mid == "c":
+                run.values[mid] = min_glut_atoms(kb, budget=budget)
             else:
-                summary = minimize(kb, CostMode(_COSTS[mid]), budget=budget)
-                probes += summary.probes
-                value, witness = summary.value, summary.witness
-            run.values[mid] = value
-            if mid == "LTL_d":
-                run.witness_affected = witness
-            elif mid == "LTL_c":
-                run.witness_conflict = witness
-            if witness is not None and horizon_warning(witness):
-                warnings.append(horizon_message(mid, kb.trace_length_m))
-
-    run.values = {mid: run.values[mid] for mid in MEASURE_IDS if mid in run.values}
-    run.nodes = budget.spent - start
-    run.probes = probes
-    run.warnings = tuple(warnings)
+                if use_oracle:
+                    value, witness = need_oracle_costs()[_COSTS[mid]]
+                else:
+                    summary = minimize(kb, CostMode(_COSTS[mid]), budget=budget)
+                    probes += summary.probes
+                    value, witness = summary.value, summary.witness
+                run.values[mid] = value
+                if mid == "LTL_d":
+                    run.witness_affected = witness
+                elif mid == "LTL_c":
+                    run.witness_conflict = witness
+                if witness is not None and horizon_warning(witness):
+                    warnings.append(horizon_message(mid, kb.trace_length_m))
+    except BudgetExceededError as exc:
+        exc.measure_id, exc.run = mid, run
+        raise
+    finally:
+        run.nodes = budget.spent - start
+        run.probes = probes
+        run.warnings = tuple(warnings)
     return run
 
 

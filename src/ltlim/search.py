@@ -42,6 +42,17 @@ witness's cost, so one depth-first walk ends at a cheapest model and
 visits no node twice.  It stops early once a witness costs at most its
 floor, and resumes from there when asked again with a lower floor.
 
+A collecting walk, the one behind ``explain``, keeps its bound at the
+witness's cost and collects the base, the set of B cells, of each
+decided node of that cost.  A node whose B cells contain a collected
+base costs at least as much as that base, and every base below it
+contains that base too, so it can yield neither a cheaper witness nor
+another inclusion-minimal base.  The walk skips such nodes, as
+all-solutions SAT blocks the solutions it has found (McMillan, CAV
+2002): it never assigns B to a cell when the B cells with it would
+contain a collected base (the cut), and after collecting a base it
+backtracks straight from the base's deepest B cell (the backjump).
+
 Work is charged to one :class:`Budget` per run: a search node costs 1
 and a pass costs its steps.  The search keeps a few entries per cell,
 so it refuses a grid of more cells than its account has left before
@@ -55,9 +66,13 @@ from __future__ import annotations
 import copy
 import enum
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 from .formula import KnowledgeBase, _Node
 from .semantics import Interpretation3, TruthValue3
+
+if TYPE_CHECKING:
+    from .measures import MeasureRun
 
 __all__ = ["Budget", "BudgetExceededError", "CostMode", "DEFAULT_NODE_BUDGET", "INF"]
 
@@ -84,11 +99,18 @@ _Pass = tuple[_Levels, int]
 
 
 class BudgetExceededError(RuntimeError):
-    """The node budget ran out before the search reached a verdict."""
+    """The node budget ran out before the search reached a verdict.
+
+    Raised out of :func:`ltlim.measures.run_measures`, it also carries
+    the id of the measure that ran out and the run of the measures
+    computed before it (``measure_id`` and ``run``).
+    """
 
     def __init__(self, budget: int, nodes: int):
         self.budget = budget
         self.nodes = nodes
+        self.measure_id: str | None = None
+        self.run: MeasureRun | None = None
         super().__init__(f"search exceeded the node budget of {budget}")
 
 
@@ -239,7 +261,13 @@ class _Search:
         self.value: int | float = INF
         self.witness: Interpretation3 | None = None
         self.collect_bases = collect_bases
+        # The bases a collecting walk has met at the witness's cost: each
+        # inclusion-minimal one once, and maybe a few supersets of bases
+        # met later, but no superset of one met earlier.
         self.bases: set[frozenset[tuple[int, str]]] = set()
+        # Each collected base, as the indices of its cells but the
+        # deepest, listed under its deepest cell: the cut reads them.
+        self.blocking: dict[int, list[list[int]]] = {}
         ground = kb.ground_cells
         self.b_ok = [
             (state, self.atoms[atom]) not in ground and max_cost > 0
@@ -311,13 +339,22 @@ class _Search:
 
     def _assign_next(self, index: int, tried: list[int], cost: list[int]) -> bool:
         """Assign cell ``index`` the next value in order that the bound
-        admits, pruning B where the cell may not hold it."""
+        admits, pruning B where the cell may not hold it, or where the B
+        cells would then contain a collected base."""
         state, atom = self.cells[index]
         while tried[index] < len(_VALUE_ORDER):
             value = _VALUE_ORDER[tried[index]]
             tried[index] += 1
             if value is TruthValue3.BOTH:
                 if not self.b_ok[index]:
+                    continue
+                # The cut: every node below would contain a collected
+                # base.  Cells are assigned in index order, so only a base
+                # whose deepest cell this is can be completed here.
+                if self.blocking and any(
+                    all(self.assignment[cell] is TruthValue3.BOTH for cell in rest)
+                    for rest in self.blocking.get(index, ())
+                ):
                     continue
                 if self.cost_mode is CostMode.CONFLICT_BASE:
                     increment = 1
@@ -357,6 +394,29 @@ class _Search:
         if self.b_ok[index]:
             self.b[atom] |= bit
 
+    def _collect(self) -> int:
+        """Collect the base of the decided node at ``self.depth`` and
+        block every node whose B cells contain it.  Then backjump: undo
+        the cells below the base's deepest B cell and return that
+        cell's level, for the walk to backtrack from.  Every node that
+        differs from this one only below that cell holds the same B
+        cells up to it, so it contains the base."""
+        base = [
+            index
+            for index, value in enumerate(self.assignment)
+            if value is TruthValue3.BOTH
+        ]
+        self.bases.add(
+            frozenset(
+                (self.cells[index][0], self.atoms[self.cells[index][1]]) for index in base
+            )
+        )
+        deepest = base[-1] if base else -1
+        self.blocking.setdefault(deepest, []).append(base[:-1])
+        for index in range(self.depth - 1, deepest, -1):
+            self._unassign(index)
+        return deepest
+
     def run(self) -> Interpretation3 | None:
         """Depth-first branch and bound; the node at depth d has cells
         0..d-1 assigned.
@@ -364,7 +424,10 @@ class _Search:
         A decided node whose completion, every open cell 0, is cheaper
         than the witness becomes the witness, and the bound drops one
         below its cost, or to its cost when collecting the bases of the
-        cheapest decided nodes.  Returns the witness, None if there is
+        cheapest decided nodes.  A collecting walk clears its bases when
+        a cheaper witness comes, and skips the nodes that contain a base
+        it holds: the cut in :meth:`_assign_next`, and the backjump of
+        :meth:`_collect`.  Returns the witness, None if there is
         none, once it costs at most ``floor`` or the walk is exhausted;
         a later call with a lower ``floor`` resumes there.  Each call
         charges its nodes to the budget, which raises when it stopped
@@ -385,17 +448,11 @@ class _Search:
                     self.value, self.witness = cost[depth], self._witness()
                     self.max_cost = cost[depth] if self.collect_bases else cost[depth] - 1
                     self.bases.clear()
-                if self.collect_bases:
-                    self.bases.add(
-                        frozenset(
-                            (state, self.atoms[atom])
-                            for index, (state, atom) in enumerate(self.cells)
-                            if self.assignment[index] is TruthValue3.BOTH
-                        )
-                    )
+                    self.blocking.clear()
+                level = self._collect() if self.collect_bases else depth - 1
             # With every cell assigned the sets are singletons, so an
             # open status can not reach depth n.
-            if status == "open" and depth < n:
+            elif status == "open" and depth < n:
                 tried[depth] = 0
                 level = depth
             else:

@@ -82,7 +82,10 @@ class SignatureCount:
 
     One search collects them while it minimises the affected-state
     count, so ``probes`` is 1; ``witness`` is the first cheapest model it
-    met, and ``nodes`` also counts the two-valued pass.
+    met, and ``nodes`` also counts the two-valued pass.  The search
+    visits each base's models only until it has collected the base
+    (:func:`count_min_conflict_signatures`), so ``nodes`` grows with the
+    bases found more than with the models that hold them.
     """
 
     min_affected: int
@@ -448,6 +451,15 @@ def count_min_conflict_signatures(
     contain another collected base are dropped; what remains is a count
     of genuinely different minimal ways the base can be read as
     conflicted.  Requires 1 <= minimal cost < inf.
+
+    The search never enters a node whose B cells contain a base it has
+    collected at the current least cost (the cut), and after collecting
+    a base it backjumps to the base's deepest B cell.  Such a node costs
+    at least as much as that base, and each of its bases contains it, so
+    the skipped nodes hold no cheaper witness and no other minimal base;
+    the witness is still the first cheapest model in the walk's order.
+    A base can still be collected before a smaller one that it contains,
+    which the final filter drops.
     """
     budget = Budget.of(budget)
     start = budget.spent

@@ -48,7 +48,7 @@ def test_json_reports_match_golden_bytes(capsys, monkeypatch, data_dir, golden, 
     [
         (["declare", "double_overlap.decl", "--m", "4", "--measure", "all"], 4516, 2),
         (["measure", "always_clash.ltlkb", "--m", "8"], 247, 2),
-        (["explain", "always_clash.ltlkb"], 48, 1),
+        (["explain", "always_clash.ltlkb"], 47, 1),
     ],
     ids=["declare-m4", "measure-m8", "explain"],
 )
@@ -332,6 +332,61 @@ def test_budget_exhaustion_in_a_minimisation_names_the_whole_budget(
     )
     assert code == 3
     assert "node budget of 30" in err
+
+
+def test_budget_exhaustion_reports_the_measures_computed_before_it(
+    capsys, monkeypatch, tmp_path, data_dir
+):
+    # Each of d .. LTL_d fits the budget alone; only LTL_c runs out.
+    shutil.copy(data_dir / "double_overlap.decl", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = ["declare", "double_overlap.decl", "--m", "10", "--measure", "all",
+            "--budget", "100000"]
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 3
+    assert "node budget of 100000" in err and "LTL_c" in err
+    payload = json.loads(out)
+    assert payload["measures"] == {
+        "d": 1, "MI": 2, "p": 5, "r": 1, "c": 2, "at": 3, "LTL_d": 1, "LTL_c": "unknown"
+    }
+    assert payload["witness_min_states"]["affected_states"] == [10]
+    assert payload["witness_min_conflict"] is None
+    assert payload["solver_stats"]["nodes"] > 100000
+    code, text, text_err = run_cli(capsys, argv)
+    assert (code, text_err) == (3, err)
+    assert "  LTL_d = 1\n  LTL_c = unknown\n" in text
+    assert "witness (minimal conflict base)" not in text
+
+
+def test_budget_exhaustion_in_measure_marks_each_measure_not_reached(capsys, data_dir):
+    argv = ["measure", str(data_dir / "always_clash.ltlkb"), "--m", "8", "--budget", "200"]
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 3
+    assert "node budget of 200" in err and "LTL_d" in err
+    measures = json.loads(out)["measures"]
+    assert measures == {
+        "d": 1, "MI": 1, "p": 2, "r": 1, "c": 1, "at": 1, "LTL_d": "unknown",
+        "LTL_c": "unknown",
+    }
+
+
+def test_explain_collects_each_minimal_base_once(capsys, tmp_path):
+    # Holding a at B at t_1, or b at any one later state, repairs the
+    # base: 8 bases of one cell.  Many more models of one affected state
+    # hold one of them, and the walk skips those once the base is
+    # collected.  Without the cut this took 58,216 units.
+    base = tmp_path / "overlap.ltlkb"
+    base.write_text(
+        "m = 8\na\nX a\nG (a -> F b)\nG (a -> !F b)\n", encoding="utf-8"
+    )
+    argv = ["explain", str(base), "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["min_affected_states"], payload["signature_count"]) == (1, 8)
+    assert payload["solver_stats"]["nodes"] == 19319
+    code, out, _ = run_cli(capsys, argv + ["--budget", "25000"])
+    assert code == 0 and json.loads(out)["signature_count"] == 8
 
 
 def test_oracle_check_agrees_on_small_bases(capsys, monkeypatch, data_dir):
