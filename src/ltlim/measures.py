@@ -25,7 +25,9 @@ two-valued pass over the states (:func:`ltlim.solver.root_vectors`),
 made and charged at most once per run; the oracle backend still
 enumerates the interpretations of each subset it tests.  ``c`` reads
 the same pass run with atoms held at B; the search minimises the rest,
-down to ``LTL_d`` from the state pass (:func:`ltlim.solver.minimize`).
+down to ``LTL_d`` from the state pass (:func:`ltlim.solver.minimize`),
+and ``LTL_c`` down to the larger of ``c`` and ``LTL_d`` when the run
+has computed them.
 """
 
 from __future__ import annotations
@@ -199,19 +201,24 @@ def run_measures(
     must agree, which is what the oracle-check command verifies.  The
     run's ``nodes`` is what it charged to the account.
 
+    When the run has computed ``c`` or ``LTL_d``, the larger of them is
+    a proven lower bound on ``LTL_c``, and its minimisation stops at the
+    first witness that meets it (:func:`ltlim.solver.minimize`): the
+    value and the witness are those of ``LTL_c`` alone, in fewer nodes.
+
     When the account runs out, the :class:`BudgetExceededError` carries
     the id of the measure that ran out and the run so far, whose
-    ``values`` hold the measures computed before it.
+    ``values`` hold the measures computed before it, and ``nodes`` and
+    ``probes`` count the search that ran out.
     """
     requested = list(ids)
     unknown = [i for i in requested if i not in MEASURE_IDS]
     if unknown:
         raise ValueError(f"unknown measure ids {unknown!r}; expected {MEASURE_IDS}")
     budget = Budget.of(budget)
-    start = budget.spent
+    start, started = budget.spent, budget.probes
     run = MeasureRun()
     warnings: list[str] = []
-    probes = 0
 
     satisfiable = (
         _oracle_satisfiable(kb, oracle_cell_cap)
@@ -268,8 +275,14 @@ def run_measures(
                 if use_oracle:
                     value, witness = need_oracle_costs()[_COSTS[mid]]
                 else:
-                    summary = minimize(kb, CostMode(_COSTS[mid]), budget=budget)
-                    probes += summary.probes
+                    proven = (
+                        max(run.values.get("c", 0), run.values.get("LTL_d", 0))
+                        if mid == "LTL_c"
+                        else 0
+                    )
+                    summary = minimize(
+                        kb, CostMode(_COSTS[mid]), budget=budget, lower_bound=proven
+                    )
                     value, witness = summary.value, summary.witness
                 run.values[mid] = value
                 if mid == "LTL_d":
@@ -283,7 +296,7 @@ def run_measures(
         raise
     finally:
         run.nodes = budget.spent - start
-        run.probes = probes
+        run.probes = budget.probes - started
         run.warnings = tuple(warnings)
     return run
 

@@ -124,11 +124,14 @@ class Budget:
     every pass once, however many measures read it.  The accounts of one
     sweep instance share one table, so they run each pass once, and each
     of them is charged its work as if it had run the pass itself.
+    ``probes`` counts the searches started on the account, the one that
+    ran out among them, as ``spent`` counts their nodes.
     """
 
     def __init__(self, total: int, shared: dict[_PassKey, _Pass] | None = None):
         self.total = total
         self.spent = 0
+        self.probes = 0
         self.paid: set[_PassKey] = set()
         # (kb, choices) -> the vectors and the work of a pass run so far.
         self.shared = {} if shared is None else shared
@@ -243,6 +246,7 @@ class _Search:
         grid = (self.m + 1) * len(self.atoms)
         if grid > self.budget.total - self.budget.spent:
             self.budget.charge(grid)
+        self.budget.probes += 1
         # A cell is (state, atom index), in state-major order.
         self.cells = [
             (state, atom)

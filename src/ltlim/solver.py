@@ -15,7 +15,8 @@ each state that choice at cost 1 beside two-valued at cost 0, yields
 ``LTL_d`` (:func:`min_glut_states`).  Minimization stops the search at
 its first witness; when that costs more than 0 the two-valued pass
 says whether the value is 0, and otherwise the same search runs on,
-down to a floor: ``LTL_d`` when it is known, else 1.
+down to a floor: ``LTL_d`` when it is known, else 1, or a larger lower
+bound that the caller has proven.
 
 Work is charged to one :class:`Budget` per run (:mod:`ltlim.search`).
 Every entry point takes ``budget`` as an int, which opens a fresh
@@ -377,6 +378,7 @@ def minimize(
     cost_mode: CostMode,
     *,
     budget: Budget | int = DEFAULT_NODE_BUDGET,
+    lower_bound: int | float = 0,
 ) -> MinimizeResult:
     """Minimal model cost, from one branch-and-bound search.
 
@@ -399,21 +401,33 @@ def minimize(
       at the same cells, and the bound stays at least v until the first
       decided node of cost v is met.
 
+    ``lower_bound`` raises the floor further, capped at the first
+    witness's cost.  The caller must have proven that v is at least
+    ``lower_bound``: the walk stops at its first witness that costs at
+    most the floor, so a bound above v would return a costlier witness
+    as the value.  For conflict bases, a run that has computed ``c`` and
+    ``LTL_d`` passes the larger of them: holding a model's B atoms at B
+    everywhere still designates every formula, so c is at most its B
+    cells, and every affected state holds a B cell.  A floor of at most
+    v leaves the witness as it was, by the argument above; when the
+    bound is v, the walk stops at its first witness of cost v and
+    refutes nothing.
+
     Returns value inf with no witness when the base has no admissible
     three-valued model at all.  The searches and the passes are charged
     to one account; ``nodes`` is what this minimisation charged to it
     and ``probes`` the searches it started.
     """
     budget = Budget.of(budget)
-    start = budget.spent
+    start, started = budget.spent, budget.probes
     cells = (kb.trace_length_m + 1) * len(kb.atoms())
     search = _Search(kb, cost_mode=cost_mode, max_cost=cells, budget=budget)
-    best, probes = search.run(), 1
+    best = search.run()
     if best is None:
-        return MinimizeResult(INF, None, budget.spent - start, probes)
+        return MinimizeResult(INF, None, budget.spent - start, budget.probes - started)
     floor = 0
     if search.value and is_satisfiable(kb, budget=budget):
-        best, probes = decide_upper(kb, 0, cost_mode, budget=budget).witness, 2
+        best = decide_upper(kb, 0, cost_mode, budget=budget).witness
         value = 0
     else:
         floor = min(search.value, 1)
@@ -422,7 +436,7 @@ def minimize(
             or (kb, _STATE_CHOICES) in budget.shared
         ):
             floor = min_glut_states(kb, budget=budget)
-        search.floor = floor
+        search.floor = floor = max(floor, min(lower_bound, search.value))
         best = search.run()
         value = search.value
     if (
@@ -435,7 +449,7 @@ def minimize(
         raise RuntimeError(
             "internal error: minimization witness failed re-verification"
         )
-    return MinimizeResult(value, best, budget.spent - start, probes)
+    return MinimizeResult(value, best, budget.spent - start, budget.probes - started)
 
 
 def count_min_conflict_signatures(

@@ -46,7 +46,7 @@ def test_json_reports_match_golden_bytes(capsys, monkeypatch, data_dir, golden, 
 @pytest.mark.parametrize(
     "argv,nodes,probes",
     [
-        (["declare", "double_overlap.decl", "--m", "4", "--measure", "all"], 4516, 2),
+        (["declare", "double_overlap.decl", "--m", "4", "--measure", "all"], 1140, 2),
         (["measure", "always_clash.ltlkb", "--m", "8"], 247, 2),
         (["explain", "always_clash.ltlkb"], 47, 1),
     ],
@@ -334,28 +334,62 @@ def test_budget_exhaustion_in_a_minimisation_names_the_whole_budget(
     assert "node budget of 30" in err
 
 
-def test_budget_exhaustion_reports_the_measures_computed_before_it(
-    capsys, monkeypatch, tmp_path, data_dir
-):
-    # Each of d .. LTL_d fits the budget alone; only LTL_c runs out.
-    shutil.copy(data_dir / "double_overlap.decl", tmp_path)
-    monkeypatch.chdir(tmp_path)
-    argv = ["declare", "double_overlap.decl", "--m", "10", "--measure", "all",
-            "--budget", "100000"]
+def test_budget_exhaustion_reports_the_measures_computed_before_it(capsys, tmp_path):
+    # d .. LTL_d take 7,635 units and all eight 9,998: only LTL_c runs
+    # out.  Its value, 30, lies above c = 3 and LTL_d = 10, so the lower
+    # bound they give leaves it a refutation to run.
+    base = tmp_path / "three_clashes.ltlkb"
+    base.write_text(
+        "m = 10\nG a\nG (! a)\nG b\nG (! b)\nG c\nG (! c)\n", encoding="utf-8"
+    )
+    argv = ["measure", str(base), "--budget", "8800"]
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
     assert code == 3
-    assert "node budget of 100000" in err and "LTL_c" in err
+    assert "node budget of 8800" in err and "LTL_c" in err
     payload = json.loads(out)
     assert payload["measures"] == {
-        "d": 1, "MI": 2, "p": 5, "r": 1, "c": 2, "at": 3, "LTL_d": 1, "LTL_c": "unknown"
+        "d": 1, "MI": 3, "p": 6, "r": 3, "c": 3, "at": 3, "LTL_d": 10, "LTL_c": "unknown"
     }
-    assert payload["witness_min_states"]["affected_states"] == [10]
+    assert payload["witness_min_states"]["affected_states"] == list(range(1, 11))
     assert payload["witness_min_conflict"] is None
-    assert payload["solver_stats"]["nodes"] > 100000
+    assert payload["solver_stats"]["nodes"] > 8800
     code, text, text_err = run_cli(capsys, argv)
     assert (code, text_err) == (3, err)
-    assert "  LTL_d = 1\n  LTL_c = unknown\n" in text
+    assert "  LTL_d = 10\n  LTL_c = unknown\n" in text
     assert "witness (minimal conflict base)" not in text
+
+
+def test_a_partial_report_counts_the_search_that_ran_out(capsys, data_dir):
+    # The passes of d .. c take most of the 30 units; LTL_d's walk
+    # starts and runs out.
+    argv = ["measure", str(data_dir / "always_clash.ltlkb"), "--budget", "30"]
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["measures"]["LTL_d"] == "unknown"
+    assert (payload["solver_stats"]["nodes"], payload["solver_stats"]["probes"]) == (31, 1)
+    code, text, _ = run_cli(capsys, argv)
+    assert code == 3 and "stats: nodes=31 probes=1 budget=30" in text
+
+
+def test_all_measures_answer_ltl_c_on_the_double_overlap_at_m10(
+    capsys, monkeypatch, tmp_path, data_dir
+):
+    # c = 2 bounds LTL_c from below, so its walk stops at its first
+    # witness of cost 2 and refutes nothing; alone, LTL_c runs out here.
+    shutil.copy(data_dir / "double_overlap.decl", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = ["declare", "double_overlap.decl", "--m", "10", "--budget", "100000",
+            "--format", "json"]
+    code, out, _ = run_cli(capsys, argv + ["--measure", "all"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["measures"] == {
+        "d": 1, "MI": 2, "p": 5, "r": 1, "c": 2, "at": 3, "LTL_d": 1, "LTL_c": 2
+    }
+    assert len(payload["witness_min_conflict"]["conflict_base"]) == 2
+    code, _, err = run_cli(capsys, argv + ["--measure", "LTL_c"])
+    assert code == 3 and "LTL_c" in err
 
 
 def test_budget_exhaustion_in_measure_marks_each_measure_not_reached(capsys, data_dir):

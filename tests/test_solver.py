@@ -27,7 +27,8 @@ from ltlim.formula import (
     expand_derived,
 )
 from ltlim.generators import random_interpretation, random_kb
-from ltlim.measures import run_measures
+from ltlim.declare import load_declare, translate_model
+from ltlim.measures import MEASURE_IDS, run_measures
 from ltlim.oracle import oracle_min_cost, oracle_minimal_conflict_bases, oracle_sat2
 from ltlim.postulates import Postulate, sweep
 from ltlim.search import _evaluate
@@ -1080,6 +1081,51 @@ def test_an_affected_state_walk_stops_at_the_first_witness_of_its_floor(monkeypa
     refuting.floor = 1
     assert refuting.run() == result.witness
     assert refuting.depth == -1 and refuting.nodes > walk.nodes
+
+
+def ltl_c_with_and_without_its_lower_bound(kb: KnowledgeBase) -> tuple[int, int]:
+    """Assert that a run of every measure, which bounds LTL_c below by c
+    and LTL_d, gives the value and witness that LTL_c alone does; return
+    the units LTL_c charged in each run."""
+    everything = run_measures(kb)
+    before = run_measures(kb, MEASURE_IDS[:-1]).nodes
+    alone = run_measures(kb, ("LTL_c",))
+    assert everything.values["LTL_c"] == alone.values["LTL_c"], kb
+    assert everything.witness_conflict == alone.witness_conflict, kb
+    return everything.nodes - before, alone.nodes
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_the_lower_bound_of_ltl_c_changes_nothing_but_nodes(block):
+    grounded = set()
+    for seed in range(block * 80, block * 80 + 80):
+        kb = minimize_kb(seed)
+        bounded, alone = ltl_c_with_and_without_its_lower_bound(kb)
+        assert bounded <= alone, seed
+        grounded.add(bool(kb.ground_cells))
+    assert grounded == {False, True}
+
+
+def test_the_lower_bound_of_ltl_c_changes_nothing_but_nodes_on_declare_models(
+    monkeypatch, data_dir
+):
+    # Init pins (t_0, a).  A bound one too high changes the chain rungs.
+    searches = recorded_searches(monkeypatch)
+    for name in ("overlap", "double_overlap", "chain", "end_chain"):
+        model = load_declare(data_dir / f"{name}.decl")
+        for m in range(2, 9):
+            kb = translate_model(model, m=m)
+            assert kb.ground_cells or name == "end_chain"
+            bounded, alone = ltl_c_with_and_without_its_lower_bound(kb)
+            assert bounded <= alone, (name, m)
+            if name == "double_overlap":
+                # c = LTL_c = 2, so LTL_c's walk, the last of the run,
+                # ends at the node of its witness and refutes nothing.
+                searches.clear()
+                run_measures(kb)
+                walk = searches[-1]
+                assert walk.cost_mode is CostMode.CONFLICT_BASE, m
+                assert (walk.value, walk.met) == (2, walk.nodes), m
 
 
 def state_pass_bases():
