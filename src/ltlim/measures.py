@@ -74,11 +74,15 @@ _Satisfiable = Callable[[int], bool]
 
 
 def _solver_satisfiable(kb: KnowledgeBase, budget: Budget) -> _Satisfiable:
-    """Read subsets off the root vectors, which the account keeps from
-    the first call on."""
+    """Read subsets off the root vectors, read once, at the first call,
+    so that the account is charged the pass on its first read."""
+    vectors: frozenset[int] | None = None
 
     def satisfiable(mask: int) -> bool:
-        return any(v & mask == mask for v in root_vectors(kb, budget=budget))
+        nonlocal vectors
+        if vectors is None:
+            vectors = root_vectors(kb, budget=budget)
+        return any(v & mask == mask for v in vectors)
 
     return satisfiable
 

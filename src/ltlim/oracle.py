@@ -11,31 +11,42 @@ per-cell value order 0 < 1 < B (0 < 1 for two-valued spaces), so
 iteration order and tie-breaking are deterministic: a minimum is always
 witnessed by the first admissible row of minimal cost.
 
-The space is held column major, as a (cells, rows) grid of TruthValue3
-ordinals whose column r is the r-th interpretation; each cell's values
-are one contiguous row, filled by broadcasting the value order over
-blocks rather than by dividing a row index.  An atom's values over the
-trace are then an (m+1, rows) view of the grid.  The formulas are
-evaluated by one walk over the base's node table
+The space is never materialized.  It is a product of numpy broadcast
+axes, one per trace state, each of size base ** k for k atoms; index j
+of state s's axis spells that state's cells in base 3 (base 2 for
+two-valued spaces), atoms in order, most significant first.  So the
+C-order flat index of a point of the space is the row index r, spelled
+by its cells, and a row decodes with ``np.unravel_index`` over the
+per-cell shape (base,) * cells.  Cell (s, a) is a uint8 vector of
+TruthValue3 ordinals along axis s, size 1 on every other axis.
+
+The formulas are evaluated by one walk over the base's node table
 (:attr:`ltlim.formula.KnowledgeBase.table`, the table the solver also
-reads), in table order: each node's values are computed from its
-children's over all rows at once with numpy, one contiguous state row
-at a time, using the backward recurrence for until
+reads), in table order.  A node's values are one array per state, and
+each spans only the axes of the states it depends on: an atom's values
+at t_i span axis i, ``X`` shifts the list by one state, and the
+connectives are numpy's min, max and ``2 - v``, broadcast.  Until uses
+the backward recurrence
 
     u(m) = 0,   u(i) = min(left(i), max(right(i+1), u(i+1)))
 
-which tests/test_oracle.py checks against the clause-by-clause
-evaluator in the semantics module.  Sharing the table leaves the oracle
-an independent arbiter of the search: it has its own enumeration and
-its own evaluation step, and the compilation is checked on its own.
+so u(i) spans the axes of t_i..t_m at most; tests/test_oracle.py checks
+the walk against the clause-by-clause evaluator in the semantics
+module.  Sharing the table leaves the oracle an independent arbiter of
+the search: it has its own enumeration and its own evaluation step, and
+the compilation is checked on its own.
 
-A base is enumerated once for all of its cost measures: the costs of
-``c``, ``LTL_d`` and ``LTL_c`` are all read off the same grid's B plane
-(:func:`oracle_min_costs`).  No grid outlives the call that built it.
+The admissible models are a boolean mask over the whole space: every
+root designated at t_0, and no ground cell at B.  A base is enumerated
+once for all of its cost measures (:func:`oracle_min_costs`): each cost
+is a sum of B indicators, per state for ``LTL_d`` and ``LTL_c`` and per
+atom for ``c``, built by broadcasting the cells' B indicators.  No space
+outlives the call that built it.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -62,8 +73,16 @@ _LUT3 = np.array([0, 2, 1], dtype=np.uint8)
 
 _BOTH = int(TruthValue3.BOTH)
 
+# Constants as uint8 scalars, so that every value, a constant's too,
+# stays uint8 under numpy's promotion rules old and new.
+_FALSE = np.uint8(0)
+_TRUE = np.uint8(2)
+
 # Above every cost, so masking rows with it leaves the admissible minimum.
 _NO_MODEL = np.uint8(255)
+
+# A node's values: one array per state, broadcastable over the space.
+_Values = list[np.ndarray]
 
 
 class OracleCapExceeded(ValueError):
@@ -77,34 +96,29 @@ def _check_cap(n_cells: int, cell_cap: int) -> None:
         )
 
 
-def _digit_grid(n_cells: int, lut: np.ndarray) -> np.ndarray:
-    """All length-n digit strings over 0..len(lut)-1 with each digit d
-    written as lut[d], shape (cells, rows).
-
-    Row r (the column grid[:, r]) spells r in base len(lut), most
-    significant digit first, so rows are in lexicographic order.
-    """
+def _cells(m: int, n_atoms: int, lut: np.ndarray) -> list[_Values]:
+    """The space's cells: ``cells[s][a]`` holds the ordinals of cell
+    (t_s, atom a) along axis s, size 1 on the other axes."""
     base = len(lut)
-    grid = np.empty((n_cells, base**n_cells), dtype=np.uint8)
-    for cell in range(n_cells):
-        block = grid[cell].reshape(base**cell, base, base ** (n_cells - 1 - cell))
-        block[...] = lut[None, :, None]
-    return grid
+    index = np.arange(base**n_atoms)
+    digits = [lut[index // base ** (n_atoms - 1 - a) % base] for a in range(n_atoms)]
+    return [
+        [d.reshape((1,) * s + (-1,) + (1,) * (m - s)) for d in digits]
+        for s in range(m + 1)
+    ]
 
 
-def _walk(
-    table: list[_Node], cube: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
+def _walk(table: list[_Node], cells: list[_Values]) -> Iterator[tuple[int, _Values]]:
     """Yield every node of a table with its ordinal values, in table order.
 
-    ``cube`` holds the atoms' values, shape (m+1, atoms, rows), and each
-    node's values have shape (m+1, rows); they may be a read-only view
-    of the cube or of a constant.  The walk keeps a node's values only
-    until the last node that reads them, so callers that need them
-    longer keep them themselves.
+    ``cells`` holds the atoms' values, as :func:`_cells` gives them, and
+    a node's values are one array per state, broadcastable over the
+    space; they may share memory with the cells or with another node's,
+    so they are read-only.  The walk keeps a node's values only until
+    the last node that reads them, so callers that need them longer
+    keep them themselves.
     """
-    m = cube.shape[0] - 1
-    shape = (m + 1, cube.shape[2])
+    m = len(cells) - 1
     children = [
         () if op in ("atom", "true", "false") else {x, y} - {-1}
         for op, x, y in table
@@ -113,29 +127,27 @@ def _walk(
     for node, read in enumerate(children):
         for child in read:
             last_reader[child] = node
-    values: dict[int, np.ndarray] = {}
+    values: dict[int, _Values] = {}
     for node, (op, x, y) in enumerate(table):
         if op == "atom":
-            out = cube[:, x]
+            out = [state[x] for state in cells]
         elif op == "true":
-            out = np.broadcast_to(np.uint8(2), shape)
+            out = [_TRUE] * (m + 1)
         elif op == "false":
-            out = np.broadcast_to(np.uint8(0), shape)
+            out = [_FALSE] * (m + 1)
         elif op == "!":
-            out = 2 - values[x]
+            out = [_TRUE - v for v in values[x]]
         elif op == "&":
-            out = np.minimum(values[x], values[y])
+            out = list(map(np.minimum, values[x], values[y]))
         elif op == "|":
-            out = np.maximum(values[x], values[y])
+            out = list(map(np.maximum, values[x], values[y]))
         elif op == "X":
-            out = np.zeros(shape, dtype=np.uint8)
-            out[:m] = values[x][1:]
+            out = values[x][1:] + [_FALSE]
         else:
             left, right = values[x], values[y]
-            out = np.zeros(shape, dtype=np.uint8)
+            out = [_FALSE] * (m + 1)
             for i in range(m - 1, -1, -1):
-                np.maximum(right[i + 1], out[i + 1], out=out[i])
-                np.minimum(left[i], out[i], out=out[i])
+                out[i] = np.minimum(left[i], np.maximum(right[i + 1], out[i + 1]))
         for child in children[node]:
             if last_reader[child] == node:
                 del values[child]
@@ -149,35 +161,40 @@ def _model_space(
     *,
     cell_cap: int,
     two_valued: bool = False,
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+) -> tuple[tuple[str, ...], list[_Values], np.ndarray]:
     """Enumerate the space and flag the admissible models.
 
-    Returns (atoms, ordinal grid of shape (cells, rows), model mask).
-    The grid rows follow the documented enumeration order.
+    Returns (atoms, the cells as :func:`_cells` gives them, model mask).
+    The mask spans the whole space, and its C-order flat index is the
+    row index of the documented enumeration order.
     """
     atoms = kb.atoms()
     m = kb.trace_length_m
-    n_cells = (m + 1) * len(atoms)
-    _check_cap(n_cells, cell_cap)
-    grid = _digit_grid(n_cells, _LUT2 if two_valued else _LUT3)
-    cube = grid.reshape(m + 1, len(atoms), grid.shape[1])
+    _check_cap((m + 1) * len(atoms), cell_cap)
+    lut = _LUT2 if two_valued else _LUT3
+    cells = _cells(m, len(atoms), lut)
+    # With no atoms the space is one point and gets no axes, however
+    # long the trace: numpy allows only a few dozen axes.
+    mask = np.ones((len(lut) ** len(atoms),) * (m + 1) if atoms else (), dtype=bool)
     table, roots = kb.table
-    mask = np.ones(grid.shape[1], dtype=bool)
     # Fold each root in as the walk yields it, so that no root's values
     # outlive their last reader.
-    for node, values in _walk(table, cube):
+    for node, values in _walk(table, cells):
         if node in roots:
             mask &= values[0] >= 1
     if not two_valued:
         for state, atom in kb.ground_cells:
-            mask &= cube[state, atoms.index(atom)] != _BOTH
-    return atoms, grid, mask
+            mask &= cells[state][atoms.index(atom)] != _BOTH
+    return atoms, cells, mask
 
 
 def _row_interpretation(
-    atoms: tuple[str, ...], grid: np.ndarray, row: int, m: int
+    atoms: tuple[str, ...], m: int, lut: np.ndarray, row: int
 ) -> Interpretation3:
-    cells = grid[:, row].reshape(m + 1, len(atoms))
+    """The interpretation at a row index, decoded over the per-cell
+    shape (base,) * cells."""
+    digits = np.unravel_index(row, (len(lut),) * ((m + 1) * len(atoms)))
+    cells = lut[np.array(digits, dtype=np.intp)].reshape(m + 1, len(atoms))
     return Interpretation3(
         atoms=atoms,
         values=tuple(
@@ -192,40 +209,54 @@ def oracle_sat2(
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> tuple[bool, Interpretation3 | None]:
     """Classical satisfiability by enumerating two-valued interpretations."""
-    atoms, grid, mask = _model_space(kb, cell_cap=cell_cap, two_valued=True)
-    hits = np.flatnonzero(mask)
-    if hits.size == 0:
+    atoms, _, mask = _model_space(kb, cell_cap=cell_cap, two_valued=True)
+    row = int(mask.argmax())
+    if not mask.flat[row]:
         return False, None
-    return True, _row_interpretation(atoms, grid, int(hits[0]), kb.trace_length_m)
+    return True, _row_interpretation(atoms, kb.trace_length_m, _LUT2, row)
 
 
-def _costs(grid: np.ndarray, n_atoms: int, m: int, cost: str) -> np.ndarray:
-    """Per-row cost of the given kind, read off the grid's B plane.
+def _costs(cells: list[_Values], cost: str) -> np.ndarray:
+    """Per-row cost of the given kind, a sum broadcast over the space:
+    per state of whether it holds a B (``affected_states``) or of how
+    many B cells it holds (``conflict_base``), or per atom of whether
+    it holds a B at some state (``b_atoms``).
 
     Costs count cells, so they fit in uint8 under any enumerable cap.
     """
-    both = (grid == _BOTH).reshape(m + 1, n_atoms, grid.shape[1])
+    both = [[(c == _BOTH).view(np.uint8) for c in state] for state in cells]
     if cost == "affected_states":
-        return np.logical_or.reduce(both, axis=1).sum(axis=0, dtype=np.uint8)
-    if cost == "conflict_base":
-        return both.sum(axis=(0, 1), dtype=np.uint8)
-    if cost == "b_atoms":
-        return np.logical_or.reduce(both, axis=0).sum(axis=0, dtype=np.uint8)
-    raise ValueError(f"unknown cost kind {cost!r}")
+        parts = (functools.reduce(np.maximum, state, _FALSE) for state in both)
+    elif cost == "conflict_base":
+        parts = (sum(state, _FALSE) for state in both)
+    elif cost == "b_atoms":
+        parts = (functools.reduce(np.maximum, atom, _FALSE) for atom in zip(*both))
+    else:
+        raise ValueError(f"unknown cost kind {cost!r}")
+    return sum(parts, _FALSE)
+
+
+def _blocked(mask: np.ndarray) -> np.ndarray:
+    """255 at the rows the mask rules out, 0 at the others, so that a
+    cost or'ed with it is the cost at every admissible row and above
+    every cost at the others.  This is ``np.where(mask, cost, 255)``,
+    and many times faster on the mixed masks of real bases."""
+    return (~mask).view(np.uint8) * _NO_MODEL
 
 
 def _min_by(
     kb: KnowledgeBase,
-    costs: np.ndarray,
-    mask: np.ndarray,
+    masked: np.ndarray,
     atoms: tuple[str, ...],
-    grid: np.ndarray,
 ) -> tuple[int | float, Interpretation3 | None]:
-    """The first admissible row of minimal cost, with its cost."""
-    if not mask.any():
+    """The first admissible row of minimal cost, with its cost, from
+    the costs masked by :func:`_blocked`."""
+    row = int(masked.argmin())
+    if masked.flat[row] == _NO_MODEL:
         return INF, None
-    row = int(np.argmin(np.where(mask, costs, _NO_MODEL)))
-    return int(costs[row]), _row_interpretation(atoms, grid, row, kb.trace_length_m)
+    return int(masked.flat[row]), _row_interpretation(
+        atoms, kb.trace_length_m, _LUT3, row
+    )
 
 
 def oracle_min_costs(
@@ -239,12 +270,9 @@ def oracle_min_costs(
     ``costs`` names the kinds, each as in :func:`oracle_min_cost`; the
     result maps each kind to its (minimum, witness) pair.
     """
-    atoms, grid, mask = _model_space(kb, cell_cap=cell_cap)
-    m = kb.trace_length_m
-    return {
-        cost: _min_by(kb, _costs(grid, len(atoms), m, cost), mask, atoms, grid)
-        for cost in costs
-    }
+    atoms, cells, mask = _model_space(kb, cell_cap=cell_cap)
+    blocked = _blocked(mask)
+    return {cost: _min_by(kb, _costs(cells, cost) | blocked, atoms) for cost in costs}
 
 
 def oracle_min_cost(
@@ -287,27 +315,33 @@ def _minimal_conflicts(
     """:func:`oracle_minimal_conflict_bases` plus its witness, the first
     admissible row of minimal affected-state count, which is the
     witness :func:`oracle_min_cost` gives for that count."""
-    atoms, grid, mask = _model_space(kb, cell_cap=cell_cap)
-    costs = _costs(grid, len(atoms), kb.trace_length_m, "affected_states")
-    if not mask.any():
+    atoms, cells, mask = _model_space(kb, cell_cap=cell_cap)
+    masked = _costs(cells, "affected_states") | _blocked(mask)
+    best, witness = _min_by(kb, masked, atoms)
+    if witness is None:
         raise ValueError("no admissible three-valued model exists")
-    best = int(costs[mask].min())
     if best == 0:
         raise ValueError("the base is classically consistent; no conflict to explain")
-    rows = np.flatnonzero(mask & (costs == best))
-    bases: list[frozenset[tuple[int, str]]] = []
-    seen: set[frozenset[tuple[int, str]]] = set()
-    for row in rows:
-        cells = np.flatnonzero(grid[:, row] == _BOTH)
-        base = frozenset(
-            (int(c) // len(atoms), atoms[int(c) % len(atoms)]) for c in cells
+    # Bit s * k + a of a row's key is set when cell (t_s, atom a) is B.
+    k = len(atoms)
+    keys = sum(
+        sum(
+            (c == _BOTH).astype(np.uint32) << np.uint32(s * k + a)
+            for a, c in enumerate(state)
         )
-        if base not in seen:
-            seen.add(base)
-            bases.append(base)
-    minimal = [b for b in bases if not any(o < b for o in seen)]
+        for s, state in enumerate(cells)
+    )
+    minimal_rows = masked == best
+    bases = {
+        frozenset(
+            (bit // k, atoms[bit % k])
+            for bit in range(len(cells) * k)
+            if key >> bit & 1
+        )
+        for key in np.unique(keys[minimal_rows]).tolist()
+    }
+    minimal = [b for b in bases if not any(o < b for o in bases)]
     ordered = tuple(
         tuple(sorted(b)) for b in sorted(minimal, key=lambda b: (len(b), sorted(b)))
     )
-    witness = _row_interpretation(atoms, grid, int(rows[0]), kb.trace_length_m)
-    return best, ordered, int(rows.size), witness
+    return best, ordered, int(np.count_nonzero(minimal_rows)), witness

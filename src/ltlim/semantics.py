@@ -64,10 +64,11 @@ __all__ = [
 
 # The most (state, atom) cells whose interpretations the exhaustive
 # oracle (ltlim.oracle) enumerates by default, and the largest cap the
-# command line accepts.  Peak memory grows about 3x per cell (one run of
-# every oracle measure on a one-atom base added 20 MB at 12 cells and
-# 63 MB at 13), so 15 cells stay under 1 GB.  They live here, not in the
-# oracle, so that reading them does not import numpy.
+# command line accepts.  Peak memory grows about 3x per cell: the numpy
+# memory that one run of every oracle measure traces peaks at 6 MB at 13
+# cells on a one-atom base, and at 55-61 MB at 15 cells on bases of 1, 3
+# and 5 atoms, so 15 cells stay far under 1 GB.  They live here, not in
+# the oracle, so that reading them does not import numpy.
 DEFAULT_CELL_CAP = 12
 MAX_CELL_CAP = 15
 

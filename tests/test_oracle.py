@@ -1,14 +1,18 @@
 """The exhaustive oracle against the clause-by-clause semantics.
 
-The oracle evaluates every formula over all interpretations at once, in
-a (cells, rows) grid.  These tests pin its enumeration order, check its
-vectorized walk over the node table against ``eval3`` row by row, and
-check that the shared enumeration behind ``oracle_min_costs`` gives what
-separate enumerations give.
+The oracle evaluates every formula over all interpretations at once, on
+a space of numpy broadcast axes, one per trace state, that it never
+materializes.  These tests pin its enumeration order, check its
+vectorized walk over the node table against ``eval3`` row by row, check
+its minima and conflict bases against references that enumerate one
+interpretation at a time, check that the shared enumeration behind
+``oracle_min_costs`` gives what separate enumerations give, and bound
+the memory it traces.
 """
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +51,7 @@ from ltlim.solver import count_min_conflict_signatures
 
 COSTS = ("affected_states", "conflict_base", "b_atoms")
 ATOMS = ("a", "b", "c")
+ATOMS5 = ("a", "b", "c", "d", "e")
 
 
 def random_core_formula(
@@ -106,13 +111,24 @@ def clashing_base(seed: int, max_cells: int = 8) -> KnowledgeBase:
     ids=["two", "three"],
 )
 def test_digit_grid_row_r_spells_r(n_cells, lut, order):
+    """Row r of the space, its C-order flat index, spells r in the value
+    order, cells state major, for every split of the cells into states
+    and atoms; the decoded interpretation reads the same cells off r."""
     base = len(order)
-    grid = oracle._digit_grid(n_cells, lut)
-    assert grid.shape == (n_cells, base**n_cells)
-    assert grid.dtype == np.uint8
-    for r in range(base**n_cells):
-        digits = [r // base ** (n_cells - 1 - cell) % base for cell in range(n_cells)]
-        assert grid[:, r].tolist() == [int(order[d]) for d in digits]
+    shapes = [(m, n_cells // (m + 1)) for m in range(n_cells) if n_cells % (m + 1) == 0]
+    for m, n_atoms in shapes or [(0, 0), (2, 0)]:
+        cells = oracle._cells(m, n_atoms, lut)
+        assert [len(state) for state in cells] == [n_atoms] * (m + 1)
+        shape = np.broadcast_shapes(*(c.shape for state in cells for c in state))
+        assert int(np.prod(shape)) == base**n_cells
+        flat = [np.broadcast_to(c, shape).ravel() for state in cells for c in state]
+        assert all(c.dtype == np.uint8 for c in flat)
+        for r in range(base**n_cells):
+            digits = [r // base ** (n_cells - 1 - i) % base for i in range(n_cells)]
+            expected = [int(order[d]) for d in digits]
+            assert [int(c[r]) for c in flat] == expected, (m, n_atoms, r)
+            nu = oracle._row_interpretation(ATOMS5[:n_atoms], m, lut, r)
+            assert [int(v) for state in nu.values for v in state] == expected
 
 
 def assert_walk_matches_eval3(kb: KnowledgeBase) -> None:
@@ -120,19 +136,20 @@ def assert_walk_matches_eval3(kb: KnowledgeBase) -> None:
     every formula at every row and state."""
     table, roots = kb.table
     atoms, m = kb.atoms(), kb.trace_length_m
-    grid = oracle._digit_grid((m + 1) * len(atoms), oracle._LUT3)
-    rows = grid.shape[1]
+    _, cells, mask = oracle._model_space(kb, cell_cap=(m + 1) * len(atoms))
     values = {}
-    for node, got in oracle._walk(table, grid.reshape(m + 1, len(atoms), rows)):
-        assert got.shape == (m + 1, rows)
+    for node, got in oracle._walk(table, cells):
+        assert len(got) == m + 1
+        # Every state's values broadcast over the whole space.
+        flat = [np.broadcast_to(v, mask.shape).ravel() for v in got]
         if node in roots:
-            values[node] = np.array(got)
+            values[node] = flat
     formulas = dict(zip(roots, kb.core_formulas))
-    for row in range(rows):
-        nu = oracle._row_interpretation(atoms, grid, row, m)
+    for row in range(mask.size):
+        nu = oracle._row_interpretation(atoms, m, oracle._LUT3, row)
         for root, f in formulas.items():
             expected = [int(eval3(nu, s, f)) for s in range(m + 1)]
-            assert values[root][:, row].tolist() == expected, (f, row)
+            assert [int(v[row]) for v in values[root]] == expected, (f, row)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -161,27 +178,53 @@ def test_table_walk_matches_eval3_on_two_formulas_with_one_root():
     assert_walk_matches_eval3(kb)
 
 
-def reference_min_cost(kb: KnowledgeBase, cost: str):
-    """The first model of minimal cost, one interpretation at a time in
+def interpretations(kb: KnowledgeBase):
+    """Every interpretation of the base's signature, one at a time, in
     the documented order: cells state major, atoms sorted, 0 < 1 < B."""
     atoms, m = kb.atoms(), kb.trace_length_m
+    order = (TruthValue3.FALSE, TruthValue3.TRUE, TruthValue3.BOTH)
+    for cells in itertools.product(order, repeat=(m + 1) * len(atoms)):
+        yield Interpretation3(
+            atoms=atoms,
+            values=tuple(
+                cells[s * len(atoms) : (s + 1) * len(atoms)] for s in range(m + 1)
+            ),
+        )
+
+
+def reference_min_cost(kb: KnowledgeBase, cost: str):
+    """The first model of minimal cost, one interpretation at a time."""
     count = {
         "affected_states": lambda nu: len(affected_states(nu)),
         "conflict_base": lambda nu: len(conflict_base(nu)),
         "b_atoms": lambda nu: len({atom for _, atom in conflict_base(nu)}),
     }[cost]
     best = (float("inf"), None)
-    order = (TruthValue3.FALSE, TruthValue3.TRUE, TruthValue3.BOTH)
-    for cells in itertools.product(order, repeat=(m + 1) * len(atoms)):
-        nu = Interpretation3(
-            atoms=atoms,
-            values=tuple(
-                cells[s * len(atoms) : (s + 1) * len(atoms)] for s in range(m + 1)
-            ),
-        )
+    for nu in interpretations(kb):
         if satisfies3(nu, kb) and count(nu) < best[0]:
             best = (count(nu), nu)
     return best
+
+
+def reference_minimal_conflicts(kb: KnowledgeBase):
+    """The least affected-state count, the inclusion-minimal distinct
+    conflict bases of the models of that count, shortest first and then
+    by their sorted cells, the raw number of those models and the first
+    of them, one interpretation at a time."""
+    best, models = float("inf"), []
+    for nu in interpretations(kb):
+        if not satisfies3(nu, kb):
+            continue
+        cost = len(affected_states(nu))
+        if cost < best:
+            best, models = cost, []
+        if cost == best:
+            models.append(nu)
+    found = {conflict_base(nu) for nu in models}
+    minimal = [b for b in found if not any(other < b for other in found)]
+    minimal.sort(key=lambda b: (len(b), sorted(b)))
+    bases = tuple(tuple(sorted(b)) for b in minimal)
+    return best, bases, len(models), models[0] if models else None
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -201,6 +244,15 @@ def test_shared_enumeration_equals_one_enumeration_per_cost(seed):
     for cost in COSTS:
         assert together[cost] == oracle_min_cost(kb, cost)
     assert oracle_min_costs(kb, COSTS[::-1]) == together
+
+
+def test_a_base_without_atoms_is_one_point_however_long_the_trace():
+    # One axis per state would pass numpy's limit on axes here.
+    kb = KnowledgeBase.of("true", "! (X false)", m=100)
+    empty = Interpretation3(atoms=(), values=((),) * 101)
+    assert oracle_min_costs(kb, COSTS) == dict.fromkeys(COSTS, (0, empty))
+    assert oracle.oracle_sat2(kb) == (True, empty)
+    assert oracle_min_cost(kb.extended([FALSE]), "conflict_base") == (float("inf"), None)
 
 
 def test_min_costs_errors_match_the_single_cost_call():
@@ -231,6 +283,60 @@ def test_run_measures_enumerates_the_three_valued_space_at_most_once(
     run_measures(kb, ids, use_oracle=True)
     wants_cost = any(mid in ("c", "LTL_d", "LTL_c") for mid in ids)
     assert calls.count(False) == (1 if wants_cost else 0)
+
+
+def conflict_base_case(seed: int) -> KnowledgeBase:
+    make = random_base if seed % 3 == 0 else clashing_base
+    return make(seed + 4000, max_cells=6)
+
+
+@pytest.mark.parametrize("seed", range(90))
+def test_minimal_conflicts_match_one_model_at_a_time(seed):
+    kb = conflict_base_case(seed)
+    best, bases, raw, witness = reference_minimal_conflicts(kb)
+    if best == float("inf"):
+        with pytest.raises(ValueError, match="no admissible"):
+            oracle_minimal_conflict_bases(kb)
+    elif best == 0:
+        with pytest.raises(ValueError, match="classically consistent"):
+            oracle._minimal_conflicts(kb)
+    else:
+        assert oracle_minimal_conflict_bases(kb) == (best, bases, raw)
+        assert oracle._minimal_conflicts(kb) == (best, bases, raw, witness)
+
+
+def test_the_conflict_base_cases_cover_every_outcome():
+    kinds = set()
+    for seed in range(90):
+        kb = conflict_base_case(seed)
+        best, bases, raw, _ = reference_minimal_conflicts(kb)
+        kinds.add("no atoms" if not kb.atoms() else "atoms")
+        kinds.add({float("inf"): "no model", 0: "consistent"}.get(best, "conflict"))
+        if best not in (0, float("inf")):
+            kinds.add("ground cells" if kb.ground_cells else "no ground cells")
+            kinds.add("several bases" if len(bases) > 1 else "one base")
+            kinds.add(
+                "non-minimal models" if raw > len(bases) else "one model per base"
+            )
+    assert kinds == {
+        "no atoms", "atoms", "no model", "consistent", "conflict", "ground cells",
+        "no ground cells", "several bases", "one base", "non-minimal models",
+        "one model per base",
+    }
+
+
+def test_the_oracle_materializes_no_grid_of_the_space():
+    # 13 cells: a (13, 3 ** 13) grid of ordinals alone would take 20 MB.
+    kb = KnowledgeBase.of("a", "G (a -> X !a)", "F (a & !a)", "G (a | X a)", m=12)
+    kb.table
+    tracemalloc.start()
+    try:
+        got = oracle_min_costs(kb, COSTS, cell_cap=13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert {cost: value for cost, (value, _) in got.items()} == dict.fromkeys(COSTS, 1)
+    assert peak < 16 << 20
 
 
 def test_oracle_conflict_bases_match_the_search():
