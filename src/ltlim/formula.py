@@ -13,9 +13,10 @@ table.  One iterative post-order walk, which visits each distinct
 subformula object once, serves rendering, temporal depth, atom
 collection and compilation, so shared operands cost nothing extra and
 depth needs no recursion.  :func:`_compile` rewrites the derived
-connectives into the core ones as it interns a base's formulas; it is
-the only place the rewrite rules live, and :func:`expand_derived` reads
-its result back.
+connectives into the core ones as it interns a base's formulas, with
+negation as a bit on the edges of the table rather than a node of its
+own; it is the only place the rewrite rules live, and
+:func:`expand_derived` reads its result back.
 
 Two readings of G are supported.  The strict reading takes G phi as
 "phi holds in every strictly later state", i.e. not (true U not phi).
@@ -179,7 +180,8 @@ TRUE = TrueConst()
 FALSE = FalseConst()
 
 # Each connective's class and symbol, read by the tokenizer, the parser
-# and the renderer.  The core symbols are the node table's opcodes.
+# and the renderer.  ``&``, ``X`` and ``U`` are also opcodes of the node
+# table (:func:`_compile`).
 _SYMBOL = {
     Not: "!", Next: "X", Finally: "F", Globally: "G",
     And: "&", Or: "|", Implies: "->", Until: "U",
@@ -337,9 +339,12 @@ def expand_derived(formula: Formula, g_mode: GMode = GMode.STRICT) -> Formula:
     :func:`_compile` rewrites it, read back with one object per node.
 
     F phi becomes true U phi.  Under the strict reading G phi becomes
-    !(true U !phi); the reflexive reading conjoins phi itself.  The
-    function is idempotent: expanding an already core formula returns
-    an equal formula.
+    !(true U !phi); the reflexive reading conjoins phi itself, and
+    phi -> psi becomes !phi | psi.  The read-back is a normal form, not
+    the identity on core formulas: !(phi & psi) reads back as
+    !phi | !psi, !!phi as phi, and !true and !false as false and true.
+    So the function is idempotent: a second expansion returns an equal
+    formula.
     """
     return KnowledgeBase((formula,), DEFAULT_TRACE_LENGTH, g_mode).core_formulas[0]
 
@@ -381,22 +386,26 @@ def _compile(
     core connectives, given the walk ``order`` of ``formulas`` if the
     caller has it.
 
-    A node is ``(op, x, y)``.  Node ``i < len(atoms)`` is
-    ``("atom", i, -1)``, the atom ``atoms[i]``; ``("true", -1, -1)``
-    and ``("false", -1, -1)`` are the constants; ``"!"`` and ``"X"``
-    have the one child ``x``; ``"&"``, ``"|"`` and ``"U"`` have the
-    children ``x`` and ``y``.  Structurally equal subformulas share one
-    node, and every child comes before its parent.  Returns the table
-    and the root node of each formula.
+    Every reference to a node is an edge, ``2 * node + negated``, as in
+    an And-Inverter Graph: negation is the edge's low bit and has no
+    node.  A node is ``(op, x, y)``.  Node ``i < len(atoms)`` is
+    ``("atom", i, -1)``, the atom ``atoms[i]``; ``("true", -1, -1)`` is
+    the constant, and false is its negated edge; ``"X"`` has the one
+    child edge ``x``; ``"&"`` and ``"U"`` have the child edges ``x``
+    and ``y``.  Structurally equal subformulas share one node, and
+    every child comes before its parent.  Returns the table and the
+    root edge of each formula.
 
-    F phi is interned as true U phi, G phi as !(true U !phi), conjoined
-    with phi under the reflexive reading, and phi -> psi as !phi | psi.
+    ``!`` swaps the values 0 and 1 and keeps B, so De Morgan holds and
+    phi | psi is interned as !(!phi & !psi), and phi -> psi as
+    !(phi & !psi).  F phi is interned as true U phi, and G phi as
+    !(true U !phi), conjoined with phi under the reflexive reading.
     """
     # Insertion order is table order, so the table is the dict's keys.
     interned: dict[_Node, int] = {("atom", i, -1): i for i in range(len(atoms))}
 
-    def intern(entry: _Node) -> int:
-        return interned.setdefault(entry, len(interned))
+    def intern(op: str, x: int = -1, y: int = -1) -> int:
+        return 2 * interned.setdefault((op, x, y), len(interned))
 
     atom_ids = {name: i for i, name in enumerate(atoms)}
     compiled: dict[int, int] = {}
@@ -404,31 +413,32 @@ def _compile(
         kind = type(node)
         if kind is Atom:
             try:
-                index = atom_ids[node.name]
+                edge = 2 * atom_ids[node.name]
             except KeyError:
                 raise SignatureMismatchError(
                     f"atom {node.name!r} is not in the signature"
                 ) from None
         elif kind is TrueConst or kind is FalseConst:
-            index = intern(("true" if kind is TrueConst else "false", -1, -1))
+            edge = intern("true") ^ (kind is FalseConst)
         elif kind in _BINARY:
             x, y = compiled[id(node.left)], compiled[id(node.right)]
-            if kind is Implies:
-                index = intern(("|", intern(("!", x, -1)), y))
+            if kind is Or or kind is Implies:
+                edge = intern("&", x ^ (kind is Or), y ^ 1) ^ 1
             else:
-                index = intern((_SYMBOL[kind], x, y))
+                edge = intern(_SYMBOL[kind], x, y)
         else:
             x = compiled[id(node.operand)]
-            if kind is Finally:
-                index = intern(("U", intern(("true", -1, -1)), x))
+            if kind is Not:
+                edge = x ^ 1
+            elif kind is Finally:
+                edge = intern("U", intern("true"), x)
             elif kind is Globally:
-                index = intern(("U", intern(("true", -1, -1)), intern(("!", x, -1))))
-                index = intern(("!", index, -1))
+                edge = intern("U", intern("true"), x ^ 1) ^ 1
                 if g_mode is GMode.REFLEXIVE:
-                    index = intern(("&", x, index))
+                    edge = intern("&", x, edge)
             else:
-                index = intern((_SYMBOL[kind], x, -1))
-        compiled[id(node)] = index
+                edge = intern("X", x)
+        compiled[id(node)] = edge
     return list(interned), [compiled[id(formula)] for formula in formulas]
 
 
@@ -522,17 +532,27 @@ class KnowledgeBase:
     @cached_property
     def core_formulas(self) -> tuple[Formula, ...]:
         """The formulas over the core connectives, read back off
-        :attr:`table` with one object per node."""
+        :attr:`table` with one object per edge.
+
+        A negated ``&`` edge reads as the ``|`` of its children's
+        negations, the negated ``true`` edge as false, and any other
+        negated edge as ``!`` of its node.
+        """
         atoms, (table, roots) = self.atoms(), self.table
+        # built[e]: the formula of edge e, both edges of a node at once.
         built: list[Formula] = []
         for op, x, y in table:
             if op == "atom":
-                built.append(Atom(atoms[x]))
-            elif op == "true" or op == "false":
-                built.append(TRUE if op == "true" else FALSE)
+                formula: Formula = Atom(atoms[x])
+            elif op == "true":
+                formula = TRUE
             else:
                 kind = _CONNECTIVE[op]
-                built.append(kind(built[x]) if y < 0 else kind(built[x], built[y]))
+                formula = kind(built[x]) if y < 0 else kind(built[x], built[y])
+            if op == "&":
+                built += (formula, Or(built[x ^ 1], built[y ^ 1]))
+            else:
+                built += (formula, FALSE if op == "true" else Not(formula))
         return tuple(built[root] for root in roots)
 
     @cached_property
@@ -548,7 +568,8 @@ class KnowledgeBase:
     @cached_property
     def atoms_below(self) -> list[int]:
         """For each node of :attr:`table`, the atoms it depends on, as a
-        mask with bit i set for atom ``atoms()[i]``.
+        mask with bit i set for atom ``atoms()[i]``; a negated edge
+        depends on the atoms of its node.
 
         A node's value can change only when a cell of one of these
         atoms does.
@@ -559,7 +580,7 @@ class KnowledgeBase:
             if op == "atom":
                 below.append(1 << x)
             else:
-                below.append((below[x] if x >= 0 else 0) | (below[y] if y >= 0 else 0))
+                below.append((below[x >> 1] if x >= 0 else 0) | (below[y >> 1] if y >= 0 else 0))
         return below
 
     def replace_formulas(self, formulas: Iterable[Formula]) -> "KnowledgeBase":

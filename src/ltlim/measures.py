@@ -20,10 +20,12 @@ admissible three-valued model.
 
 ``d`` and the minimal-subset family behind ``MI``, ``p``, ``r`` and
 ``at`` need only to know which subsets of the base are classically
-satisfiable.  The solver answers that for every subset at once with one
-two-valued pass over the states (:func:`ltlim.solver.root_vectors`),
-made and charged at most once per run; the oracle backend still
-enumerates the interpretations of each subset it tests.  ``c`` reads
+satisfiable.  Each backend answers that for every subset at once, as the
+set of the formulas' truth vectors at t_0, made at most once per run:
+the solver with one two-valued pass over the states
+(:func:`ltlim.solver.root_vectors`), charged to the run's account, and
+the oracle backend with one enumeration of the base's two-valued
+interpretations (:func:`ltlim.oracle.oracle_root_vectors`).  ``c`` reads
 the same pass run with atoms held at B; the search minimises the rest,
 down to ``LTL_d`` from the state pass (:func:`ltlim.solver.minimize`),
 and ``LTL_c`` down to the larger of ``c`` and ``LTL_d`` when the run
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .formula import Formula, KnowledgeBase, atoms_of
 from .semantics import DEFAULT_CELL_CAP, Interpretation3, conflict_base
@@ -69,53 +71,31 @@ class MisCapExceeded(ValueError):
     """Too many formulas for exhaustive minimal-subset enumeration."""
 
 
-# Classical satisfiability of the formulas whose bits are set in a mask.
-_Satisfiable = Callable[[int], bool]
-
-
-def _solver_satisfiable(kb: KnowledgeBase, budget: Budget) -> _Satisfiable:
-    """Read subsets off the root vectors, read once, at the first call,
-    so that the account is charged the pass on its first read."""
-    vectors: frozenset[int] | None = None
-
-    def satisfiable(mask: int) -> bool:
-        nonlocal vectors
-        if vectors is None:
-            vectors = root_vectors(kb, budget=budget)
-        return any(v & mask == mask for v in vectors)
-
-    return satisfiable
-
-
-def _oracle_satisfiable(kb: KnowledgeBase, cell_cap: int) -> _Satisfiable:
-    """Enumerate the two-valued interpretations of each subset tested."""
-    from .oracle import oracle_sat2
-
-    def satisfiable(mask: int) -> bool:
-        subset = kb.replace_formulas(
-            f for i, f in enumerate(kb.formulas) if mask >> i & 1
-        )
-        return oracle_sat2(subset, cell_cap=cell_cap)[0]
-
-    return satisfiable
-
-
 def _mis_index_sets(
-    kb: KnowledgeBase, satisfiable: _Satisfiable
+    kb: KnowledgeBase, vectors: Callable[[], Collection[int]]
 ) -> list[frozenset[int]]:
+    """The minimal unsatisfiable subsets, as index sets, smallest first.
+
+    A subset is satisfiable iff some truth vector of ``vectors()`` has
+    all of its bits set.  The vectors are read once the base is known to
+    be within the cap, and not at all for an empty base, which has no
+    subset to test.
+    """
     formulas = kb.formulas
     if len(formulas) > DEFAULT_FORMULA_CAP:
         raise MisCapExceeded(
             f"{len(formulas)} formulas exceed the minimal-subset cap"
             f" of {DEFAULT_FORMULA_CAP}"
         )
+    read = vectors() if formulas else ()
     found: list[frozenset[int]] = []
     for size in range(1, len(formulas) + 1):
         for combo in itertools.combinations(range(len(formulas)), size):
             candidate = frozenset(combo)
             if any(mis <= candidate for mis in found):
                 continue
-            if not satisfiable(sum(1 << i for i in combo)):
+            mask = sum(1 << i for i in combo)
+            if not any(v & mask == mask for v in read):
                 found.append(candidate)
     return found
 
@@ -130,8 +110,7 @@ def mis_enumerate(
     Subsets are returned as tuples in the base's formula order; the
     family is ordered by size, then by position.
     """
-    satisfiable = _solver_satisfiable(kb, Budget.of(budget))
-    index_sets = _mis_index_sets(kb, satisfiable)
+    index_sets = _mis_index_sets(kb, lambda: root_vectors(kb, budget=budget))
     return tuple(
         tuple(kb.formulas[i] for i in sorted(indices))
         for indices in sorted(index_sets, key=lambda s: (len(s), sorted(s)))
@@ -142,8 +121,7 @@ def free_formulas(
     kb: KnowledgeBase, *, budget: Budget | int = DEFAULT_NODE_BUDGET
 ) -> tuple[Formula, ...]:
     """Formulas that belong to no minimal unsatisfiable subset."""
-    satisfiable = _solver_satisfiable(kb, Budget.of(budget))
-    index_sets = _mis_index_sets(kb, satisfiable)
+    index_sets = _mis_index_sets(kb, lambda: root_vectors(kb, budget=budget))
     bound = set().union(*index_sets) if index_sets else set()
     return tuple(f for i, f in enumerate(kb.formulas) if i not in bound)
 
@@ -224,17 +202,25 @@ def run_measures(
     run = MeasureRun()
     warnings: list[str] = []
 
-    satisfiable = (
-        _oracle_satisfiable(kb, oracle_cell_cap)
-        if use_oracle
-        else _solver_satisfiable(kb, budget)
-    )
+    vectors: Collection[int] | None = None
+
+    def need_vectors() -> Collection[int]:
+        nonlocal vectors
+        if vectors is None:
+            if use_oracle:
+                from .oracle import oracle_root_vectors
+
+                vectors = oracle_root_vectors(kb, cell_cap=oracle_cell_cap)
+            else:
+                vectors = root_vectors(kb, budget=budget)
+        return vectors
+
     index_sets: list[frozenset[int]] | None = None
 
     def need_mis() -> list[frozenset[int]]:
         nonlocal index_sets
         if index_sets is None:
-            index_sets = _mis_index_sets(kb, satisfiable)
+            index_sets = _mis_index_sets(kb, need_vectors)
         return index_sets
 
     oracle_costs: dict[str, tuple[int | float, Interpretation3 | None]] | None = None
@@ -256,7 +242,7 @@ def run_measures(
             if mid not in requested:
                 continue
             if mid == "d":
-                run.values[mid] = 0 if satisfiable((1 << len(kb.formulas)) - 1) else 1
+                run.values[mid] = int((1 << len(kb.formulas)) - 1 not in need_vectors())
             elif mid == "MI":
                 run.values[mid] = len(need_mis())
             elif mid == "p":

@@ -24,9 +24,9 @@ The formulas are evaluated by one walk over the base's node table
 (:attr:`ltlim.formula.KnowledgeBase.table`, the table the solver also
 reads), in table order.  A node's values are one array per state, and
 each spans only the axes of the states it depends on: an atom's values
-at t_i span axis i, ``X`` shifts the list by one state, and the
-connectives are numpy's min, max and ``2 - v``, broadcast.  Until uses
-the backward recurrence
+at t_i span axis i, ``X`` shifts the list by one state, ``&`` is numpy's
+min, broadcast, and a negated edge reads its node's values as ``2 - v``.
+Until uses the backward recurrence
 
     u(m) = 0,   u(i) = min(left(i), max(right(i+1), u(i+1)))
 
@@ -37,7 +37,10 @@ the search: it has its own enumeration and its own evaluation step, and
 the compilation is checked on its own.
 
 The admissible models are a boolean mask over the whole space: every
-root designated at t_0, and no ground cell at B.  A base is enumerated
+root designated at t_0, and no ground cell at B.  The subset measures
+read one two-valued enumeration of the whole base instead
+(:func:`oracle_root_vectors`): the set of the formulas' truth vectors at
+t_0, which answers every subset at once.  A base is enumerated
 once for all of its cost measures (:func:`oracle_min_costs`): each cost
 is a sum of B indicators, per state for ``LTL_d`` and ``LTL_c`` and per
 atom for ``c``, built by broadcasting the cells' B indicators.  No space
@@ -61,6 +64,7 @@ __all__ = [
     "oracle_min_cost",
     "oracle_min_costs",
     "oracle_minimal_conflict_bases",
+    "oracle_root_vectors",
     "oracle_sat2",
 ]
 
@@ -113,38 +117,34 @@ def _walk(table: list[_Node], cells: list[_Values]) -> Iterator[tuple[int, _Valu
 
     ``cells`` holds the atoms' values, as :func:`_cells` gives them, and
     a node's values are one array per state, broadcastable over the
-    space; they may share memory with the cells or with another node's,
-    so they are read-only.  The walk keeps a node's values only until
-    the last node that reads them, so callers that need them longer
-    keep them themselves.
+    space; a negated edge reads them as ``2 - v``.  They may share
+    memory with the cells or with another node's, so they are
+    read-only.  The walk keeps a node's values only until the last node
+    that reads them, so callers that need them longer keep them
+    themselves.
     """
     m = len(cells) - 1
-    children = [
-        () if op in ("atom", "true", "false") else {x, y} - {-1}
-        for op, x, y in table
-    ]
+    children = [() if op in ("atom", "true") else {x >> 1, y >> 1} - {-1} for op, x, y in table]
     last_reader = list(range(len(table)))
     for node, read in enumerate(children):
         for child in read:
             last_reader[child] = node
     values: dict[int, _Values] = {}
+
+    def edge(e: int) -> _Values:
+        return [_TRUE - v for v in values[e >> 1]] if e & 1 else values[e >> 1]
+
     for node, (op, x, y) in enumerate(table):
         if op == "atom":
             out = [state[x] for state in cells]
         elif op == "true":
             out = [_TRUE] * (m + 1)
-        elif op == "false":
-            out = [_FALSE] * (m + 1)
-        elif op == "!":
-            out = [_TRUE - v for v in values[x]]
         elif op == "&":
-            out = list(map(np.minimum, values[x], values[y]))
-        elif op == "|":
-            out = list(map(np.maximum, values[x], values[y]))
+            out = list(map(np.minimum, edge(x), edge(y)))
         elif op == "X":
-            out = values[x][1:] + [_FALSE]
+            out = edge(x)[1:] + [_FALSE]
         else:
-            left, right = values[x], values[y]
+            left, right = edge(x), edge(y)
             out = [_FALSE] * (m + 1)
             for i in range(m - 1, -1, -1):
                 out[i] = np.minimum(left[i], np.maximum(right[i + 1], out[i + 1]))
@@ -154,6 +154,20 @@ def _walk(table: list[_Node], cells: list[_Values]) -> Iterator[tuple[int, _Valu
         if last_reader[node] > node:
             values[node] = out
         yield node, out
+
+
+def _designated(kb: KnowledgeBase, cells: list[_Values]) -> Iterator[tuple[int, np.ndarray]]:
+    """Each formula's index and where over the space it is designated at
+    t_0, yielded as the walk reaches its root, so that no root's values
+    outlive their last reader.  A negated root is designated where its
+    node is at most B."""
+    table, roots = kb.table
+    formulas: dict[int, list[int]] = {}
+    for index, root in enumerate(roots):
+        formulas.setdefault(root >> 1, []).append(index)
+    for node, values in _walk(table, cells):
+        for index in formulas.get(node, ()):
+            yield index, values[0] <= 1 if roots[index] & 1 else values[0] >= 1
 
 
 def _model_space(
@@ -176,16 +190,33 @@ def _model_space(
     # With no atoms the space is one point and gets no axes, however
     # long the trace: numpy allows only a few dozen axes.
     mask = np.ones((len(lut) ** len(atoms),) * (m + 1) if atoms else (), dtype=bool)
-    table, roots = kb.table
-    # Fold each root in as the walk yields it, so that no root's values
-    # outlive their last reader.
-    for node, values in _walk(table, cells):
-        if node in roots:
-            mask &= values[0] >= 1
+    for _, designated in _designated(kb, cells):
+        mask &= designated
     if not two_valued:
         for state, atom in kb.ground_cells:
             mask &= cells[state][atoms.index(atom)] != _BOTH
     return atoms, cells, mask
+
+
+def oracle_root_vectors(kb: KnowledgeBase, *, cell_cap: int = DEFAULT_CELL_CAP) -> set[int]:
+    """The truth vectors of the formulas at t_0, from one enumeration of
+    the two-valued interpretations that serves every subset of them.
+
+    Bit j of a vector is set when ``kb.formulas[j]`` is designated, as
+    in :func:`ltlim.solver.root_vectors`, so a subset is classically
+    satisfiable iff some vector has all of its bits set.  The bits are
+    packed 64 formulas to a uint64 word, each word spanning only the
+    axes its formulas read, and each distinct row of words becomes one
+    Python int.
+    """
+    m, atoms = kb.trace_length_m, kb.atoms()
+    _check_cap((m + 1) * len(atoms), cell_cap)
+    words = [np.uint64(0)] * (len(kb.formulas) // 64 + 1)
+    for index, designated in _designated(kb, _cells(m, len(atoms), _LUT2)):
+        bit = designated.astype(np.uint64) << np.uint64(index % 64)
+        words[index // 64] = words[index // 64] | bit
+    rows = set(zip(*(word.ravel().tolist() for word in np.broadcast_arrays(*words))))
+    return {sum(word << 64 * i for i, word in enumerate(row)) for row in rows}
 
 
 def _row_interpretation(

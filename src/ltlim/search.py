@@ -12,12 +12,15 @@ some completion of the partial assignment, at each state, as three
 Python ints over the states t_0..t_m: bit m - s of the first is set
 when the value at t_s can be 0, of the second when it can be B, and of
 the third when it can be 1, so t_0 is the top bit and t_m is bit 0.
-Assigning a cell clears bits of its atom's three ints, and backtracking
-sets them again.  Before each status the nodes above the atoms whose
-cells changed since the last one, and only those, are recomputed in
-table order, with a few bitwise operations each: ``!`` swaps the 0 and
-1 bitsets, ``X`` is a shift, and ``U`` solves each of its three carry
-chains with one integer addition.  Every node records the atoms below
+Negation swaps 0 and 1 and keeps B, and the table has no ``!`` nodes:
+a negation is the low bit of an edge.  So the search keeps one can-be-0
+int per edge, whose negated edge's int is the can-be-1 plane, and one
+can-be-B int per node.  Assigning a cell clears bits of its atom's
+ints, and backtracking sets them again.  Before each status the nodes
+above the atoms whose cells changed since the last one, and only those,
+are recomputed in table order, with a few bitwise operations each:
+``X`` is a shift, and ``U`` solves each of its three carry chains with
+one integer addition.  Every node records the atoms below
 it (:attr:`ltlim.formula.KnowledgeBase.atoms_below`), and the search
 keeps the nodes to recompute for each set of changed atoms it meets.
 These are the exact images of the connectives on value sets, computed
@@ -164,14 +167,14 @@ def _evaluate(
     nodes: Iterable[int],
     f: list[int],
     b: list[int],
-    t: list[int],
     m: int,
 ) -> None:
     """Recompute the value sets of ``nodes``, which run in table order.
 
-    ``f[n]``, ``b[n]`` and ``t[n]`` are node n's can-be-0, can-be-B and
-    can-be-1 bitsets over the states t_0..t_m.  Bit m - s stands for
-    t_s: t_0 is the top bit and t_m is bit 0, so that a value flows
+    ``f[e]`` is edge e's can-be-0 bitset over the states t_0..t_m, so
+    ``f[e ^ 1]``, its negation's, is its can-be-1 bitset; ``b[n]`` is
+    the can-be-B bitset that node n's two edges share.  Bit m - s stands
+    for t_s: t_0 is the top bit and t_m is bit 0, so that a value flows
     from t_{s+1} to t_s towards the higher bits, the way a carry does.
     Nodes not listed, the atom leaves among them, are read, never
     written; each listed node's children must be up to date.
@@ -187,29 +190,23 @@ def _evaluate(
     full = (2 << m) - 1
     for node in nodes:
         op, x, y = table[node]
-        if op == "!":
-            f[node], b[node], t[node] = t[x], b[x], f[x]
-        elif op == "&":
-            lb, lt, rb, rt = b[x], t[x], b[y], t[y]
-            f[node] = f[x] | f[y]
+        edge = 2 * node
+        if op == "&":
+            lb, lt, rb, rt = b[x >> 1], f[x ^ 1], b[y >> 1], f[y ^ 1]
+            f[edge] = f[x] | f[y]
             b[node] = (lb & (rb | rt)) | (rb & (lb | lt))
-            t[node] = lt & rt
-        elif op == "|":
-            lf, lb, rf, rb = f[x], b[x], f[y], b[y]
-            f[node] = lf & rf
-            b[node] = (lb & (rb | rf)) | (rb & (lb | lf))
-            t[node] = t[x] | t[y]
+            f[edge + 1] = lt & rt
         elif op == "X":
-            f[node] = ((f[x] << 1) & full) | 1
-            b[node] = (b[x] << 1) & full
-            t[node] = (t[x] << 1) & full
+            f[edge] = ((f[x] << 1) & full) | 1
+            b[node] = (b[x >> 1] << 1) & full
+            f[edge + 1] = (f[x ^ 1] << 1) & full
         elif op == "U":
             # The right child and v itself are read at t_{s+1}: one bit
             # lower, hence a left shift.  Only the 0-plane's propagate
             # bits can spill past t_0; every other g and p is masked by
             # a plane of the left child.
-            lb, lt = b[x], t[x]
-            rf, rb, rt = (f[y] << 1) & full, b[y] << 1, t[y] << 1
+            lb, lt = b[x >> 1], f[x ^ 1]
+            rf, rb, rt = (f[y] << 1) & full, b[y >> 1] << 1, f[y ^ 1] << 1
             g, p = f[x] | 1, rf
             vf = (((g | p) + g) ^ (p & ~g)) >> 1
             g, p = lt & rt, lt
@@ -218,11 +215,10 @@ def _evaluate(
             g = (lb & (rt | (vt << 1))) | (lbt & rb & (vf << 1))
             p = lbt & (rb | rf)
             b[node] = (((g | p) + g) ^ (p & ~g)) >> 1
-            f[node], t[node] = vf, vt
-        elif op == "true":
-            f[node], b[node], t[node] = 0, 0, full
-        elif op == "false":
-            f[node], b[node], t[node] = full, 0, 0
+            f[edge], f[edge + 1] = vf, vt
+        else:
+            # true: atoms are never listed.
+            f[edge], b[node], f[edge + 1] = 0, 0, full
 
 
 class _Search:
@@ -285,20 +281,12 @@ class _Search:
         self.top = 1 << self.m
         # Every cell starts open: it can be 0 or 1, and B where b_ok.
         full = (2 << self.m) - 1
-        self.f = [full] * len(self.table)
+        self.f = [full] * (2 * len(self.table))
         self.b = [0] * len(self.table)
-        self.t = [full] * len(self.table)
         for index, (_, atom) in enumerate(self.cells):
             if self.b_ok[index]:
                 self.b[atom] |= self.cell_bit[index]
-        _evaluate(
-            self.table,
-            range(len(self.atoms), len(self.table)),
-            self.f,
-            self.b,
-            self.t,
-            self.m,
-        )
+        _evaluate(self.table, range(len(self.atoms), len(self.table)), self.f, self.b, self.m)
         # Later evaluations recompute only the nodes above the atoms
         # whose cells changed since the last one: the dirty atoms, as a
         # mask, and for each mask met so far its nodes in table order.
@@ -307,7 +295,7 @@ class _Search:
 
     def _status(self) -> str:
         """"dead", "decided", or "open" for the current partial assignment."""
-        f, b, t = self.f, self.b, self.t
+        f, b = self.f, self.b
         dirty = self.dirty
         cone = self.cones.get(dirty)
         if cone is None:
@@ -317,12 +305,12 @@ class _Search:
                 for node in range(len(self.atoms), len(self.table))
                 if below[node] & dirty
             ]
-        _evaluate(self.table, cone, f, b, t, self.m)
+        _evaluate(self.table, cone, f, b, self.m)
         self.dirty = 0
         top = self.top
         decided = True
         for root in self.roots:
-            if not (b[root] | t[root]) & top:
+            if not (b[root >> 1] | f[root ^ 1]) & top:
                 return "dead"
             if f[root] & top:
                 decided = False
@@ -374,14 +362,14 @@ class _Search:
             self.dirty |= 1 << atom
             drop = ~self.cell_bit[index]
             if value is TruthValue3.TRUE:
-                self.f[atom] &= drop
+                self.f[2 * atom] &= drop
                 self.b[atom] &= drop
             elif value is TruthValue3.FALSE:
                 self.b[atom] &= drop
-                self.t[atom] &= drop
+                self.f[2 * atom + 1] &= drop
             else:
-                self.f[atom] &= drop
-                self.t[atom] &= drop
+                self.f[2 * atom] &= drop
+                self.f[2 * atom + 1] &= drop
                 self.state_b_count[state] += 1
             return True
         return False
@@ -393,8 +381,8 @@ class _Search:
         if self.assignment[index] is TruthValue3.BOTH:
             self.state_b_count[state] -= 1
         self.assignment[index] = None
-        self.f[atom] |= bit
-        self.t[atom] |= bit
+        self.f[2 * atom] |= bit
+        self.f[2 * atom + 1] |= bit
         if self.b_ok[index]:
             self.b[atom] |= bit
 

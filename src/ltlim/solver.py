@@ -192,17 +192,18 @@ def _root_pass(kb: KnowledgeBase, choices: _Choices, budget: Budget) -> _Pass:
     whose least total cost is c.
 
     The pass walks the states from t_m back to t_0.  A value is the pair
-    (can be 1, can be 0), B being (1, 1), so ``!`` swaps it and ``&``
-    and ``|`` are exact on it.  A state t_i reads t_{i+1} off a key: for
-    reader p of r, an ``X`` node (its child) or a ``U`` node (``right |
-    U``), bit p says the value can be 1 and bit r + p that it is B; past
-    t_m the key is 0.  For each choice and each distinct key the table
-    is evaluated over all 2^k assignments of the k atoms the choice
-    enumerates at the state, many at once: each rail is an int with one
-    bit per assignment.  Inside the state an ``X`` node is its key value
-    and a ``U`` node is its left child and its key value.  The keys this
-    state hands to t_{i-1} are deduplicated, each with its least cost,
-    so the pass is linear in m and exponential in k.
+    (can be 1, can be 0), B being (1, 1), and ``&`` is exact on it.  The
+    pair of an edge is its can-be-1 rail and its negation's, since a
+    negated edge swaps the pair.  A state t_i reads t_{i+1} off a key:
+    for reader p of r, an ``X`` node (its child) or a ``U`` node
+    (``right | U``), bit p says the value can be 1 and bit r + p that it
+    is B; past t_m the key is 0.  For each choice and each distinct key
+    the table is evaluated over all 2^k assignments of the k atoms the
+    choice enumerates at the state, many at once: each rail is an int
+    with one bit per assignment.  Inside the state an ``X`` node is its
+    key value and a ``U`` node is its left child and its key value.  The
+    keys this state hands to t_{i-1} are deduplicated, each with its
+    least cost, so the pass is linear in m and exponential in k.
 
     The pass costs 2^k units per choice, key and assignment, and raises
     :class:`BudgetExceededError` as soon as the keys expanded and the
@@ -245,14 +246,16 @@ def _root_pass(kb: KnowledgeBase, choices: _Choices, budget: Budget) -> _Pass:
     if marked:
         free[:m] = [options(state) for state in range(m)]
         steps = [sum([1 << len(enumerated) for _, enumerated in row]) for row in free]
-    program = [(node, *table[node]) for node in range(len(atoms), len(table))]
-    # Reader p hands on a | b: X's child, or U's right child and U itself.
+    program = [(2 * node, *table[node]) for node in range(len(atoms), len(table))]
+    # Reader p hands on the edges a | b: X's child, or U's right child
+    # and U itself.
     readers = [
-        (i, y, i) if op == "U" else (i, x, x) for i, op, x, y in program if op in ("X", "U")
+        (e, y, e) if op == "U" else (e, x, x) for e, op, x, y in program if op in ("X", "U")
     ]
-    high = {node: 1 << p for p, (node, _, _) in enumerate(readers)}
-    both = {node: bit << len(readers) for node, bit in high.items()}
-    one, zero = [0] * len(table), [0] * len(table)
+    high = {edge: 1 << p for p, (edge, _, _) in enumerate(readers)}
+    both = {edge: bit << len(readers) for edge, bit in high.items()}
+    # one[e]: edge e can be 1; one[e ^ 1]: it can be 0.
+    one = [0] * (2 * len(table))
     # levels[c]: the keys, and at last the vectors, of least cost c.
     levels: list[set[int]] = [{0}]
     current = None
@@ -267,10 +270,10 @@ def _root_pass(kb: KnowledgeBase, choices: _Choices, budget: Budget) -> _Pass:
                 current = enumerated
                 inner = min(len(enumerated), _PARALLEL_ATOMS)
                 full = (1 << (1 << inner)) - 1
-                one[: len(atoms)] = zero[: len(atoms)] = [full] * len(atoms)
+                one[: 2 * len(atoms)] = [full] * (2 * len(atoms))
                 for i, atom in enumerate(enumerated[:inner]):
-                    one[atom] = full // ((1 << (1 << i)) + 1) << (1 << i)
-                    zero[atom] = full ^ one[atom]
+                    one[2 * atom] = full // ((1 << (1 << i)) + 1) << (1 << i)
+                    one[2 * atom + 1] = full ^ one[2 * atom]
             step = 1 << len(enumerated)
             while len(handed) < len(levels) + price:
                 handed.append(set())
@@ -280,32 +283,30 @@ def _root_pass(kb: KnowledgeBase, choices: _Choices, budget: Budget) -> _Pass:
                     work += step
                     for block in range(step >> inner):
                         for i in range(inner, len(enumerated)):
-                            one[enumerated[i]] = full if block >> (i - inner) & 1 else 0
-                            zero[enumerated[i]] = full ^ one[enumerated[i]]
+                            atom = 2 * enumerated[i]
+                            one[atom] = full if block >> (i - inner) & 1 else 0
+                            one[atom + 1] = full ^ one[atom]
                         # X and U read the key: 0 unless it can be 1, B if marked.
-                        for node, op, x, y in program:
-                            if op == "!":
-                                one[node], zero[node] = zero[x], one[x]
+                        for edge, op, x, y in program:
+                            if op == "&":
+                                one[edge], one[edge + 1] = one[x] & one[y], one[x ^ 1] | one[y ^ 1]
                             elif op == "U":
-                                if key & high[node]:
-                                    one[node] = one[x]
-                                    zero[node] = full if key & both[node] else zero[x]
+                                if key & high[edge]:
+                                    one[edge] = one[x]
+                                    one[edge + 1] = full if key & both[edge] else one[x ^ 1]
                                 else:
-                                    one[node], zero[node] = 0, full
-                            elif op == "|":
-                                one[node], zero[node] = one[x] | one[y], zero[x] & zero[y]
-                            elif op == "&":
-                                one[node], zero[node] = one[x] & one[y], zero[x] | zero[y]
+                                    one[edge], one[edge + 1] = 0, full
                             elif op == "X":
-                                one[node] = full if key & high[node] else 0
-                                zero[node] = 0 if one[node] and not key & both[node] else full
-                            else:
-                                one[node], zero[node] = (full, 0) if op == "true" else (0, full)
+                                one[edge] = full if key & high[edge] else 0
+                                one[edge + 1] = 0 if one[edge] and not key & both[edge] else full
+                            else:  # true
+                                one[edge], one[edge + 1] = full, 0
                         if state:
                             rows = [one[a] | one[b] for _, a, b in readers]
                             if marked:
                                 rows += [
-                                    r & zero[a] & zero[b] for r, (_, a, b) in zip(rows, readers)
+                                    r & one[a ^ 1] & one[b ^ 1]
+                                    for r, (_, a, b) in zip(rows, readers)
                                 ]
                             out |= _columns(rows, full)
                         else:

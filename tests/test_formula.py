@@ -174,6 +174,29 @@ def reference_expand(formula, mode):
     )
 
 
+def read_back(formula, negated=False):
+    """A core formula in the normal form that the compiled table reads
+    back, with ``negated`` for a negation above it: negations move onto
+    the edges of & (De Morgan, with | as !(!phi & !psi)), cancel in
+    pairs, and turn true into false and back."""
+    kind = type(formula)
+    if kind is Not:
+        return read_back(formula.operand, not negated)
+    if kind in (TrueConst, FalseConst):
+        return FALSE if (kind is TrueConst) == negated else TRUE
+    if kind in (And, Or):
+        # & under an even number of negations stays &; | is a negated &.
+        sides = (read_back(formula.left, negated), read_back(formula.right, negated))
+        return (And if (kind is And) != negated else Or)(*sides)
+    if kind is Atom:
+        core = formula
+    elif kind is Next:
+        core = Next(read_back(formula.operand))
+    else:
+        core = Until(read_back(formula.left), read_back(formula.right))
+    return Not(core) if negated else core
+
+
 @pytest.mark.parametrize("mode", list(GMode))
 def test_expansion_matches_the_clause_by_clause_reference(mode):
     rng = random.Random(13)
@@ -183,9 +206,28 @@ def test_expansion_matches_the_clause_by_clause_reference(mode):
             for _ in range(rng.randint(1, 3))
         ]
         for formula in formulas:
-            assert expand_derived(formula, mode) == reference_expand(formula, mode)
+            expected = read_back(reference_expand(formula, mode))
+            assert expand_derived(formula, mode) == expected
         kb = KnowledgeBase(tuple(formulas), 3, g_mode=mode)
-        assert kb.core_formulas == tuple(reference_expand(f, mode) for f in kb.formulas)
+        assert kb.core_formulas == tuple(
+            read_back(reference_expand(f, mode)) for f in kb.formulas
+        )
+
+
+def test_the_read_back_is_a_normal_form_that_keeps_the_derived_forms():
+    for mode in GMode:
+        always = Not(Until(TRUE, Not(a)))
+        assert expand_derived(Finally(a), mode) == Until(TRUE, a)
+        assert expand_derived(Globally(a), mode) == (
+            And(a, always) if mode is GMode.REFLEXIVE else always
+        )
+        assert expand_derived(Implies(a, b), mode) == Or(Not(a), b)
+    assert expand_derived(Not(And(a, Next(b)))) == Or(Not(a), Not(Next(b)))
+    assert expand_derived(Not(Or(a, b))) == And(Not(a), Not(b))
+    assert expand_derived(Not(Not(Next(a)))) == Next(a)
+    assert expand_derived(Not(TRUE)) == FALSE
+    assert expand_derived(Not(FALSE)) == TRUE
+    assert expand_derived(Not(Until(a, b))) == Not(Until(a, b))
 
 
 def _core_kinds_only(formula):

@@ -132,6 +132,14 @@ def test_empty_base_measures_to_zero():
     assert all(v == 0 for v in values.values())
 
 
+def test_the_subset_family_of_an_empty_base_reads_no_pass():
+    # No subset is tested, so the truth vectors are never read, and the
+    # run charges nothing, as when the family tested subsets one by one.
+    run = run_measures(KnowledgeBase(formulas=(), trace_length_m=3), ("MI", "p", "r", "at"))
+    assert run.values == dict.fromkeys(("MI", "p", "r", "at"), 0)
+    assert run.nodes == 0
+
+
 def test_glut_atoms_measure_on_iceberg():
     iceberg = kb_of("a & (! a) & b", "! b")
     assert measure(iceberg, "c") == 2

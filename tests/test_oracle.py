@@ -142,8 +142,10 @@ def assert_walk_matches_eval3(kb: KnowledgeBase) -> None:
         assert len(got) == m + 1
         # Every state's values broadcast over the whole space.
         flat = [np.broadcast_to(v, mask.shape).ravel() for v in got]
-        if node in roots:
-            values[node] = flat
+        # A root is an edge: a negated one reads its node's values as 2 - v.
+        for root in roots:
+            if root >> 1 == node:
+                values[root] = [2 - v if root & 1 else v for v in flat]
     formulas = dict(zip(roots, kb.core_formulas))
     for row in range(mask.size):
         nu = oracle._row_interpretation(atoms, m, oracle._LUT3, row)
@@ -164,10 +166,11 @@ def test_eval_vec_matches_eval3_at_every_row_and_state(seed):
 def test_table_walk_matches_eval3_on_a_shared_operand():
     kb = KnowledgeBase.of("G (a | X b)", "F (a & b)", m=2, g_mode=GMode.REFLEXIVE)
     table, _ = kb.table
-    # The reflexive G reads its operand in the conjunction and under the
-    # negation of the until.
-    operand = table.index(("|", 0, table.index(("X", 1, -1))))
-    assert sum(operand in (x, y) for op, x, y in table if op != "atom") == 2
+    # The reflexive G reads its operand in the conjunction and, negated,
+    # under the until.  The operand a | X b is !(!a & !X b): edges are
+    # 2 * node + negated.
+    operand = table.index(("&", 1, 2 * table.index(("X", 2, -1)) + 1))
+    assert sum(operand in (x >> 1, y >> 1) for op, x, y in table if op != "atom") == 2
     assert_walk_matches_eval3(kb)
 
 

@@ -29,7 +29,9 @@ from ltlim.formula import (
 from ltlim.generators import random_interpretation, random_kb
 from ltlim.declare import load_declare, translate_model
 from ltlim.measures import MEASURE_IDS, run_measures
-from ltlim.oracle import oracle_min_cost, oracle_minimal_conflict_bases, oracle_sat2
+from ltlim.oracle import (
+    oracle_min_cost, oracle_minimal_conflict_bases, oracle_root_vectors, oracle_sat2
+)
 from ltlim.postulates import Postulate, sweep
 from ltlim.search import _evaluate
 from ltlim.semantics import SignatureMismatchError, TruthValue3, eval3, satisfies3
@@ -47,6 +49,7 @@ from ltlim.solver import (
     minimize,
     root_vectors,
 )
+from test_formula import read_back
 
 INF = float("inf")
 
@@ -368,36 +371,37 @@ def random_core_formulas(rng: random.Random, atoms: tuple[str, ...]) -> list[For
 
 
 def table_formulas(table) -> list[Formula]:
-    """The formula each node of a compiled table stands for."""
+    """The formula each edge of a compiled table stands for, edge
+    2 * node + negated, read back as the base's core formulas are
+    (:func:`test_formula.read_back`)."""
     rebuilt: list[Formula] = []
     for op, x, y in table:
         if op == "atom":
-            rebuilt.append(Atom(ATOMS[x]))
+            rebuilt += (Atom(ATOMS[x]), Not(Atom(ATOMS[x])))
         elif op == "true":
-            rebuilt.append(TRUE)
-        elif op == "false":
-            rebuilt.append(FALSE)
-        elif op in ("!", "X"):
-            rebuilt.append({"!": Not, "X": Next}[op](rebuilt[x]))
+            rebuilt += (TRUE, FALSE)
+        elif op == "&":
+            rebuilt += (And(rebuilt[x], rebuilt[y]), Or(rebuilt[x ^ 1], rebuilt[y ^ 1]))
         else:
-            rebuilt.append({"&": And, "|": Or, "U": Until}[op](rebuilt[x], rebuilt[y]))
+            node = Next(rebuilt[x]) if op == "X" else Until(rebuilt[x], rebuilt[y])
+            rebuilt += (node, Not(node))
     return rebuilt
 
 
 def kernel_sets(table, leaf_masks: dict[str, list[int]], m: int):
-    """Run the kernel with the atom leaves set from per-state masks.
+    """Run the kernel with the atom leaves set from per-state masks, and
+    return the can-be-0, can-be-B and can-be-1 bitsets of every edge.
 
     The kernel keeps state t_s at bit m - s of each bitset.
     """
-    size = len(table)
-    f, b, t = [0] * size, [0] * size, [0] * size
+    f, b = [0] * (2 * len(table)), [0] * len(table)
     for atom, name in enumerate(ATOMS):
         for state, mask in enumerate(leaf_masks[name]):
-            f[atom] |= (mask & _MASK_F) << (m - state)
+            f[2 * atom] |= (mask & _MASK_F) << (m - state)
             b[atom] |= ((mask & _MASK_B) >> 1) << (m - state)
-            t[atom] |= ((mask & _MASK_T) >> 2) << (m - state)
-    _evaluate(table, range(len(ATOMS), len(table)), f, b, t, m)
-    return f, b, t
+            f[2 * atom + 1] |= ((mask & _MASK_T) >> 2) << (m - state)
+    _evaluate(table, range(len(ATOMS), len(table)), f, b, m)
+    return f, [b[edge >> 1] for edge in range(len(f))], [f[edge ^ 1] for edge in range(len(f))]
 
 
 @pytest.mark.parametrize("seed", range(260))
@@ -422,7 +426,7 @@ def check_kernel_against_the_reference(seed: int, m: int, run: int = 1) -> None:
     formulas = random_core_formulas(rng, ATOMS[: rng.randint(1, 3)])
     table, roots = _compile(tuple(formulas), ATOMS)
     rebuilt = table_formulas(table)
-    assert [rebuilt[root] for root in roots] == formulas
+    assert [rebuilt[root] for root in roots] == [read_back(f) for f in formulas]
     assert len(set(table)) == len(table)
 
     leaf_masks = {}
@@ -431,16 +435,16 @@ def check_kernel_against_the_reference(seed: int, m: int, run: int = 1) -> None:
         leaf_masks[a] = [draws[s // run] for s in range(m + 1)]
     f, b, t = kernel_sets(table, leaf_masks, m)
     memo: dict[int, list[int]] = {}
-    for node, formula in enumerate(rebuilt):
+    for edge, formula in enumerate(rebuilt):
         expected = _abstract_eval(formula, leaf_masks, m, memo)
         got = [
-            (f[node] >> (m - s) & 1)
-            | (b[node] >> (m - s) & 1) << 1
-            | (t[node] >> (m - s) & 1) << 2
+            (f[edge] >> (m - s) & 1)
+            | (b[edge] >> (m - s) & 1) << 1
+            | (t[edge] >> (m - s) & 1) << 2
             for s in range(m + 1)
         ]
-        assert got == expected, (node, table[node])
-        assert max(f[node], b[node], t[node]) < 1 << (m + 1)
+        assert got == expected, (edge, table[edge >> 1])
+        assert max(f[edge], b[edge], t[edge]) < 1 << (m + 1)
 
     nu = random_interpretation(rng, ATOMS, m)
     singletons = {
@@ -462,9 +466,9 @@ class CheckedSearch(ltlim.solver._Search):
 
     def _status(self) -> str:
         status = super()._status()
-        f, b, t = list(self.f), list(self.b), list(self.t)
-        _evaluate(self.table, range(len(self.atoms), len(self.table)), f, b, t, self.m)
-        assert (f, b, t) == (self.f, self.b, self.t), self.nodes
+        f, b = list(self.f), list(self.b)
+        _evaluate(self.table, range(len(self.atoms), len(self.table)), f, b, self.m)
+        assert (f, b) == (self.f, self.b), self.nodes
         self.statuses += 1
         return status
 
@@ -501,11 +505,11 @@ def test_incremental_evaluation_equals_a_full_one(seed, cost):
 
 
 def test_the_incremental_check_catches_an_atom_missing_from_a_mask(monkeypatch):
-    kb = KnowledgeBase.of("! a", "b", m=2)
+    kb = KnowledgeBase.of("X a", "b", m=2)
     below = list(kb.atoms_below)
-    _, (negation, _) = kb.table
-    assert below[negation] == 0b01
-    below[negation] = 0
+    _, (next_edge, _) = kb.table
+    assert below[next_edge >> 1] == 0b01
+    below[next_edge >> 1] = 0
     monkeypatch.setattr(KnowledgeBase, "atoms_below", property(lambda _: below))
     with pytest.raises(AssertionError):
         run_checked(kb, CostMode.CONFLICT_BASE, 0, False)
@@ -552,8 +556,9 @@ def test_compile_walks_deep_formulas_without_recursion():
     for _ in range(20_000):
         deep = Not(Next(deep))
     table, roots = _compile((deep, Atom("a")), ("a",))
-    assert len(table) == 40_001
-    assert roots == [40_000, 0]
+    # The atom and 20,000 X nodes; each negation is the bit of an edge.
+    assert len(table) == 20_001
+    assert roots == [2 * 20_000 + 1, 0]
 
 
 def test_compile_expands_derived_connectives_and_rejects_foreign_atoms():
@@ -563,13 +568,55 @@ def test_compile_expands_derived_connectives_and_rejects_foreign_atoms():
         (GMode.STRICT, Finally(a), Until(TRUE, a)),
         (GMode.STRICT, Globally(a), always),
         (GMode.REFLEXIVE, Globally(a), And(a, always)),
-        (GMode.STRICT, Implies(TRUE, a), Or(Not(TRUE), a)),
+        # !true reads back as false.
+        (GMode.STRICT, Implies(TRUE, a), Or(FALSE, a)),
     ]:
         table, roots = _compile((And(a, derived),), ("a",), mode)
         assert table_formulas(table)[roots[0]] == And(a, core)
         assert expand_derived(And(a, derived), mode) == And(a, core)
     with pytest.raises(SignatureMismatchError):
         _compile((Or(Atom("a"), Atom("z")),), ("a",))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_table_holds_five_opcodes_and_negation_lives_on_edges(seed):
+    kb = pass_kb(seed)
+    table, roots = kb.table
+    assert {op for op, _, _ in table} <= {"atom", "true", "&", "X", "U"}
+    # Every child and root is an edge, 2 * node + negated, to an earlier node.
+    for node, (op, x, y) in enumerate(table):
+        if op in ("&", "X", "U"):
+            assert all(edge >> 1 < node for edge in (x, y) if edge >= 0)
+    assert all(root >> 1 < len(table) for root in roots)
+
+
+def test_double_negation_and_de_morgan_share_nodes():
+    kb = KnowledgeBase.of("X !!a", "X a", "a | b", "!(!a & !b)", m=2)
+    table, roots = kb.table
+    assert roots[0] == roots[1] and roots[2] == roots[3]
+    assert [op for op, _, _ in table].count("X") == 1
+    assert [op for op, _, _ in table].count("&") == 1
+    assert table[roots[2] >> 1] == ("&", 1, 3) and roots[2] & 1
+
+
+def test_oracle_root_vectors_equal_the_pass():
+    small = [pass_kb(seed) for seed in range(80)]
+    small = [kb for kb in small if (kb.trace_length_m + 1) * len(kb.atoms()) <= 12]
+    assert len(small) >= 40
+    rng = random.Random(64)
+    many: dict[Formula, None] = {}
+    while len(many) < 70:
+        many.update(dict.fromkeys(random_core_formulas(rng, ("a", "b"))))
+    wide = KnowledgeBase(tuple(many), 2)
+    for kb in small + [
+        KnowledgeBase.of("true", "X false", "!(true U true)", m=3),
+        KnowledgeBase((), 3),
+        wide,
+    ]:
+        assert oracle_root_vectors(kb) == root_vectors(kb), kb
+    # Past 64 formulas a vector spans two words, and both vary.
+    vectors = oracle_root_vectors(wide)
+    assert len({v >> 64 for v in vectors}) > 1 and len({v & (1 << 64) - 1 for v in vectors}) > 1
 
 
 def pass_kb(seed: int) -> KnowledgeBase:
