@@ -74,12 +74,18 @@ class MisCapExceeded(ValueError):
 def _mis_index_sets(
     kb: KnowledgeBase, vectors: Callable[[], Collection[int]]
 ) -> list[frozenset[int]]:
-    """The minimal unsatisfiable subsets, as index sets, smallest first.
+    """The minimal unsatisfiable subsets, as index sets, by size, then
+    by position.
 
     A subset is satisfiable iff some truth vector of ``vectors()`` has
-    all of its bits set.  The vectors are read once the base is known to
-    be within the cap, and not at all for an empty base, which has no
-    subset to test.
+    all of its bits set.  So the vectors, and the empty subset, are
+    marked in a table of 2^n marks, one per subset of the n formulas,
+    and the marks are closed downward; a subset is then minimal
+    unsatisfiable when it is unmarked and every subset one formula
+    smaller is marked.  The table is one int, bit s marking subset s, so
+    that a step of the closure handles every subset at once.  The
+    vectors are read once the base is known to be within the cap, and
+    not at all for an empty base, which has no subset to test.
     """
     formulas = kb.formulas
     if len(formulas) > DEFAULT_FORMULA_CAP:
@@ -87,17 +93,30 @@ def _mis_index_sets(
             f"{len(formulas)} formulas exceed the minimal-subset cap"
             f" of {DEFAULT_FORMULA_CAP}"
         )
-    read = vectors() if formulas else ()
-    found: list[frozenset[int]] = []
-    for size in range(1, len(formulas) + 1):
-        for combo in itertools.combinations(range(len(formulas)), size):
-            candidate = frozenset(combo)
-            if any(mis <= candidate for mis in found):
-                continue
-            mask = sum(1 << i for i in combo)
-            if not any(v & mask == mask for v in read):
-                found.append(candidate)
-    return found
+    if not formulas:
+        return []
+    subsets = 1 << len(formulas)
+    everything = (1 << subsets) - 1
+    satisfiable = 1
+    for vector in vectors():
+        satisfiable |= 1 << vector
+    # holding[i] marks the subsets that hold formula i.
+    holding = [
+        everything // ((1 << 2 * bit) - 1) * ((1 << bit) - 1 << bit)
+        for bit in (1 << i for i in range(len(formulas)))
+    ]
+    for i, marks in enumerate(holding):
+        satisfiable |= (satisfiable & marks) >> (1 << i)
+    minimal = everything & ~satisfiable
+    for i, marks in enumerate(holding):
+        minimal &= ~marks | (satisfiable & ~marks) << (1 << i)
+    found = []
+    while minimal:
+        mask = minimal.bit_length() - 1
+        minimal ^= 1 << mask
+        found.append([i for i in range(len(formulas)) if mask >> i & 1])
+    found.sort(key=lambda indices: (len(indices), indices))
+    return [frozenset(indices) for indices in found]
 
 
 def mis_enumerate(
@@ -111,10 +130,7 @@ def mis_enumerate(
     family is ordered by size, then by position.
     """
     index_sets = _mis_index_sets(kb, lambda: root_vectors(kb, budget=budget))
-    return tuple(
-        tuple(kb.formulas[i] for i in sorted(indices))
-        for indices in sorted(index_sets, key=lambda s: (len(s), sorted(s)))
-    )
+    return tuple(tuple(kb.formulas[i] for i in sorted(indices)) for indices in index_sets)
 
 
 def free_formulas(

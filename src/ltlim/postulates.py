@@ -89,12 +89,34 @@ class Outcome(enum.Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Verdict:
+    """A check's outcome on its instance.
+
+    ``details`` describe the instance and the values compared.  A check
+    gives them as a function that builds them, since a sweep reads only
+    the details of its violations; the function runs on first read, and
+    the verdict then keeps the details in its place.  Verdicts are equal
+    when their ids, outcomes and details are.
+    """
+
     measure_id: str
     postulate: Postulate
     outcome: Outcome
-    details: dict = field(default_factory=dict)
+    _details: dict | Callable[[], dict] = field(default_factory=dict, repr=False)
+
+    @property
+    def details(self) -> dict:
+        if callable(self._details):
+            object.__setattr__(self, "_details", self._details())
+        return self._details
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Verdict):
+            return NotImplemented
+        return (self.measure_id, self.postulate, self.outcome, self.details) == (
+            other.measure_id, other.postulate, other.outcome, other.details
+        )
 
 
 def _kb_details(kb: KnowledgeBase) -> dict:
@@ -121,7 +143,7 @@ def check_co(
         measure_id,
         Postulate.CONSISTENCY_NULL,
         Outcome.HOLDS if holds else Outcome.VIOLATED,
-        {"kb": _kb_details(kb), "consistent": consistent, "value": _json_value(value)},
+        lambda: {"kb": _kb_details(kb), "consistent": consistent, "value": _json_value(value)},
     )
 
 
@@ -132,20 +154,25 @@ def check_mo(
     *,
     budget: Budget | int = DEFAULT_NODE_BUDGET,
 ) -> Verdict:
-    """The measure never shrinks when formulas are added."""
+    """The measure never shrinks when formulas are added.
+
+    The larger base is measured first, so that the smaller one, where it
+    has the same atoms, reads its passes off the larger one's
+    (:func:`ltlim.solver.root_vectors`).
+    """
     if not set(kb.formulas) <= set(kb_sup.formulas):
         raise ValueError("the first base must be a subset of the second")
     if (kb.trace_length_m, kb.g_mode) != (kb_sup.trace_length_m, kb_sup.g_mode):
         raise ValueError("both bases must share trace length and G reading")
     budget = Budget.of(budget)
-    small = measure(kb, measure_id, budget=budget)
     large = measure(kb_sup, measure_id, budget=budget)
+    small = measure(kb, measure_id, budget=budget)
     holds = small <= large
     return Verdict(
         measure_id,
         Postulate.MONOTONICITY,
         Outcome.HOLDS if holds else Outcome.VIOLATED,
-        {
+        lambda: {
             "kb": _kb_details(kb),
             "kb_superset": _kb_details(kb_sup),
             "value": _json_value(small),
@@ -168,7 +195,7 @@ def check_in(
             measure_id,
             Postulate.FREE_FORMULA_INDEPENDENCE,
             Outcome.NOT_APPLICABLE,
-            {"kb": _kb_details(kb), "reason": "no free formulas"},
+            lambda: {"kb": _kb_details(kb), "reason": "no free formulas"},
         )
     value = measure(kb, measure_id, budget=budget)
     for alpha in free:
@@ -178,7 +205,7 @@ def check_in(
                 measure_id,
                 Postulate.FREE_FORMULA_INDEPENDENCE,
                 Outcome.VIOLATED,
-                {
+                lambda: {
                     "kb": _kb_details(kb),
                     "free_formula": render_formula(alpha),
                     "value": _json_value(value),
@@ -189,7 +216,7 @@ def check_in(
         measure_id,
         Postulate.FREE_FORMULA_INDEPENDENCE,
         Outcome.HOLDS,
-        {
+        lambda: {
             "kb": _kb_details(kb),
             "free_formulas": [render_formula(f) for f in free],
             "value": _json_value(value),
@@ -217,7 +244,7 @@ def check_do(
             measure_id,
             Postulate.DOMINANCE,
             Outcome.NOT_APPLICABLE,
-            {"reason": "alpha is unsatisfiable", "alpha": render_formula(alpha)},
+            lambda: {"reason": "alpha is unsatisfiable", "alpha": render_formula(alpha)},
         )
     entailment_probe = kb.replace_formulas((alpha, Not(beta)))
     if is_satisfiable(entailment_probe, budget=budget):
@@ -225,7 +252,7 @@ def check_do(
             measure_id,
             Postulate.DOMINANCE,
             Outcome.NOT_APPLICABLE,
-            {
+            lambda: {
                 "reason": "alpha does not entail beta",
                 "alpha": render_formula(alpha),
                 "beta": render_formula(beta),
@@ -238,7 +265,7 @@ def check_do(
         measure_id,
         Postulate.DOMINANCE,
         Outcome.HOLDS if holds else Outcome.VIOLATED,
-        {
+        lambda: {
             "kb": _kb_details(kb),
             "alpha": render_formula(alpha),
             "beta": render_formula(beta),
@@ -270,7 +297,7 @@ def check_ts(
             measure_id,
             Postulate.TIME_SENSITIVITY,
             Outcome.NOT_APPLICABLE,
-            {"reason": "phi is not contingent", "phi": render_formula(phi)},
+            lambda: {"reason": "phi is not contingent", "phi": render_formula(phi)},
         )
     spread = KnowledgeBase((Globally(phi), Globally(Not(phi))), m, GMode.STRICT)
     pinned = KnowledgeBase((Next(phi), Next(Not(phi))), m, GMode.STRICT)
@@ -281,7 +308,7 @@ def check_ts(
         measure_id,
         Postulate.TIME_SENSITIVITY,
         Outcome.HOLDS if holds else Outcome.VIOLATED,
-        {
+        lambda: {
             "phi": render_formula(phi),
             "m": m,
             "value_spread": _json_value(spread_value),
@@ -455,7 +482,7 @@ def _not_applicable(
     postulate: Postulate, reason: str, measure_id: str, *, budget: Budget
 ) -> Verdict:
     """The check of an instance that could not be sampled."""
-    return Verdict(measure_id, postulate, Outcome.NOT_APPLICABLE, {"reason": reason})
+    return Verdict(measure_id, postulate, Outcome.NOT_APPLICABLE, lambda: {"reason": reason})
 
 
 def _sample(
@@ -530,6 +557,9 @@ def sweep(
             elif verdict.outcome is Outcome.NOT_APPLICABLE:
                 result.not_applicable += 1
             else:
+                # The result keeps its violations: build their details
+                # now, so that it keeps no instance alive for them.
+                verdict.details
                 result.violations.append(verdict)
     return results[0] if isinstance(measure_ids, str) else results
 

@@ -93,12 +93,13 @@ class CostMode(enum.Enum):
 
 # A pass of :mod:`ltlim.solver` lets each state take one of its
 # choices: a mask of the atoms held at B, -1 for all of them, and the
-# cost of taking it.  It is asked for by base and choices.  Once run it
-# is its vectors by least cost, and its work.
+# cost of taking it.  It is asked for by base and choices.  Once read it
+# is its vectors by least cost, and its work, or None when the vectors
+# were projected from a larger base's pass and it has not run.
 _Choices = tuple[tuple[int, int], ...]
 _PassKey = tuple[KnowledgeBase, _Choices]
 _Levels = tuple[frozenset[int], ...]
-_Pass = tuple[_Levels, int]
+_Pass = tuple[_Levels, int | None]
 
 
 class BudgetExceededError(RuntimeError):
@@ -124,9 +125,12 @@ class Budget:
     steps.  The account finds each pass in ``shared``, a table of each
     pass's vectors and work that accounts may share, and keeps the keys
     of the passes it has paid for in ``paid``, so that a run charges
-    every pass once, however many measures read it.  The accounts of one
-    sweep instance share one table, so they run each pass once, and each
-    of them is charged its work as if it had run the pass itself.
+    every pass once, however many measures read it.  A pass of a
+    sub-base over the same atoms as a base in ``paid`` is projected from
+    that base's and costs one unit per vector; the table keeps it with
+    no work until it runs.  The accounts of one sweep instance share one
+    table, so they run each pass once, and each of them is charged as if
+    it had read the passes alone.
     ``probes`` counts the searches started on the account, the one that
     ran out among them, as ``spent`` counts their nodes.
     """

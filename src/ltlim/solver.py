@@ -22,9 +22,12 @@ Work is charged to one :class:`Budget` per run (:mod:`ltlim.search`).
 Every entry point takes ``budget`` as an int, which opens a fresh
 account, or as a :class:`Budget` that callers share.  The account
 reads each pass from its table and charges it the first time it reads
-it, however many measures read it.  Accounts may share one table, as
-the checks of one sweep instance do, each still charged as if it ran
-the passes.
+it, however many measures read it.  A base whose formulas all lie in a
+base the account has read the same pass of, over the same atoms, reads
+that pass's vectors projected onto its formulas and runs none: the
+postulates compare bases with their sub-bases.  Accounts may share one
+table, as the checks of one sweep instance do, each still charged as
+if it ran the passes.
 """
 
 from __future__ import annotations
@@ -130,16 +133,65 @@ _PARALLEL_ATOMS = 10
 
 
 def _read_pass(budget: Budget, key: _PassKey) -> _Levels:
-    """The vectors of the pass that ``key`` names, by least cost: run
-    only when the account's table lacks them, and charged to the account
-    the first time it reads them."""
+    """The vectors of the pass that ``key`` names, by least cost, charged
+    to the account the first time it reads them.
+
+    When the account has paid for the pass of a base with the same
+    choices, trace length, G reading, atoms and ground cells that holds
+    every formula of ``key``'s base, the vectors are that pass's,
+    projected onto this base's formulas (:func:`_project`), and the
+    account is charged one unit per projected vector.  A formula's value
+    at t_0 depends on its own cells only, so this base's runs are the
+    larger base's runs restricted to its formulas, and the projection is
+    what the pass would return; equal atoms make the held masks and -1
+    mean the same in both.  Otherwise the pass runs, unless the table
+    holds its run, and the account is charged its work.  The charge
+    depends only on the vectors and on the passes this account has read,
+    so accounts that share one table are charged as if each ran alone.
+    """
     kept = budget.shared.get(key)
-    if kept is None:
-        kept = budget.shared[key] = _root_pass(*key, budget)
-    if key not in budget.paid:
+    if key in budget.paid:
+        return kept[0]
+    kb, choices = key
+    source = next(
+        (
+            other
+            for other, chosen in budget.paid
+            if chosen == choices
+            and other.trace_length_m == kb.trace_length_m
+            and other.g_mode is kb.g_mode
+            and other.ground_cells == kb.ground_cells
+            and set(kb.formulas) <= set(other.formulas)
+            and other.atoms() == kb.atoms()
+        ),
+        None,
+    )
+    if source is not None:
+        if kept is None:
+            levels = _project(budget.shared[source, choices][0], source, kb)
+            kept = budget.shared[key] = levels, None
+        budget.charge(sum(map(len, kept[0])))
+    else:
+        if kept is None or kept[1] is None:
+            kept = budget.shared[key] = _root_pass(kb, choices, budget)
         budget.charge(kept[1])
-        budget.paid.add(key)
+    budget.paid.add(key)
     return kept[0]
+
+
+def _project(levels: _Levels, source: KnowledgeBase, kb: KnowledgeBase) -> _Levels:
+    """The levels of a pass over ``source`` read as ``kb``'s, whose
+    formulas ``source`` holds: bit j of a vector becomes the bit of
+    ``kb.formulas[j]``, and each vector keeps its least cost."""
+    where = {formula: p for p, formula in enumerate(source.formulas)}
+    positions = [(where[formula], j) for j, formula in enumerate(kb.formulas)]
+    seen: set[int] = set()
+    projected = []
+    for vectors in levels:
+        level = {sum([(v >> p & 1) << j for p, j in positions]) for v in vectors} - seen
+        seen |= level
+        projected.append(frozenset(level))
+    return tuple(projected)
 
 
 def root_vectors(
@@ -162,7 +214,10 @@ def root_vectors(
     finds the pass there raises exactly when the pass would, because
     the pass refuses only when its whole work would exceed what is
     left; the error then reports that whole work as spent.  A fresh
-    account runs the pass afresh.
+    account runs the pass afresh.  When the account has read the same
+    pass of a base over the same atoms that holds every formula of
+    ``kb``, the vectors are projected from it instead, at one unit per
+    vector (:func:`_read_pass`).
     """
     return _read_pass(Budget.of(budget), (kb, ((glut, 0),)))[0]
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -10,6 +11,7 @@ from ltlim.generators import random_kb
 from ltlim.measures import (
     MEASURE_IDS,
     MisCapExceeded,
+    _mis_index_sets,
     free_formulas,
     horizon_warning,
     measure,
@@ -77,6 +79,31 @@ def test_mis_enumeration_order_and_content():
         ("b", "(((! b) & c) & d)"),
         ("a", "b", "((! a) | (! b))"),
     )
+
+
+def reference_mis_index_sets(n: int, vectors) -> list[frozenset[int]]:
+    """The subset loop that the downward-closed table replaced: each
+    subset by size, then by position, that contains no subset found so
+    far and that no vector covers."""
+    found: list[frozenset[int]] = []
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            candidate = frozenset(combo)
+            if any(mis <= candidate for mis in found):
+                continue
+            mask = sum(1 << i for i in combo)
+            if not any(v & mask == mask for v in vectors):
+                found.append(candidate)
+    return found
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_the_closure_table_finds_the_minimal_subsets_of_the_subset_loop(n):
+    kb = kb_of(*(f"a{i}" for i in range(n)))
+    rng = random.Random(n)
+    drawn = [{rng.randrange(1 << n) for _ in range(rng.randint(1, 12))} for _ in range(60)]
+    for vectors in [set(), set(range(1 << n)), *drawn]:
+        assert _mis_index_sets(kb, lambda: vectors) == reference_mis_index_sets(n, vectors)
 
 
 def test_mis_respects_formula_cap():

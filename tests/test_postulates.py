@@ -88,6 +88,64 @@ def test_the_two_valued_pass_runs_once_per_base(monkeypatch, check, passes, outc
     assert len(walked) == len({id(base) for base in walked}) == passes
 
 
+def two_valued_passes(monkeypatch) -> list:
+    """The bases whose two-valued pass runs from here on."""
+    walked = []
+    real = ltlim.solver._root_pass
+
+    def counted(kb, choices, budget):
+        if choices == ((0, 0),):
+            walked.append(kb)
+        return real(kb, choices, budget)
+
+    monkeypatch.setattr(ltlim.solver, "_root_pass", counted)
+    return walked
+
+
+def test_check_in_projects_the_bases_without_a_free_formula(monkeypatch):
+    walked = two_valued_passes(monkeypatch)
+    # "b" and "a | b" are free, and the base keeps both atoms without
+    # either, so each reduced base reads the base's pass.
+    kb = KnowledgeBase.of("G a", "G (! a)", "b", "a | b", m=3)
+    verdict = check_in("MI", kb)
+    assert verdict.outcome is Outcome.HOLDS
+    assert verdict.details["free_formulas"] == ["b", "(a | b)"]
+    assert walked == [kb]
+
+
+def test_check_mo_projects_the_smaller_base(monkeypatch):
+    walked = two_valued_passes(monkeypatch)
+    kb_sup = KnowledgeBase.of("G a", "b", "G (! a)", "a | b", m=3)
+    kb = KnowledgeBase.of("a | b", "G a", m=3)
+    verdict = check_mo("MI", kb, kb_sup)
+    assert verdict.outcome is Outcome.HOLDS
+    assert (verdict.details["value"], verdict.details["value_superset"]) == (0, 1)
+    assert walked == [kb_sup]
+
+
+def test_a_sweep_renders_the_details_of_its_violations_only(monkeypatch):
+    rendered = []
+    real = ltlim.postulates.render_formula
+
+    def counted(formula):
+        rendered.append(formula)
+        return real(formula)
+
+    monkeypatch.setattr(ltlim.postulates, "render_formula", counted)
+    result = sweep("MI", Postulate.CONSISTENCY_NULL, instances=30, seed=1)
+    assert result.holds == 30 and rendered == []
+    # A violation's details are built when read, once: the base's three
+    # formulas, alpha and beta.
+    verdict = run_curated("MI", Postulate.DOMINANCE)
+    assert rendered == []
+    assert verdict.details["value_with_alpha"] == 1
+    assert verdict.details is verdict.details and len(rendered) == 5
+    # Equal verdicts have equal details.
+    assert verdict == run_curated("MI", Postulate.DOMINANCE)
+    kb = KnowledgeBase.of("a", "! a", m=3)
+    assert check_co("d", kb) != check_co("d", kb.replace_formulas(kb.formulas[::-1]))
+
+
 def test_a_dominance_instance_runs_each_pass_once(monkeypatch):
     walked = []
     real = ltlim.solver._root_pass

@@ -1227,3 +1227,60 @@ def test_the_state_pass_is_charged_once_per_run_and_per_sweep_instance(monkeypat
     states.clear()
     sweep(("LTL_d", "LTL_c"), Postulate.TIME_SENSITIVITY, instances=30, seed=1)
     assert states == alone and len(alone) > 10
+
+
+def projection_bases(data_dir) -> list[KnowledgeBase]:
+    """Seeded ``random_kb`` bases over 1-3 atoms at m = 2..4, under
+    either G reading, with constants, plus ``pass_kb``'s bases with
+    ground cells and the four ``.decl`` models with theirs."""
+    bases = []
+    for seed in range(30):
+        rng = random.Random(seed)
+        bases.append(
+            random_kb(
+                rng, atoms=ATOMS[: rng.randint(1, 3)], m=rng.randint(2, 4), min_formulas=2,
+                max_formulas=5, max_depth=3, g_mode=rng.choice(list(GMode)),
+                allow_constants=True,
+            )
+        )
+    bases += [pass_kb(seed) for seed in range(20)]
+    for name in ("overlap", "double_overlap", "chain", "end_chain"):
+        model = load_declare(data_dir / f"{name}.decl")
+        bases += [translate_model(model, m=m) for m in (2, 3)]
+    return bases
+
+
+def test_a_sub_base_reads_its_passes_off_the_larger_base(monkeypatch, data_dir):
+    real = ltlim.solver._root_pass
+    ran = []
+
+    def counted(kb, choices, budget):
+        ran.append(kb)
+        return real(kb, choices, budget)
+
+    monkeypatch.setattr(ltlim.solver, "_root_pass", counted)
+    projected = 0
+    grounded = False
+    for kb in projection_bases(data_dir):
+        grounded |= bool(kb.ground_cells)
+        one_atom = tuple(((1 << a, 0),) for a in range(len(kb.atoms())))
+        n = len(kb.formulas)
+        for choices in (((0, 0),), *one_atom, _STATE_CHOICES):
+            for mask in range(1 << n):
+                chosen = [f for i, f in enumerate(kb.formulas) if mask >> i & 1]
+                for order in (chosen, chosen[::-1]):
+                    sub = kb.replace_formulas(order)
+                    if sub == kb or sub.atoms() != kb.atoms():
+                        continue
+                    expected = real(sub, choices, Budget(DEFAULT_NODE_BUDGET))[0]
+                    account = Budget(DEFAULT_NODE_BUDGET)
+                    ltlim.solver._read_pass(account, (kb, choices))
+                    spent = account.spent
+                    ran.clear()
+                    levels = ltlim.solver._read_pass(account, (sub, choices))
+                    # No pass runs, and each vector at its least cost
+                    # costs one unit.
+                    assert levels == expected, (kb, sub, choices)
+                    assert ran == [] and account.spent - spent == sum(map(len, levels))
+                    projected += 1
+    assert grounded and projected > 1000
