@@ -427,7 +427,9 @@ def _cmd_oracle_check(args) -> int:
     for source in args.inputs:
         kb = _load_kb(args, source)
         solver_run = run_measures(kb, budget=args.budget)
-        oracle_run = run_measures(kb, use_oracle=True, oracle_cell_cap=args.oracle_cap)
+        oracle_run = run_measures(
+            kb, budget=args.budget, use_oracle=True, oracle_cell_cap=args.oracle_cap
+        )
         comparison = {
             mid: {
                 "solver": _json_value(solver_run.values[mid]),

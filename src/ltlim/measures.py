@@ -5,7 +5,8 @@ Eight measures are exposed under short string ids:
 * ``d``      drastic: 1 if the base is classically unsatisfiable.
 * ``MI``     number of minimal unsatisfiable subsets.
 * ``p``      number of formulas lying in some minimal unsatisfiable subset.
-* ``r``      size of a smallest hitting set of the minimal subsets.
+* ``r``      size of a smallest repair: the formulas outside a largest
+             satisfiable subset.
 * ``c``      fewest distinct atoms that hold the glut value at some
              state in an admissible three-valued model.
 * ``at``     number of atoms occurring in formulas of minimal subsets.
@@ -18,25 +19,27 @@ state from one smeared over the whole trace.  ``c``, ``LTL_d`` and
 ``LTL_c`` are minimal model costs, and are inf when the base has no
 admissible three-valued model.
 
-``d`` and the minimal-subset family behind ``MI``, ``p``, ``r`` and
+``d``, ``r`` and the minimal-subset family behind ``MI``, ``p`` and
 ``at`` need only to know which subsets of the base are classically
 satisfiable.  Each backend answers that for every subset at once, as the
 set of the formulas' truth vectors at t_0, made at most once per run:
 the solver with one two-valued pass over the states
 (:func:`ltlim.solver.root_vectors`), charged to the run's account, and
 the oracle backend with one enumeration of the base's two-valued
-interpretations (:func:`ltlim.oracle.oracle_root_vectors`).  ``c`` reads
-the same pass run with atoms held at B; the search minimises the rest,
-down to ``LTL_d`` from the state pass (:func:`ltlim.solver.minimize`),
-and ``LTL_c`` down to the larger of ``c`` and ``LTL_d`` when the run
-has computed them.
+interpretations (:func:`ltlim.oracle.oracle_root_vectors`).  A
+smallest repair keeps a widest vector (Liffiton & Sakallah, JAR 2008),
+and the minimal subsets come from a table of every subset that the
+run's account bounds (:func:`_mis_index_sets`).  ``c`` reads the same
+pass run with atoms held at B; the search minimises the rest, down to
+``LTL_d`` from the state pass (:func:`ltlim.solver.minimize`), and
+``LTL_c`` down to the larger of ``c`` and ``LTL_d`` when the run has
+computed them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable
 
 from .formula import Formula, KnowledgeBase, atoms_of
 from .semantics import DEFAULT_CELL_CAP, Interpretation3, conflict_base
@@ -44,11 +47,9 @@ from .solver import Budget, BudgetExceededError, CostMode, DEFAULT_NODE_BUDGET, 
 from .solver import min_glut_atoms, root_vectors
 
 __all__ = [
-    "DEFAULT_FORMULA_CAP",
     "INF",
     "MEASURE_IDS",
     "MeasureRun",
-    "MisCapExceeded",
     "free_formulas",
     "horizon_message",
     "horizon_warning",
@@ -61,18 +62,15 @@ INF = float("inf")
 
 MEASURE_IDS = ("d", "MI", "p", "r", "c", "at", "LTL_d", "LTL_c")
 
-DEFAULT_FORMULA_CAP = 12
-
 # Each cost measure's name in the oracle; LTL_d's and LTL_c's are CostMode values.
 _COSTS = {"c": "b_atoms", "LTL_d": "affected_states", "LTL_c": "conflict_base"}
 
 
-class MisCapExceeded(ValueError):
-    """Too many formulas for exhaustive minimal-subset enumeration."""
-
-
 def _mis_index_sets(
-    kb: KnowledgeBase, vectors: Callable[[], Collection[int]]
+    kb: KnowledgeBase,
+    vectors: Callable[[], Collection[int]],
+    *,
+    budget: Budget | int = DEFAULT_NODE_BUDGET,
 ) -> list[frozenset[int]]:
     """The minimal unsatisfiable subsets, as index sets, by size, then
     by position.
@@ -82,39 +80,43 @@ def _mis_index_sets(
     marked in a table of 2^n marks, one per subset of the n formulas,
     and the marks are closed downward; a subset is then minimal
     unsatisfiable when it is unmarked and every subset one formula
-    smaller is marked.  The table is one int, bit s marking subset s, so
-    that a step of the closure handles every subset at once.  The
-    vectors are read once the base is known to be within the cap, and
-    not at all for an empty base, which has no subset to test.
+    smaller is marked.  The marks are set in a ``bytearray`` and read as
+    one int, bit s marking subset s, so that a step of the closure
+    handles every subset at once, and the minimal subsets are read off
+    its bytes: each step is linear in the table.  Before the vectors are
+    read, ``budget`` refuses a table of more subsets than it has units
+    left; one that fits is not charged.  An empty base reads nothing.
     """
-    formulas = kb.formulas
-    if len(formulas) > DEFAULT_FORMULA_CAP:
-        raise MisCapExceeded(
-            f"{len(formulas)} formulas exceed the minimal-subset cap"
-            f" of {DEFAULT_FORMULA_CAP}"
-        )
-    if not formulas:
+    n = len(kb.formulas)
+    if not n:
         return []
-    subsets = 1 << len(formulas)
-    everything = (1 << subsets) - 1
-    satisfiable = 1
+    subsets = 1 << n
+    budget = Budget.of(budget)
+    if subsets > budget.total - budget.spent:
+        budget.charge(subsets)
+    marks = bytearray(subsets + 7 >> 3)
+    marks[0] = 1
     for vector in vectors():
-        satisfiable |= 1 << vector
-    # holding[i] marks the subsets that hold formula i.
-    holding = [
-        everything // ((1 << 2 * bit) - 1) * ((1 << bit) - 1 << bit)
-        for bit in (1 << i for i in range(len(formulas)))
-    ]
-    for i, marks in enumerate(holding):
-        satisfiable |= (satisfiable & marks) >> (1 << i)
-    minimal = everything & ~satisfiable
-    for i, marks in enumerate(holding):
-        minimal &= ~marks | (satisfiable & ~marks) << (1 << i)
+        marks[vector >> 3] |= 1 << (vector & 7)
+    satisfiable = int.from_bytes(marks, "little")
+    # holding[i] marks the subsets that hold formula i, doubled with the table.
+    holding, size = [], 1
+    for _ in range(n):
+        holding = [held | held << size for held in holding]
+        holding.append((1 << size) - 1 << size)
+        size <<= 1
+    for i, held in enumerate(holding):
+        satisfiable |= (satisfiable & held) >> (1 << i)
+    minimal = (1 << subsets) - 1 & ~satisfiable
+    for i, held in enumerate(holding):
+        minimal &= ~held | (satisfiable & ~held) << (1 << i)
     found = []
-    while minimal:
-        mask = minimal.bit_length() - 1
-        minimal ^= 1 << mask
-        found.append([i for i in range(len(formulas)) if mask >> i & 1])
+    for index, byte in enumerate(minimal.to_bytes(len(marks), "little")):
+        while byte:
+            low = byte & -byte
+            byte ^= low
+            mask = index << 3 | low.bit_length() - 1
+            found.append([i for i in range(n) if mask >> i & 1])
     found.sort(key=lambda indices: (len(indices), indices))
     return [frozenset(indices) for indices in found]
 
@@ -127,9 +129,10 @@ def mis_enumerate(
     """All minimal classically-unsatisfiable subsets, smallest first.
 
     Subsets are returned as tuples in the base's formula order; the
-    family is ordered by size, then by position.
+    family is ordered by size, then by position.  A base of n formulas
+    raises :class:`BudgetExceededError` unless 2^n units are left.
     """
-    index_sets = _mis_index_sets(kb, lambda: root_vectors(kb, budget=budget))
+    index_sets = _mis_index_sets(kb, lambda: root_vectors(kb, budget=budget), budget=budget)
     return tuple(tuple(kb.formulas[i] for i in sorted(indices)) for indices in index_sets)
 
 
@@ -137,21 +140,9 @@ def free_formulas(
     kb: KnowledgeBase, *, budget: Budget | int = DEFAULT_NODE_BUDGET
 ) -> tuple[Formula, ...]:
     """Formulas that belong to no minimal unsatisfiable subset."""
-    index_sets = _mis_index_sets(kb, lambda: root_vectors(kb, budget=budget))
+    index_sets = _mis_index_sets(kb, lambda: root_vectors(kb, budget=budget), budget=budget)
     bound = set().union(*index_sets) if index_sets else set()
     return tuple(f for i, f in enumerate(kb.formulas) if i not in bound)
-
-
-def _min_hitting_set_size(index_sets: Sequence[frozenset[int]]) -> int:
-    if not index_sets:
-        return 0
-    universe = sorted(set().union(*index_sets))
-    for size in range(1, len(universe) + 1):
-        for combo in itertools.combinations(universe, size):
-            chosen = set(combo)
-            if all(chosen & mis for mis in index_sets):
-                return size
-    return len(universe)
 
 
 def horizon_warning(nu: Interpretation3) -> bool:
@@ -236,7 +227,7 @@ def run_measures(
     def need_mis() -> list[frozenset[int]]:
         nonlocal index_sets
         if index_sets is None:
-            index_sets = _mis_index_sets(kb, need_vectors)
+            index_sets = _mis_index_sets(kb, need_vectors, budget=budget)
         return index_sets
 
     oracle_costs: dict[str, tuple[int | float, Interpretation3 | None]] | None = None
@@ -265,7 +256,10 @@ def run_measures(
                 mis = need_mis()
                 run.values[mid] = len(set().union(*mis)) if mis else 0
             elif mid == "r":
-                run.values[mid] = _min_hitting_set_size(need_mis())
+                # A smallest repair keeps a widest vector; an empty base reads none.
+                n = len(kb.formulas)
+                kept = n and max((v.bit_count() for v in need_vectors()), default=0)
+                run.values[mid] = n - kept
             elif mid == "at":
                 mis = need_mis()
                 names: set[str] = set()

@@ -17,7 +17,7 @@ import pytest
 from ltlim import oracle
 from ltlim.cli import _build_parser, main
 from ltlim.formula import DEFAULT_TRACE_LENGTH, load_kb
-from ltlim.measures import run_measures
+from ltlim.measures import MEASURE_IDS, run_measures
 from ltlim.oracle import MAX_CELL_CAP
 from ltlim.postulates import EXPECTED_MATRIX, Postulate
 
@@ -455,6 +455,28 @@ def test_oracle_check_text_report(capsys, data_dir):
     assert code == 0
     assert "agree" in out
     assert "all inputs agree" in out
+
+
+def test_oracle_check_agrees_past_twelve_formulas(capsys, tmp_path):
+    # 20 formulas over two atoms at m = 2: the oracle enumerates 6 cells,
+    # and the minimal-subset table holds 2^20 subsets.
+    source = tmp_path / "two_atoms.ltlkb"
+    formulas = [
+        *(f"{prefix}{literal}" for prefix in ("", "X ", "X X ")
+          for literal in ("a", "(! a)", "b", "(! b)")),
+        "a | b", "(! a) | (! b)", "G a", "G (! b)", "F a", "F (! a)",
+        "a -> X b", "b -> X (! a)",
+    ]
+    source.write_text("m = 2\n" + "\n".join(formulas) + "\n", encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, ["oracle-check", str(source), "--m", "2", "--format", "json"]
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_agree"] is True
+    (result,) = payload["results"]
+    assert list(result["measures"]) == list(MEASURE_IDS)
+    assert result["measures"]["MI"] == {"solver": 31, "oracle": 31}
 
 
 def test_declare_pipeline_translates_measures_and_emits(

@@ -6,11 +6,10 @@ import pytest
 
 import ltlim.formula
 from ltlim.declare import load_declare, translate_model
-from ltlim.formula import KnowledgeBase, parse_formula
+from ltlim.formula import KnowledgeBase, load_kb, parse_formula
 from ltlim.generators import random_kb
 from ltlim.measures import (
     MEASURE_IDS,
-    MisCapExceeded,
     _mis_index_sets,
     free_formulas,
     horizon_warning,
@@ -19,7 +18,7 @@ from ltlim.measures import (
     run_measures,
 )
 from ltlim.semantics import Interpretation3, conflict_base
-from ltlim.solver import BudgetExceededError
+from ltlim.solver import Budget, BudgetExceededError, root_vectors
 
 INF = float("inf")
 
@@ -84,7 +83,9 @@ def test_mis_enumeration_order_and_content():
 def reference_mis_index_sets(n: int, vectors) -> list[frozenset[int]]:
     """The subset loop that the downward-closed table replaced: each
     subset by size, then by position, that contains no subset found so
-    far and that no vector covers."""
+    far and that no vector covers.  The widest vectors are tried first,
+    so that a covered subset is found covered early."""
+    vectors = sorted(vectors, key=int.bit_count, reverse=True)
     found: list[frozenset[int]] = []
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
@@ -97,19 +98,86 @@ def reference_mis_index_sets(n: int, vectors) -> list[frozenset[int]]:
     return found
 
 
-@pytest.mark.parametrize("n", range(9))
-def test_the_closure_table_finds_the_minimal_subsets_of_the_subset_loop(n):
-    kb = kb_of(*(f"a{i}" for i in range(n)))
+def reference_min_hitting_set_size(index_sets) -> int:
+    """The hitting-set loop that ``r`` replaced: the size of a smallest
+    set of formulas that meets every minimal subset, by size."""
+    if not index_sets:
+        return 0
+    universe = sorted(set().union(*index_sets))
+    for size in range(1, len(universe) + 1):
+        for combo in itertools.combinations(universe, size):
+            chosen = set(combo)
+            if all(chosen & mis for mis in index_sets):
+                return size
+    return len(universe)
+
+
+def seeded_vector_sets(n):
+    """60 seeded sets of 1..12 vectors over n formulas, the empty set and
+    the full one."""
     rng = random.Random(n)
     drawn = [{rng.randrange(1 << n) for _ in range(rng.randint(1, 12))} for _ in range(60)]
-    for vectors in [set(), set(range(1 << n)), *drawn]:
+    return [set(), set(range(1 << n)), *drawn]
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_the_closure_table_finds_the_minimal_subsets_of_the_subset_loop(n):
+    kb = kb_of(*(f"a{i}" for i in range(n)))
+    for vectors in seeded_vector_sets(n):
         assert _mis_index_sets(kb, lambda: vectors) == reference_mis_index_sets(n, vectors)
 
 
-def test_mis_respects_formula_cap():
-    kb = kb_of(*(f"a{i}" for i in range(13)))
-    with pytest.raises(MisCapExceeded):
-        mis_enumerate(kb)
+@pytest.mark.parametrize("n", range(15))
+def test_r_is_the_smallest_hitting_set_of_the_minimal_subsets(monkeypatch, n):
+    kb = kb_of(*(f"a{i}" for i in range(n)))
+    for vectors in seeded_vector_sets(n):
+        monkeypatch.setattr("ltlim.measures.root_vectors", lambda kb, budget: vectors)
+        expected = reference_min_hitting_set_size(_mis_index_sets(kb, lambda: vectors))
+        assert measure(kb, "r") == expected
+
+
+def test_r_is_the_smallest_hitting_set_on_every_data_base(data_dir):
+    bases = [
+        load_kb(str(path), m=m)
+        for path in sorted(data_dir.glob("*.ltlkb"))
+        if path.name != "bad.ltlkb"
+        for m in (2, 3, 4)
+    ] + [
+        translate_model(load_declare(path), m=m)
+        for path in sorted(data_dir.glob("*.decl"))
+        for m in (2, 3, 4)
+    ]
+    for kb in bases:
+        expected = reference_min_hitting_set_size(_mis_index_sets(kb, lambda: root_vectors(kb)))
+        assert measure(kb, "r") == expected
+
+
+# 20 formulas over two atoms at m = 2: 6 cells, 64 vectors at most.
+TWO_ATOMS = (
+    "a", "! a", "b", "! b", "X a", "X (! a)", "X b", "X (! b)", "X X a", "X X (! a)",
+    "X X b", "X X (! b)", "a | b", "(! a) | (! b)", "G a", "G (! b)", "F a", "F (! a)",
+    "a -> X b", "b -> X (! a)",
+)
+
+
+@pytest.mark.parametrize("n", range(13, 21))
+def test_bases_past_twelve_formulas_find_the_minimal_subsets_of_the_subset_loop(n):
+    kb = kb_of(*TWO_ATOMS[:n], m=2)
+    expected = reference_mis_index_sets(n, root_vectors(kb))
+    assert mis_enumerate(kb) == tuple(
+        tuple(kb.formulas[i] for i in sorted(indices)) for indices in expected
+    )
+
+
+def test_the_budget_bounds_the_minimal_subset_table():
+    # 24 formulas have 2^24 subsets, more than 10^6 units: the table is
+    # refused before the pass is read, as a pass refuses its states.
+    kb = kb_of(*(text for i in range(12) for text in (f"a{i}", f"! a{i}")), m=2)
+    budget = Budget(10**6)
+    with pytest.raises(BudgetExceededError) as exc:
+        mis_enumerate(kb, budget=budget)
+    assert exc.value.nodes == budget.spent == 1 << 24
+    assert not budget.paid and not budget.shared
 
 
 def test_free_formulas():
