@@ -13,7 +13,7 @@ Subcommands:
                     and compare against the search backend.
 
 Exit codes: 0 success, 1 oracle-check disagreement, 2 input or parse
-error, 3 node budget exceeded.  JSON reports contain no timestamps or
+error, 3 work budget exceeded.  JSON reports contain no timestamps or
 environment echoes, so identical inputs give identical bytes.
 """
 

@@ -128,15 +128,6 @@ class DeclareModel:
     constraints: tuple[Constraint, ...]
     activities: tuple[str, ...] | None = None
 
-    def activity_names(self) -> tuple[str, ...]:
-        if self.activities is not None:
-            return self.activities
-        seen: dict[str, None] = {}
-        for constraint in self.constraints:
-            for name in constraint.activities:
-                seen.setdefault(name)
-        return tuple(seen)
-
 
 class DeclareParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):

@@ -1,4 +1,4 @@
-"""Seeded random formulas, bases, and interpretations for sweeps."""
+"""Seeded random formulas and bases for sweeps."""
 
 from __future__ import annotations
 
@@ -21,14 +21,12 @@ from .formula import (
     TRUE,
     Until,
 )
-from .semantics import Interpretation3, TruthValue3
 from .solver import DEFAULT_NODE_BUDGET, Budget, root_vectors
 
 __all__ = [
     "is_contingent",
     "random_contingent_formula",
     "random_formula",
-    "random_interpretation",
     "random_kb",
 ]
 
@@ -111,24 +109,6 @@ def random_kb(
         for _ in range(count)
     )
     return KnowledgeBase(formulas=formulas, trace_length_m=m, g_mode=g_mode)
-
-
-def random_interpretation(
-    rng: random.Random,
-    atoms: Sequence[str],
-    m: int,
-    *,
-    three_valued: bool = True,
-) -> Interpretation3:
-    choices = (
-        (TruthValue3.FALSE, TruthValue3.BOTH, TruthValue3.TRUE)
-        if three_valued
-        else (TruthValue3.FALSE, TruthValue3.TRUE)
-    )
-    rows = tuple(
-        tuple(rng.choice(choices) for _ in atoms) for _ in range(m + 1)
-    )
-    return Interpretation3(atoms=tuple(atoms), values=rows)
 
 
 def random_contingent_formula(

@@ -54,7 +54,6 @@ __all__ = [
     "horizon_message",
     "horizon_warning",
     "measure",
-    "mis_enumerate",
     "run_measures",
 ]
 
@@ -99,17 +98,18 @@ def _mis_index_sets(
     for vector in vectors():
         marks[vector >> 3] |= 1 << (vector & 7)
     satisfiable = int.from_bytes(marks, "little")
-    # holding[i] marks the subsets that hold formula i, doubled with the table.
-    holding, size = [], 1
-    for _ in range(n):
-        holding = [held | held << size for held in holding]
-        holding.append((1 << size) - 1 << size)
-        size <<= 1
-    for i, held in enumerate(holding):
+    # The subsets that hold formula n - 1.  Formula i - 1's mask is
+    # formula i's with its blocks halved, so the loops keep two masks, not n.
+    top = (1 << (subsets >> 1)) - 1 << (subsets >> 1)
+    held = top
+    for i in range(n - 1, -1, -1):
         satisfiable |= (satisfiable & held) >> (1 << i)
+        held ^= held >> (1 << i >> 1)
     minimal = (1 << subsets) - 1 & ~satisfiable
-    for i, held in enumerate(holding):
+    held = top
+    for i in range(n - 1, -1, -1):
         minimal &= ~held | (satisfiable & ~held) << (1 << i)
+        held ^= held >> (1 << i >> 1)
     found = []
     for index, byte in enumerate(minimal.to_bytes(len(marks), "little")):
         while byte:
@@ -119,21 +119,6 @@ def _mis_index_sets(
             found.append([i for i in range(n) if mask >> i & 1])
     found.sort(key=lambda indices: (len(indices), indices))
     return [frozenset(indices) for indices in found]
-
-
-def mis_enumerate(
-    kb: KnowledgeBase,
-    *,
-    budget: Budget | int = DEFAULT_NODE_BUDGET,
-) -> tuple[tuple[Formula, ...], ...]:
-    """All minimal classically-unsatisfiable subsets, smallest first.
-
-    Subsets are returned as tuples in the base's formula order; the
-    family is ordered by size, then by position.  A base of n formulas
-    raises :class:`BudgetExceededError` unless 2^n units are left.
-    """
-    index_sets = _mis_index_sets(kb, lambda: root_vectors(kb, budget=budget), budget=budget)
-    return tuple(tuple(kb.formulas[i] for i in sorted(indices)) for indices in index_sets)
 
 
 def free_formulas(

@@ -7,18 +7,19 @@ force rather than by search.
 
 Cells are ordered state major ((t_0, a), (t_0, b), ..., (t_1, a), ...)
 with atoms sorted, and enumeration is lexicographic over cells with the
-per-cell value order 0 < 1 < B (0 < 1 for two-valued spaces), so
-iteration order and tie-breaking are deterministic: a minimum is always
-witnessed by the first admissible row of minimal cost.
+per-cell value order 0 < 1 < B, so iteration order and tie-breaking
+are deterministic: a minimum is always witnessed by the first
+admissible row of minimal cost.
 
 The space is never materialized.  It is a product of numpy broadcast
-axes, one per trace state, each of size base ** k for k atoms; index j
-of state s's axis spells that state's cells in base 3 (base 2 for
-two-valued spaces), atoms in order, most significant first.  So the
-C-order flat index of a point of the space is the row index r, spelled
-by its cells, and a row decodes with ``np.unravel_index`` over the
-per-cell shape (base,) * cells.  Cell (s, a) is a uint8 vector of
-TruthValue3 ordinals along axis s, size 1 on every other axis.
+axes, one per trace state, each of size 3 ** k for k atoms; index j of
+state s's axis spells that state's cells in base 3, atoms in order,
+most significant first.  So the C-order flat index of a point of the
+space is the row index r, spelled by its cells, and a row decodes with
+``np.unravel_index`` over the per-cell shape (3,) * cells.  Cell (s, a)
+is a uint8 vector of TruthValue3 ordinals along axis s, size 1 on every
+other axis.  The two-valued space of :func:`oracle_root_vectors` is
+laid out the same way in base 2, with the order 0 < 1.
 
 The formulas are evaluated by one walk over the base's node table
 (:attr:`ltlim.formula.KnowledgeBase.table`, the table the solver also
@@ -65,7 +66,6 @@ __all__ = [
     "oracle_min_costs",
     "oracle_minimal_conflict_bases",
     "oracle_root_vectors",
-    "oracle_sat2",
 ]
 
 INF = float("inf")
@@ -171,10 +171,7 @@ def _designated(kb: KnowledgeBase, cells: list[_Values]) -> Iterator[tuple[int, 
 
 
 def _model_space(
-    kb: KnowledgeBase,
-    *,
-    cell_cap: int,
-    two_valued: bool = False,
+    kb: KnowledgeBase, *, cell_cap: int
 ) -> tuple[tuple[str, ...], list[_Values], np.ndarray]:
     """Enumerate the space and flag the admissible models.
 
@@ -185,16 +182,14 @@ def _model_space(
     atoms = kb.atoms()
     m = kb.trace_length_m
     _check_cap((m + 1) * len(atoms), cell_cap)
-    lut = _LUT2 if two_valued else _LUT3
-    cells = _cells(m, len(atoms), lut)
+    cells = _cells(m, len(atoms), _LUT3)
     # With no atoms the space is one point and gets no axes, however
     # long the trace: numpy allows only a few dozen axes.
-    mask = np.ones((len(lut) ** len(atoms),) * (m + 1) if atoms else (), dtype=bool)
+    mask = np.ones((3 ** len(atoms),) * (m + 1) if atoms else (), dtype=bool)
     for _, designated in _designated(kb, cells):
         mask &= designated
-    if not two_valued:
-        for state, atom in kb.ground_cells:
-            mask &= cells[state][atoms.index(atom)] != _BOTH
+    for state, atom in kb.ground_cells:
+        mask &= cells[state][atoms.index(atom)] != _BOTH
     return atoms, cells, mask
 
 
@@ -232,19 +227,6 @@ def _row_interpretation(
             tuple(TruthValue3(int(v)) for v in state_row) for state_row in cells
         ),
     )
-
-
-def oracle_sat2(
-    kb: KnowledgeBase,
-    *,
-    cell_cap: int = DEFAULT_CELL_CAP,
-) -> tuple[bool, Interpretation3 | None]:
-    """Classical satisfiability by enumerating two-valued interpretations."""
-    atoms, _, mask = _model_space(kb, cell_cap=cell_cap, two_valued=True)
-    row = int(mask.argmax())
-    if not mask.flat[row]:
-        return False, None
-    return True, _row_interpretation(atoms, kb.trace_length_m, _LUT2, row)
 
 
 def _costs(cells: list[_Values], cost: str) -> np.ndarray:

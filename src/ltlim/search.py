@@ -103,7 +103,8 @@ _Pass = tuple[_Levels, int | None]
 
 
 class BudgetExceededError(RuntimeError):
-    """The node budget ran out before the search reached a verdict.
+    """The work budget ran out before a verdict: in a search or a pass,
+    or on refusing a grid, a pass's states or the minimal-subset table.
 
     Raised out of :func:`ltlim.measures.run_measures`, it also carries
     the id of the measure that ran out and the run of the measures
@@ -115,7 +116,7 @@ class BudgetExceededError(RuntimeError):
         self.nodes = nodes
         self.measure_id: str | None = None
         self.run: MeasureRun | None = None
-        super().__init__(f"search exceeded the node budget of {budget}")
+        super().__init__(f"the work budget of {budget} units ran out")
 
 
 class Budget:

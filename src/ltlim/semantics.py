@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .formula import (
     And,
@@ -191,48 +191,6 @@ class Interpretation3:
     @property
     def is_two_valued(self) -> bool:
         return all(v is not TruthValue3.BOTH for row in self.values for v in row)
-
-    @classmethod
-    def from_map(
-        cls,
-        assignment: Mapping[tuple[int, str], CellValue],
-        *,
-        atoms: Iterable[str] | None = None,
-        m: int | None = None,
-        default: CellValue = TruthValue3.FALSE,
-    ) -> "Interpretation3":
-        """Build an interpretation from a sparse (state, atom) mapping."""
-        names = tuple(atoms) if atoms is not None else tuple(
-            sorted({atom for _, atom in assignment})
-        )
-        last = m if m is not None else max((s for s, _ in assignment), default=0)
-        fill = _coerce_value(default)
-        grid = [[fill] * len(names) for _ in range(last + 1)]
-        column = {atom: i for i, atom in enumerate(names)}
-        for (state, atom), value in assignment.items():
-            if not 0 <= state <= last:
-                raise ValueError(f"state {state} outside 0..{last}")
-            if atom not in column:
-                raise ValueError(f"atom {atom!r} missing from signature {names!r}")
-            grid[state][column[atom]] = _coerce_value(value)
-        return cls(atoms=names, values=tuple(tuple(row) for row in grid))
-
-    @classmethod
-    def all_both(cls, atoms: Iterable[str], m: int) -> "Interpretation3":
-        """The interpretation mapping every cell to B."""
-        names = tuple(atoms)
-        row = tuple(TruthValue3.BOTH for _ in names)
-        return cls(atoms=names, values=tuple(row for _ in range(m + 1)))
-
-    def with_value(self, state: int, atom: str, value: CellValue) -> "Interpretation3":
-        column = self._column.get(atom)
-        if column is None:
-            raise SignatureMismatchError(
-                f"atom {atom!r} is not in the signature {self.atoms!r}"
-            )
-        rows = [list(row) for row in self.values]
-        rows[state][column] = _coerce_value(value)
-        return Interpretation3(self.atoms, tuple(tuple(row) for row in rows))
 
     def to_json_dict(self) -> dict:
         return {

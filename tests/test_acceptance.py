@@ -15,7 +15,7 @@ from ltlim.formula import (
     expand_derived,
     temporal_depth,
 )
-from ltlim.generators import random_formula, random_interpretation, random_kb
+from ltlim.generators import random_formula, random_kb
 from ltlim.measures import measure, run_measures
 from ltlim.oracle import oracle_min_cost
 from ltlim.postulates import (
@@ -28,6 +28,7 @@ from ltlim.postulates import (
 )
 from ltlim.semantics import Interpretation3, TruthValue3, eval2, eval3
 from ltlim.solver import CostMode, count_min_conflict_signatures, minimize
+from test_semantics import random_interpretation
 
 BASELINES = ("d", "MI", "p", "r", "c", "at")
 
@@ -178,7 +179,7 @@ def test_criterion_09_core_formulas_are_glutted_on_the_all_glut_model():
     for _ in range(500):
         formula = random_formula(rng, ("a", "b"), rng.randint(1, 4), core_only=True)
         m = rng.randint(max(temporal_depth(formula), 1), 4)
-        nu = Interpretation3.all_both(("a", "b"), m)
+        nu = Interpretation3(("a", "b"), ((TruthValue3.BOTH,) * 2,) * (m + 1))
         if eval3(nu, 0, formula) is not TruthValue3.BOTH:
             failures += 1
     assert failures == 0

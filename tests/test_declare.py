@@ -44,7 +44,7 @@ def test_parse_counted_templates_and_comments():
 def test_header_is_optional_and_order_comes_from_use():
     model = parse_declare_text("Response(b, a)\nInit(a)\n")
     assert model.activities is None
-    assert model.activity_names() == ("b", "a")
+    assert [c.activities for c in model.constraints] == [("b", "a"), ("a",)]
 
 
 @pytest.mark.parametrize(
@@ -123,7 +123,7 @@ def test_translate_model_defaults_to_reflexive_with_ground_cells():
 def test_translate_model_atoms_stay_within_activities():
     model = parse_declare_text(DOUBLE_OVERLAP)
     kb = translate_model(model, m=3)
-    assert set(kb.atoms()) <= set(model.activity_names())
+    assert set(kb.atoms()) <= set(model.activities)
 
 
 def test_empty_model_translates_to_empty_base():

@@ -14,11 +14,11 @@ from ltlim.measures import (
     free_formulas,
     horizon_warning,
     measure,
-    mis_enumerate,
     run_measures,
 )
-from ltlim.semantics import Interpretation3, conflict_base
-from ltlim.solver import Budget, BudgetExceededError, root_vectors
+from ltlim.semantics import conflict_base
+from ltlim.solver import DEFAULT_NODE_BUDGET, Budget, BudgetExceededError, root_vectors
+from test_semantics import from_map
 
 INF = float("inf")
 
@@ -27,6 +27,12 @@ PROP_MIX = ("a", "! a", "b", "(! b) & c & d", "(! a) | (! b)")
 
 def kb_of(*texts, m=3, **kw):
     return KnowledgeBase.of(*texts, m=m, **kw)
+
+
+def mis_enumerate(kb, budget=DEFAULT_NODE_BUDGET):
+    """The minimal unsatisfiable subsets as tuples of formulas, in order."""
+    found = _mis_index_sets(kb, lambda: root_vectors(kb, budget=budget), budget=budget)
+    return tuple(tuple(kb.formulas[i] for i in sorted(indices)) for indices in found)
 
 
 def test_measure_ids_are_fixed():
@@ -180,6 +186,22 @@ def test_the_budget_bounds_the_minimal_subset_table():
     assert not budget.paid and not budget.shared
 
 
+def test_the_minimal_subset_table_keeps_two_masks_not_one_per_formula():
+    # 20 clashing formulas: a table of 2^20 bits.  One mask per formula
+    # would peak above 20 tables; halving each mask into the next keeps
+    # the peak a small constant multiple of one.
+    kb = kb_of(*(text for i in range(10) for text in (f"a{i}", f"! a{i}")), m=2)
+    vectors = root_vectors(kb)
+    tracemalloc.start()
+    try:
+        found = _mis_index_sets(kb, lambda: vectors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == [frozenset({2 * i, 2 * i + 1}) for i in range(10)]
+    assert peak < 12 * (1 << 20) // 8
+
+
 def test_free_formulas():
     assert free_formulas(kb_of(*PROP_MIX)) == ()
     iceberg = kb_of("a & (! a) & b", "! b")
@@ -258,9 +280,9 @@ def test_witnesses_have_minimal_cost():
 
 
 def test_horizon_warning_detection():
-    at_edge = Interpretation3.from_map({(2, "a"): "B"}, atoms=("a",), m=2)
-    inside = Interpretation3.from_map({(1, "a"): "B"}, atoms=("a",), m=2)
-    clean = Interpretation3.from_map({}, atoms=("a",), m=2)
+    at_edge = from_map({(2, "a"): "B"}, atoms=("a",), m=2)
+    inside = from_map({(1, "a"): "B"}, atoms=("a",), m=2)
+    clean = from_map({}, atoms=("a",), m=2)
     assert horizon_warning(at_edge)
     assert not horizon_warning(inside)
     assert not horizon_warning(clean)

@@ -38,6 +38,7 @@ from ltlim.oracle import (
     oracle_min_cost,
     oracle_min_costs,
     oracle_minimal_conflict_bases,
+    oracle_root_vectors,
 )
 from ltlim.semantics import (
     Interpretation3,
@@ -254,7 +255,7 @@ def test_a_base_without_atoms_is_one_point_however_long_the_trace():
     kb = KnowledgeBase.of("true", "! (X false)", m=100)
     empty = Interpretation3(atoms=(), values=((),) * 101)
     assert oracle_min_costs(kb, COSTS) == dict.fromkeys(COSTS, (0, empty))
-    assert oracle.oracle_sat2(kb) == (True, empty)
+    assert oracle_root_vectors(kb) == {0b11}
     assert oracle_min_cost(kb.extended([FALSE]), "conflict_base") == (float("inf"), None)
 
 
@@ -277,15 +278,15 @@ def test_run_measures_enumerates_the_three_valued_space_at_most_once(
     calls = []
     original = oracle._model_space
 
-    def counting(kb, *, cell_cap, two_valued=False):
-        calls.append(two_valued)
-        return original(kb, cell_cap=cell_cap, two_valued=two_valued)
+    def counting(kb, *, cell_cap):
+        calls.append(kb)
+        return original(kb, cell_cap=cell_cap)
 
     monkeypatch.setattr(oracle, "_model_space", counting)
     kb = KnowledgeBase.of("G a", "G (! a)", "F (a & X a)", m=3)
     run_measures(kb, ids, use_oracle=True)
     wants_cost = any(mid in ("c", "LTL_d", "LTL_c") for mid in ids)
-    assert calls.count(False) == (1 if wants_cost else 0)
+    assert len(calls) == (1 if wants_cost else 0)
 
 
 def conflict_base_case(seed: int) -> KnowledgeBase:

@@ -10,7 +10,7 @@ from ltlim.formula import (
     parse_formula,
     temporal_depth,
 )
-from ltlim.generators import random_formula, random_interpretation
+from ltlim.generators import random_formula
 from ltlim.semantics import (
     Interpretation3,
     SignatureMismatchError,
@@ -31,6 +31,29 @@ F, B, T = TruthValue3.FALSE, TruthValue3.BOTH, TruthValue3.TRUE
 
 def core(text: str, mode: GMode = GMode.STRICT):
     return expand_derived(parse_formula(text), mode)
+
+
+def random_interpretation(rng, atoms, m, *, three_valued=True):
+    """A seeded interpretation, drawn cell by cell, state major."""
+    choices = (F, B, T) if three_valued else (F, T)
+    rows = [[rng.choice(choices) for _ in atoms] for _ in range(m + 1)]
+    return Interpretation3(tuple(atoms), rows)
+
+
+def from_map(assignment, *, atoms, m):
+    """The interpretation that is 0 at every cell outside ``assignment``."""
+    rows = [[F] * len(atoms) for _ in range(m + 1)]
+    for (state, atom), value in assignment.items():
+        rows[state][atoms.index(atom)] = value
+    return Interpretation3(atoms, rows)
+
+
+def with_value(nu, state, atom, value):
+    """``nu`` with one cell changed; an atom outside it raises."""
+    nu.value(state, atom)
+    rows = [list(row) for row in nu.values]
+    rows[state][nu.atoms.index(atom)] = value
+    return Interpretation3(nu.atoms, rows)
 
 
 @pytest.fixture
@@ -154,7 +177,7 @@ def test_all_glut_interpretation_yields_glut_on_core_fragment(seed):
     rng = random.Random(seed)
     formula = random_formula(rng, ("a", "b"), 4, core_only=True)
     m = max(temporal_depth(formula), 2)
-    nu = Interpretation3.all_both(("a", "b"), m)
+    nu = Interpretation3(("a", "b"), ((B, B),) * (m + 1))
     assert eval3(nu, 0, formula) is B
 
 
@@ -181,7 +204,7 @@ def test_interpretation_coerces_mixed_cell_spellings():
 
 
 def test_from_map_and_defaults():
-    grid = Interpretation3.from_map(
+    grid = from_map(
         {(1, "a"): B, (2, "b"): T}, atoms=("a", "b"), m=2
     )
     assert grid.value(0, "a") is F
@@ -196,11 +219,11 @@ def test_value_bounds_and_signature(nu):
     with pytest.raises(SignatureMismatchError):
         nu.value(0, "zz")
     with pytest.raises(SignatureMismatchError):
-        nu.with_value(0, "zz", T)
+        with_value(nu, 0, "zz", T)
 
 
 def test_with_value_is_functional(nu):
-    changed = nu.with_value(2, "a", B)
+    changed = with_value(nu, 2, "a", B)
     assert changed.value(2, "a") is B
     assert nu.value(2, "a") is F
 
@@ -216,9 +239,9 @@ def test_json_round_trip(nu):
 
 def test_satisfies3_checks_designation_at_start():
     kb = KnowledgeBase.of("X a", "X (! a)", m=2)
-    model = Interpretation3.from_map({(1, "a"): B}, atoms=("a",), m=2)
+    model = from_map({(1, "a"): B}, atoms=("a",), m=2)
     assert satisfies3(model, kb)
-    broken = model.with_value(1, "a", T)
+    broken = with_value(model, 1, "a", T)
     assert not satisfies3(broken, kb)
 
 
@@ -228,9 +251,9 @@ def test_satisfies3_enforces_ground_cells():
         trace_length_m=2,
         ground_cells=frozenset({(0, "a")}),
     )
-    pinned = Interpretation3.from_map({(0, "a"): T}, atoms=("a",), m=2)
+    pinned = from_map({(0, "a"): T}, atoms=("a",), m=2)
     assert satisfies3(pinned, kb)
-    glutted = pinned.with_value(0, "a", B)
+    glutted = with_value(pinned, 0, "a", B)
     assert not satisfies3(glutted, kb)
 
 
@@ -238,4 +261,4 @@ def test_satisfies2_on_simple_base():
     kb = KnowledgeBase.of("a", "X b", m=2)
     omega = Interpretation3(atoms=("a", "b"), values=((T, F), (F, T), (F, F)))
     assert satisfies2(omega, kb)
-    assert not satisfies2(omega.with_value(1, "b", F), kb)
+    assert not satisfies2(with_value(omega, 1, "b", F), kb)
