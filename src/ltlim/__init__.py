@@ -20,7 +20,6 @@ from .formula import (
     TrueConst,
     Until,
     atoms_of,
-    expand_derived,
     format_kb_text,
     load_kb,
     parse_formula,

@@ -15,15 +15,16 @@ collection and compilation, so shared operands cost nothing extra and
 depth needs no recursion.  :func:`_compile` rewrites the derived
 connectives into the core ones as it interns a base's formulas, with
 negation as a bit on the edges of the table rather than a node of its
-own; it is the only place the rewrite rules live, and
-:func:`expand_derived` reads its result back.
+own.  It is the only place the rewrite rules live; the reference
+evaluators of :mod:`ltlim.semantics` read the derived connectives by
+their own clauses, so the two can be checked against each other.
 
 Two readings of G are supported.  The strict reading takes G phi as
 "phi holds in every strictly later state", i.e. not (true U not phi).
 The reflexive reading additionally demands phi now, which is the
 natural reading when constraint templates are compiled down to temporal
 formulas.  The choice is carried by the knowledge base so that a
-given base is expanded the same way everywhere.
+given base is compiled and evaluated the same way everywhere.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
     "TrueConst",
     "Until",
     "atoms_of",
-    "expand_derived",
     "format_kb_text",
     "load_kb",
     "parse_formula",
@@ -70,7 +70,7 @@ DEFAULT_TRACE_LENGTH = 3
 
 
 class GMode(enum.Enum):
-    """Expansion mode for the always operator G."""
+    """Reading of the always operator G."""
 
     STRICT = "strict"
     REFLEXIVE = "reflexive"
@@ -334,21 +334,6 @@ def parse_formula(text: str) -> Formula:
     return formula
 
 
-def expand_derived(formula: Formula, g_mode: GMode = GMode.STRICT) -> Formula:
-    """The core formula of a one-formula base under ``g_mode``, as
-    :func:`_compile` rewrites it, read back with one object per node.
-
-    F phi becomes true U phi.  Under the strict reading G phi becomes
-    !(true U !phi); the reflexive reading conjoins phi itself, and
-    phi -> psi becomes !phi | psi.  The read-back is a normal form, not
-    the identity on core formulas: !(phi & psi) reads back as
-    !phi | !psi, !!phi as phi, and !true and !false as false and true.
-    So the function is idempotent: a second expansion returns an equal
-    formula.
-    """
-    return KnowledgeBase((formula,), DEFAULT_TRACE_LENGTH, g_mode).core_formulas[0]
-
-
 def temporal_depth(formula: Formula) -> int:
     """Nesting depth of temporal connectives (X, U, F, G)."""
     depth: dict[int, int] = {}
@@ -528,32 +513,6 @@ class KnowledgeBase:
         names = {node.name for node in self._subformulas if type(node) is Atom}
         names.update(atom for _, atom in self.ground_cells)
         return tuple(sorted(names))
-
-    @cached_property
-    def core_formulas(self) -> tuple[Formula, ...]:
-        """The formulas over the core connectives, read back off
-        :attr:`table` with one object per edge.
-
-        A negated ``&`` edge reads as the ``|`` of its children's
-        negations, the negated ``true`` edge as false, and any other
-        negated edge as ``!`` of its node.
-        """
-        atoms, (table, roots) = self.atoms(), self.table
-        # built[e]: the formula of edge e, both edges of a node at once.
-        built: list[Formula] = []
-        for op, x, y in table:
-            if op == "atom":
-                formula: Formula = Atom(atoms[x])
-            elif op == "true":
-                formula = TRUE
-            else:
-                kind = _CONNECTIVE[op]
-                formula = kind(built[x]) if y < 0 else kind(built[x], built[y])
-            if op == "&":
-                built += (formula, Or(built[x ^ 1], built[y ^ 1]))
-            else:
-                built += (formula, FALSE if op == "true" else Not(formula))
-        return tuple(built[root] for root in roots)
 
     @cached_property
     def table(self) -> tuple[list[_Node], list[int]]:

@@ -48,10 +48,10 @@ def random_formula(
     Constant leaves are off by default: most sweeps quantify over
     contingent structure and constants only add noise there.  With
     ``core_only`` the sample stays in the primitive fragment (atoms,
-    not, and, or, next, until): the glut-preservation property of the
-    all-B interpretation is stated over exactly that grammar, and the
-    derived operators leave it (their expansions contain a constant
-    leaf, which is not glut-preserving).
+    not, and, or, next, until), without constants: the
+    glut-preservation property of the all-B interpretation is stated
+    over exactly that grammar.  G leaves it, because G reads every state
+    up to t_m, where X and until are false, and so do the constants.
     """
     if max_depth <= 0 or rng.random() < 0.25:
         if allow_constants and not core_only and rng.random() < 0.15:

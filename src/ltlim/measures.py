@@ -90,9 +90,7 @@ def _mis_index_sets(
     if not n:
         return []
     subsets = 1 << n
-    budget = Budget.of(budget)
-    if subsets > budget.total - budget.spent:
-        budget.charge(subsets)
+    Budget.of(budget).afford(subsets)
     marks = bytearray(subsets + 7 >> 3)
     marks[0] = 1
     for vector in vectors():

@@ -59,9 +59,9 @@ backtracks straight from the base's deepest B cell (the backjump).
 Work is charged to one :class:`Budget` per run: a search node costs 1
 and a pass costs its steps.  The search keeps a few entries per cell,
 so it refuses a grid of more cells than its account has left before
-it builds anything.  The search and the passes raise
-:class:`BudgetExceededError` when the account runs out, which callers
-must treat as "unknown", never as "no model".
+it builds anything; a refusal spends nothing.  The search and the
+passes raise :class:`BudgetExceededError` when the account runs out,
+which callers must treat as "unknown", never as "no model".
 """
 
 from __future__ import annotations
@@ -156,6 +156,13 @@ class Budget:
         """``budget`` itself, or a fresh account of that many units."""
         return budget if isinstance(budget, Budget) else cls(budget)
 
+    def afford(self, units: int) -> None:
+        """Raise :class:`BudgetExceededError` when ``units`` more would
+        take the account past its total, spending nothing: a refusal is
+        not work."""
+        if units > self.total - self.spent:
+            raise BudgetExceededError(self.total, self.spent + units)
+
     def charge(self, work: int) -> None:
         """Spend ``work`` units; raise :class:`BudgetExceededError` when
         that takes the account past its total."""
@@ -244,9 +251,7 @@ class _Search:
         self.budget = Budget.of(budget)
         # The walk keeps a few entries per cell, so a grid of more cells
         # than the account has units left is refused before it is built.
-        grid = (self.m + 1) * len(self.atoms)
-        if grid > self.budget.total - self.budget.spent:
-            self.budget.charge(grid)
+        self.budget.afford((self.m + 1) * len(self.atoms))
         self.budget.probes += 1
         # A cell is (state, atom index), in state-major order.
         self.cells = [

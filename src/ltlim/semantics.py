@@ -13,12 +13,22 @@ between; it is B when some later j makes every value on that pattern
 at least B with a B among them; otherwise it is false.  At the last
 state there is no future, so X phi and until are false there.
 
+F, G and implication have clauses of their own.  F phi at i is the
+largest value of phi over the states after i, and false at the last
+state; G phi is the least value over the same states, and true at the
+last state, and the reflexive reading of G counts state i too; phi ->
+psi is the larger of the values of !phi and psi.  These are the values
+of true U phi, !(true U !phi) and !(phi & !psi), the forms that the
+node table interns them as.  The reading of G is an argument of the
+evaluators, and the satisfaction tests take it from the base.
+
 Both evaluators are deliberately written as direct transcriptions of
 those clauses, walking the formula dataclasses.  The fast evaluators
 walk the node table that :attr:`KnowledgeBase.table` compiles once per
 base instead: the solver's search and two-valued pass, and the oracle's
 vectorized evaluation.  The test suite checks them against these
-clauses and against each other.
+clauses and against each other, and so checks the compiler's rewrite of
+F, G and implication by its meaning.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from .formula import (
     Finally,
     Formula,
     Globally,
+    GMode,
     Implies,
     KnowledgeBase,
     Next,
@@ -231,126 +242,128 @@ def conflict_base(nu: Interpretation3) -> frozenset[tuple[int, str]]:
     )
 
 
-def _reject_derived(formula: Formula) -> None:
-    raise ValueError(
-        f"derived connective in evaluator input: {formula!r}; expand_derived first"
-    )
+def eval2(
+    omega: Interpretation3, state: int, formula: Formula, g_mode: GMode = GMode.STRICT
+) -> bool:
+    """Classical evaluation of a formula at a state, G read as ``g_mode``.
 
-
-def eval2(omega: Interpretation3, state: int, formula: Formula) -> bool:
-    """Classical evaluation of a core formula at a state.
-
-    ``omega`` must be two-valued; derived connectives are rejected.
+    ``omega`` must be two-valued.
     """
     if not omega.is_two_valued:
         raise ValueError("eval2 requires a two-valued interpretation")
-    return _eval2(omega, state, formula, {})
+    memo: dict[tuple[int, int], bool] = {}
+    # G reads from the next state on, or under the reflexive reading from this one.
+    first = g_mode is GMode.STRICT
 
-
-def _eval2(omega, state, formula, memo) -> bool:
-    key = (id(formula), state)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(formula, TrueConst):
-        result = True
-    elif isinstance(formula, FalseConst):
-        result = False
-    elif isinstance(formula, Atom):
-        result = omega.value(state, formula.name) is TruthValue3.TRUE
-    elif isinstance(formula, Not):
-        result = not _eval2(omega, state, formula.operand, memo)
-    elif isinstance(formula, And):
-        result = _eval2(omega, state, formula.left, memo) and _eval2(
-            omega, state, formula.right, memo
-        )
-    elif isinstance(formula, Or):
-        result = _eval2(omega, state, formula.left, memo) or _eval2(
-            omega, state, formula.right, memo
-        )
-    elif isinstance(formula, Next):
-        result = state < omega.m and _eval2(omega, state + 1, formula.operand, memo)
-    elif isinstance(formula, Until):
-        result = any(
-            _eval2(omega, j, formula.right, memo)
-            and all(_eval2(omega, k, formula.left, memo) for k in range(state, j))
-            for j in range(state + 1, omega.m + 1)
-        )
-    elif isinstance(formula, (Finally, Globally, Implies)):
-        _reject_derived(formula)
-    else:
-        raise TypeError(f"not a formula node: {formula!r}")
-    memo[key] = result
-    return result
-
-
-def eval3(nu: Interpretation3, state: int, formula: Formula) -> TruthValue3:
-    """Three-valued evaluation of a core formula at a state."""
-    return _eval3(nu, state, formula, {})
-
-
-def _eval3(nu, state, formula, memo) -> TruthValue3:
-    key = (id(formula), state)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(formula, TrueConst):
-        result = TruthValue3.TRUE
-    elif isinstance(formula, FalseConst):
-        result = TruthValue3.FALSE
-    elif isinstance(formula, Atom):
-        result = nu.value(state, formula.name)
-    elif isinstance(formula, Not):
-        result = lnot(_eval3(nu, state, formula.operand, memo))
-    elif isinstance(formula, And):
-        result = land(
-            _eval3(nu, state, formula.left, memo),
-            _eval3(nu, state, formula.right, memo),
-        )
-    elif isinstance(formula, Or):
-        result = lor(
-            _eval3(nu, state, formula.left, memo),
-            _eval3(nu, state, formula.right, memo),
-        )
-    elif isinstance(formula, Next):
-        if state < nu.m:
-            result = _eval3(nu, state + 1, formula.operand, memo)
+    def value(state: int, formula: Formula) -> bool:
+        key = (id(formula), state)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if isinstance(formula, TrueConst):
+            result = True
+        elif isinstance(formula, FalseConst):
+            result = False
+        elif isinstance(formula, Atom):
+            result = omega.value(state, formula.name) is TruthValue3.TRUE
+        elif isinstance(formula, Not):
+            result = not value(state, formula.operand)
+        elif isinstance(formula, And):
+            result = value(state, formula.left) and value(state, formula.right)
+        elif isinstance(formula, Or):
+            result = value(state, formula.left) or value(state, formula.right)
+        elif isinstance(formula, Implies):
+            result = not value(state, formula.left) or value(state, formula.right)
+        elif isinstance(formula, Next):
+            result = state < omega.m and value(state + 1, formula.operand)
+        elif isinstance(formula, Finally):
+            result = any(value(j, formula.operand) for j in range(state + 1, omega.m + 1))
+        elif isinstance(formula, Globally):
+            result = all(value(j, formula.operand) for j in range(state + first, omega.m + 1))
+        elif isinstance(formula, Until):
+            result = any(
+                value(j, formula.right) and all(value(k, formula.left) for k in range(state, j))
+                for j in range(state + 1, omega.m + 1)
+            )
         else:
+            raise TypeError(f"not a formula node: {formula!r}")
+        memo[key] = result
+        return result
+
+    return value(state, formula)
+
+
+def eval3(
+    nu: Interpretation3, state: int, formula: Formula, g_mode: GMode = GMode.STRICT
+) -> TruthValue3:
+    """Three-valued evaluation of a formula at a state, G read as ``g_mode``."""
+    memo: dict[tuple[int, int], TruthValue3] = {}
+    # G reads from the next state on, or under the reflexive reading from this one.
+    first = g_mode is GMode.STRICT
+
+    def value(state: int, formula: Formula) -> TruthValue3:
+        key = (id(formula), state)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if isinstance(formula, TrueConst):
+            result = TruthValue3.TRUE
+        elif isinstance(formula, FalseConst):
             result = TruthValue3.FALSE
-    elif isinstance(formula, Until):
-        result = _eval3_until(nu, state, formula, memo)
-    elif isinstance(formula, (Finally, Globally, Implies)):
-        _reject_derived(formula)
-    else:
-        raise TypeError(f"not a formula node: {formula!r}")
-    memo[key] = result
-    return result
+        elif isinstance(formula, Atom):
+            result = nu.value(state, formula.name)
+        elif isinstance(formula, Not):
+            result = lnot(value(state, formula.operand))
+        elif isinstance(formula, And):
+            result = land(value(state, formula.left), value(state, formula.right))
+        elif isinstance(formula, Or):
+            result = lor(value(state, formula.left), value(state, formula.right))
+        elif isinstance(formula, Implies):
+            result = lor(lnot(value(state, formula.left)), value(state, formula.right))
+        elif isinstance(formula, Next):
+            result = value(state + 1, formula.operand) if state < nu.m else TruthValue3.FALSE
+        elif isinstance(formula, Finally):
+            result = max(
+                (value(j, formula.operand) for j in range(state + 1, nu.m + 1)),
+                default=TruthValue3.FALSE,
+            )
+        elif isinstance(formula, Globally):
+            result = min(
+                (value(j, formula.operand) for j in range(state + first, nu.m + 1)),
+                default=TruthValue3.TRUE,
+            )
+        elif isinstance(formula, Until):
+            result = _until3(value, nu.m, state, formula)
+        else:
+            raise TypeError(f"not a formula node: {formula!r}")
+        memo[key] = result
+        return result
+
+    return value(state, formula)
 
 
-def _eval3_until(nu, state, formula, memo) -> TruthValue3:
+def _until3(value, m: int, state: int, formula: Until) -> TruthValue3:
+    """The until clauses at ``state``, reading subformulas through ``value``."""
     # True clause: a strictly later j where the right argument is true
     # and the left argument is true throughout the gap.
-    for j in range(state + 1, nu.m + 1):
-        if _eval3(nu, j, formula.right, memo) is TruthValue3.TRUE and all(
-            _eval3(nu, k, formula.left, memo) is TruthValue3.TRUE
-            for k in range(state, j)
+    for j in range(state + 1, m + 1):
+        if value(j, formula.right) is TruthValue3.TRUE and all(
+            value(k, formula.left) is TruthValue3.TRUE for k in range(state, j)
         ):
             return TruthValue3.TRUE
     # Glut clause: some j makes the same pattern hold with every value
     # designated and at least one B among them.
-    for j in range(state + 1, nu.m + 1):
-        window = [_eval3(nu, j, formula.right, memo)]
-        window.extend(_eval3(nu, k, formula.left, memo) for k in range(state, j))
-        if all(v.designated for v in window) and any(
-            v is TruthValue3.BOTH for v in window
-        ):
+    for j in range(state + 1, m + 1):
+        window = [value(j, formula.right)]
+        window.extend(value(k, formula.left) for k in range(state, j))
+        if all(v.designated for v in window) and any(v is TruthValue3.BOTH for v in window):
             return TruthValue3.BOTH
     return TruthValue3.FALSE
 
 
 def satisfies2(omega: Interpretation3, kb: KnowledgeBase) -> bool:
     """Whether a two-valued interpretation classically models the base."""
-    return all(eval2(omega, 0, f) for f in kb.core_formulas)
+    return all(eval2(omega, 0, f, kb.g_mode) for f in kb.formulas)
 
 
 def satisfies3(nu: Interpretation3, kb: KnowledgeBase) -> bool:
@@ -363,4 +376,4 @@ def satisfies3(nu: Interpretation3, kb: KnowledgeBase) -> bool:
     for state, atom in kb.ground_cells:
         if nu.value(state, atom) is TruthValue3.BOTH:
             return False
-    return all(eval3(nu, 0, f).designated for f in kb.core_formulas)
+    return all(eval3(nu, 0, f, kb.g_mode).designated for f in kb.formulas)

@@ -174,6 +174,7 @@ def _read_pass(budget: Budget, key: _PassKey) -> _Levels:
     else:
         if kept is None or kept[1] is None:
             kept = budget.shared[key] = _root_pass(kb, choices, budget)
+        budget.afford(kept[1])
         budget.charge(kept[1])
     budget.paid.add(key)
     return kept[0]
@@ -213,11 +214,11 @@ def root_vectors(
     table, those of one sweep instance, run it once.  An account that
     finds the pass there raises exactly when the pass would, because
     the pass refuses only when its whole work would exceed what is
-    left; the error then reports that whole work as spent.  A fresh
-    account runs the pass afresh.  When the account has read the same
-    pass of a base over the same atoms that holds every formula of
-    ``kb``, the vectors are projected from it instead, at one unit per
-    vector (:func:`_read_pass`).
+    left; the error then reports that whole work as spent, and the
+    account spends nothing.  A fresh account runs the pass afresh.
+    When the account has read the same pass of a base over the same
+    atoms that holds every formula of ``kb``, the vectors are projected
+    from it instead, at one unit per vector (:func:`_read_pass`).
     """
     return _read_pass(Budget.of(budget), (kb, ((glut, 0),)))[0]
 
@@ -263,7 +264,8 @@ def _root_pass(kb: KnowledgeBase, choices: _Choices, budget: Budget) -> _Pass:
     The pass costs 2^k units per choice, key and assignment, and raises
     :class:`BudgetExceededError` as soon as the keys expanded and the
     keys handed on to be expanded would take the account past its
-    total, before expanding them.
+    total, before expanding them.  It then charges the work it has
+    done, and refuses the rest.
     """
     atoms = kb.atoms()
     table, roots = kb.table
@@ -284,17 +286,15 @@ def _root_pass(kb: KnowledgeBase, choices: _Choices, budget: Budget) -> _Pass:
             for held, price in choices
         ]
 
-    # What the account has left; any charge past it raises.  The pass
-    # expands one key at t_m under every choice, at 2^k units for k
-    # enumerated atoms, and at least one key at every state, so a charge
-    # past either bound is refused before the per-state lists are built.
+    # What the account has left.  The pass expands one key at t_m under
+    # every choice, at 2^k units for k enumerated atoms, and at least one
+    # key at every state, so work past either bound is refused before
+    # the per-state lists are built.
     left = budget.total - budget.spent
     last = options(m)
     first = sum([1 << len(enumerated) for _, enumerated in last])
-    if first > left:
-        budget.charge(first)
-    if m + 1 > left:
-        budget.charge(m + 1)
+    budget.afford(first)
+    budget.afford(m + 1)
     # Per state, the options and the steps of one key under them all;
     # without held atoms every state has those of t_m.
     free, steps = [last] * (m + 1), [first] * (m + 1)
@@ -368,7 +368,8 @@ def _root_pass(kb: KnowledgeBase, choices: _Choices, budget: Budget) -> _Pass:
                             out |= _columns([one[root] for root in roots], full)
                     # Every handed key costs a step at the next state.
                     if work + len(out) * ahead > left:
-                        budget.charge(work + len(out) * ahead)
+                        budget.charge(work)
+                        budget.afford(len(out) * ahead)
         # Each key keeps its least cost.
         if dearest:
             seen: set[int] = set()
@@ -376,7 +377,8 @@ def _root_pass(kb: KnowledgeBase, choices: _Choices, budget: Budget) -> _Pass:
                 keys -= seen
                 seen |= keys
             if work + len(seen) * ahead > left:
-                budget.charge(work + len(seen) * ahead)
+                budget.charge(work)
+                budget.afford(len(seen) * ahead)
         levels = handed
     return tuple(map(frozenset, levels)), work
 

@@ -9,7 +9,7 @@ from ltlim.declare import (
     translate_model,
     translation_pairs,
 )
-from ltlim.formula import GMode, KnowledgeBase, atoms_of, parse_formula
+from ltlim.formula import GMode, KnowledgeBase, parse_formula
 from ltlim.measures import measure
 from ltlim.solver import CostMode, decide_upper
 
@@ -182,12 +182,13 @@ def distinct_objects(formula) -> int:
 
 def test_a_counted_template_expands_its_shared_operands_once():
     # Each level of AtLeast reuses one operand object in both branches of
-    # a disjunction, so an expansion that rebuilt it per occurrence would
-    # double the formula at every level.
+    # a disjunction, so a compilation that rebuilt it per occurrence would
+    # double the table at every level: it holds 4 nodes per count.
     kb = translate_model(parse_declare_text("activities: a\nAtLeast(a, 12)\n"), m=3)
     assert distinct_objects(kb.formulas[0]) == 47
-    assert distinct_objects(kb.core_formulas[0]) == 48
-    assert atoms_of(kb.core_formulas[0]) == {"a"}
+    table, _ = kb.table
+    assert len(table) == 48
+    assert kb.atoms() == ("a",)
 
 
 def test_counted_conflict_grows_with_demand():

@@ -23,8 +23,8 @@ from ltlim.formula import (
     TRUE,
     TrueConst,
     Until,
+    _compile,
     atoms_of,
-    expand_derived,
     format_kb_text,
     parse_formula,
     parse_kb_text,
@@ -137,21 +137,27 @@ def test_operator_sugar_builds_nodes():
     assert (a | b) == Or(a, b)
 
 
+def compiled(formula, mode=GMode.STRICT):
+    """The node table and roots of the one-formula base of ``formula``."""
+    return KnowledgeBase((formula,), 3, g_mode=mode).table
+
+
 def test_expand_finally_is_strict_until():
-    assert expand_derived(Finally(a)) == Until(TRUE, a)
+    assert compiled(Finally(a)) == compiled(Until(TRUE, a))
 
 
 def test_expand_globally_strict():
-    assert expand_derived(Globally(a), GMode.STRICT) == Not(Until(TRUE, Not(a)))
+    assert compiled(Globally(a)) == compiled(Not(Until(TRUE, Not(a))))
 
 
 def test_expand_globally_reflexive_adds_current_state():
-    expanded = expand_derived(Globally(a), GMode.REFLEXIVE)
-    assert expanded == And(a, Not(Until(TRUE, Not(a))))
+    assert compiled(Globally(a), GMode.REFLEXIVE) == compiled(
+        And(a, Not(Until(TRUE, Not(a)))), GMode.REFLEXIVE
+    )
 
 
 def test_expand_implies():
-    assert expand_derived(Implies(a, b)) == Or(Not(a), b)
+    assert compiled(Implies(a, b)) == compiled(Or(Not(a), b))
 
 
 def reference_expand(formula, mode):
@@ -174,11 +180,28 @@ def reference_expand(formula, mode):
     )
 
 
+def table_formulas(table, atoms=("a", "b", "c")) -> list:
+    """The core formula each edge of a compiled table stands for, edge
+    2 * node + negated, in the normal form of :func:`read_back`."""
+    rebuilt = []
+    for op, x, y in table:
+        if op == "atom":
+            rebuilt += (Atom(atoms[x]), Not(Atom(atoms[x])))
+        elif op == "true":
+            rebuilt += (TRUE, FALSE)
+        elif op == "&":
+            rebuilt += (And(rebuilt[x], rebuilt[y]), Or(rebuilt[x ^ 1], rebuilt[y ^ 1]))
+        else:
+            node = Next(rebuilt[x]) if op == "X" else Until(rebuilt[x], rebuilt[y])
+            rebuilt += (node, Not(node))
+    return rebuilt
+
+
 def read_back(formula, negated=False):
-    """A core formula in the normal form that the compiled table reads
-    back, with ``negated`` for a negation above it: negations move onto
-    the edges of & (De Morgan, with | as !(!phi & !psi)), cancel in
-    pairs, and turn true into false and back."""
+    """A core formula in the normal form of :func:`table_formulas`, with
+    ``negated`` for a negation above it: negations move onto the edges
+    of & (De Morgan, with | as !(!phi & !psi)), cancel in pairs, and
+    turn true into false and back."""
     kind = type(formula)
     if kind is Not:
         return read_back(formula.operand, not negated)
@@ -206,55 +229,28 @@ def test_expansion_matches_the_clause_by_clause_reference(mode):
             for _ in range(rng.randint(1, 3))
         ]
         for formula in formulas:
+            table, roots = _compile((formula,), ("a", "b", "c"), mode)
             expected = read_back(reference_expand(formula, mode))
-            assert expand_derived(formula, mode) == expected
+            assert table_formulas(table)[roots[0]] == expected
         kb = KnowledgeBase(tuple(formulas), 3, g_mode=mode)
-        assert kb.core_formulas == tuple(
+        table, roots = kb.table
+        rebuilt = table_formulas(table, kb.atoms())
+        assert [rebuilt[root] for root in roots] == [
             read_back(reference_expand(f, mode)) for f in kb.formulas
-        )
-
-
-def test_the_read_back_is_a_normal_form_that_keeps_the_derived_forms():
-    for mode in GMode:
-        always = Not(Until(TRUE, Not(a)))
-        assert expand_derived(Finally(a), mode) == Until(TRUE, a)
-        assert expand_derived(Globally(a), mode) == (
-            And(a, always) if mode is GMode.REFLEXIVE else always
-        )
-        assert expand_derived(Implies(a, b), mode) == Or(Not(a), b)
-    assert expand_derived(Not(And(a, Next(b)))) == Or(Not(a), Not(Next(b)))
-    assert expand_derived(Not(Or(a, b))) == And(Not(a), Not(b))
-    assert expand_derived(Not(Not(Next(a)))) == Next(a)
-    assert expand_derived(Not(TRUE)) == FALSE
-    assert expand_derived(Not(FALSE)) == TRUE
-    assert expand_derived(Not(Until(a, b))) == Not(Until(a, b))
-
-
-def _core_kinds_only(formula):
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        assert not isinstance(node, (Finally, Globally, Implies)), node
-        for name in ("child", "left", "right"):
-            sub = getattr(node, name, None)
-            if sub is not None:
-                stack.append(sub)
-
-
-@given(st.integers(0, 2**32 - 1), st.sampled_from(GMode))
-def test_expand_removes_all_derived_nodes_and_is_idempotent(seed, mode):
-    rng = random.Random(seed)
-    formula = random_formula(rng, ("a", "b"), 4, allow_constants=True)
-    expanded = expand_derived(formula, mode)
-    _core_kinds_only(expanded)
-    assert expand_derived(expanded, mode) == expanded
+        ]
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(GMode))
 def test_expand_preserves_temporal_depth(seed, mode):
     rng = random.Random(seed)
     formula = random_formula(rng, ("a", "b"), 4, allow_constants=True)
-    assert temporal_depth(expand_derived(formula, mode)) == temporal_depth(formula)
+    table, roots = compiled(formula, mode)
+    # The X and U nodes on the longest path down from each node.
+    depth = []
+    for op, x, y in table:
+        below = 0 if op in ("atom", "true") else max(depth[e >> 1] for e in (x, y) if e >= 0)
+        depth.append(below + (op in ("X", "U")))
+    assert depth[roots[0] >> 1] == temporal_depth(formula)
 
 
 @pytest.mark.parametrize(

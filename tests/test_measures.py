@@ -177,12 +177,13 @@ def test_bases_past_twelve_formulas_find_the_minimal_subsets_of_the_subset_loop(
 
 def test_the_budget_bounds_the_minimal_subset_table():
     # 24 formulas have 2^24 subsets, more than 10^6 units: the table is
-    # refused before the pass is read, as a pass refuses its states.
+    # refused before the pass is read, as a pass refuses its states.  The
+    # error reports the table's units, and the refusal spends none.
     kb = kb_of(*(text for i in range(12) for text in (f"a{i}", f"! a{i}")), m=2)
     budget = Budget(10**6)
     with pytest.raises(BudgetExceededError) as exc:
         mis_enumerate(kb, budget=budget)
-    assert exc.value.nodes == budget.spent == 1 << 24
+    assert exc.value.nodes == 1 << 24 and budget.spent == 0
     assert not budget.paid and not budget.shared
 
 

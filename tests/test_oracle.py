@@ -23,8 +23,11 @@ from ltlim.formula import (
     TRUE,
     And,
     Atom,
+    Finally,
     Formula,
     GMode,
+    Globally,
+    Implies,
     KnowledgeBase,
     Next,
     Not,
@@ -55,16 +58,25 @@ ATOMS = ("a", "b", "c")
 ATOMS5 = ("a", "b", "c", "d", "e")
 
 
-def random_core_formula(
-    rng: random.Random, atoms: tuple[str, ...], *, constants: bool = True
+def random_pool_formula(
+    rng: random.Random,
+    atoms: tuple[str, ...],
+    *,
+    constants: bool = True,
+    derived: bool = False,
 ) -> Formula:
-    """A core formula over atoms (and constants) with nested X and U."""
+    """A formula over atoms (and constants) with nested X and U, and with
+    F, G and -> too when ``derived``, drawn from a growing pool so that
+    subformulas are shared."""
     pool: list[Formula] = [Atom(a) for a in atoms]
     if constants:
         pool += [TRUE, FALSE]
+    kinds = (Not, Next, And, Or, Until, Until)
+    if derived:
+        kinds += (Finally, Globally, Implies)
     for _ in range(rng.randint(1, 10)):
-        kind = rng.choice((Not, Next, And, Or, Until, Until))
-        if kind in (Not, Next):
+        kind = rng.choice(kinds)
+        if kind in (Not, Next, Finally, Globally):
             pool.append(kind(rng.choice(pool)))
         else:
             pool.append(kind(rng.choice(pool), rng.choice(pool)))
@@ -96,7 +108,7 @@ def clashing_base(seed: int, max_cells: int = 8) -> KnowledgeBase:
     costs finite unless the base or its ground cells forbid it.
     """
     kb = random_base(seed, max_cells)
-    clash = random_core_formula(
+    clash = random_pool_formula(
         random.Random(seed), kb.atoms() or ("a",), constants=False
     )
     return kb.replace_formulas(kb.formulas + (clash, Not(clash)))
@@ -134,7 +146,9 @@ def test_digit_grid_row_r_spells_r(n_cells, lut, order):
 
 def assert_walk_matches_eval3(kb: KnowledgeBase) -> None:
     """The oracle's walk over the node table gives eval3's value of
-    every formula at every row and state."""
+    every formula at every row and state.  eval3 reads the formulas as
+    written, F, G and -> by their own clauses, so this also checks how
+    the table rewrites them."""
     table, roots = kb.table
     atoms, m = kb.atoms(), kb.trace_length_m
     _, cells, mask = oracle._model_space(kb, cell_cap=(m + 1) * len(atoms))
@@ -147,11 +161,10 @@ def assert_walk_matches_eval3(kb: KnowledgeBase) -> None:
         for root in roots:
             if root >> 1 == node:
                 values[root] = [2 - v if root & 1 else v for v in flat]
-    formulas = dict(zip(roots, kb.core_formulas))
     for row in range(mask.size):
         nu = oracle._row_interpretation(atoms, m, oracle._LUT3, row)
-        for root, f in formulas.items():
-            expected = [int(eval3(nu, s, f)) for s in range(m + 1)]
+        for root, f in zip(roots, kb.formulas):
+            expected = [int(eval3(nu, s, f, kb.g_mode)) for s in range(m + 1)]
             assert [int(v[row]) for v in values[root]] == expected, (f, row)
 
 
@@ -160,8 +173,11 @@ def test_eval_vec_matches_eval3_at_every_row_and_state(seed):
     rng = random.Random(seed)
     atoms = ATOMS[: rng.randint(1, 3)]
     m = rng.randint(0, 8 // len(atoms) - 1)
-    formulas = [random_core_formula(rng, atoms) for _ in range(3)]
-    assert_walk_matches_eval3(KnowledgeBase(formulas, m, allow_short_trace=True))
+    formulas = [random_pool_formula(rng, atoms, derived=True) for _ in range(3)]
+    for mode in GMode:
+        assert_walk_matches_eval3(
+            KnowledgeBase(formulas, m, g_mode=mode, allow_short_trace=True)
+        )
 
 
 def test_table_walk_matches_eval3_on_a_shared_operand():

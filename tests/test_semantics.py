@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from ltlim.formula import (
     GMode,
     KnowledgeBase,
-    expand_derived,
     parse_formula,
     temporal_depth,
 )
@@ -27,10 +26,6 @@ from ltlim.semantics import (
 )
 
 F, B, T = TruthValue3.FALSE, TruthValue3.BOTH, TruthValue3.TRUE
-
-
-def core(text: str, mode: GMode = GMode.STRICT):
-    return expand_derived(parse_formula(text), mode)
 
 
 def random_interpretation(rng, atoms, m, *, three_valued=True):
@@ -92,50 +87,73 @@ def test_eval3_atoms_and_negation(nu):
 
 
 def test_eval3_next_hits_glut(nu):
-    assert eval3(nu, 0, core("X a")) is B
-    assert eval3(nu, 0, core("X (! a)")) is B
-    assert eval3(nu, 1, core("X b")) is T
+    assert eval3(nu, 0, parse_formula("X a")) is B
+    assert eval3(nu, 0, parse_formula("X (! a)")) is B
+    assert eval3(nu, 1, parse_formula("X b")) is T
 
 
 def test_next_at_horizon_is_false(nu):
-    assert eval3(nu, 2, core("X a")) is F
-    assert eval3(nu, 2, core("X (! a)")) is F
+    assert eval3(nu, 2, parse_formula("X a")) is F
+    assert eval3(nu, 2, parse_formula("X (! a)")) is F
 
 
 def test_eval3_until_glut_clause(nu):
     # No strictly later state gives b = 1 with a = 1 across the gap,
     # but t1 offers a designated window containing a glut.
-    assert eval3(nu, 0, core("a U b")) is B
+    assert eval3(nu, 0, parse_formula("a U b")) is B
 
 
 def test_eval3_until_true_clause_wins_over_glut():
     grid = Interpretation3(atoms=("a", "b"), values=((T, F), (T, B), (T, T)))
-    assert eval3(grid, 0, core("a U b")) is T
+    assert eval3(grid, 0, parse_formula("a U b")) is T
 
 
 def test_eval3_until_needs_left_from_current_state():
     grid = Interpretation3(atoms=("a", "b"), values=((F, F), (F, T), (F, F)))
-    assert eval3(grid, 0, core("a U b")) is F
+    assert eval3(grid, 0, parse_formula("a U b")) is F
 
 
 def test_strict_finally_ignores_current_state():
     grid = Interpretation3(atoms=("a",), values=((T,), (F,), (F,)))
-    assert eval3(grid, 0, core("F a")) is F
-    assert eval3(grid, 0, core("a | F a")) is T
+    assert eval3(grid, 0, parse_formula("F a")) is F
+    assert eval3(grid, 0, parse_formula("a | F a")) is T
 
 
 def test_reflexive_globally_covers_current_state():
     grid = Interpretation3(atoms=("a",), values=((F,), (T,), (T,)))
-    assert eval3(grid, 0, core("G a", GMode.REFLEXIVE)) is F
-    assert eval3(grid, 0, core("G a", GMode.STRICT)) is T
+    assert eval3(grid, 0, parse_formula("G a"), GMode.REFLEXIVE) is F
+    assert eval3(grid, 0, parse_formula("G a"), GMode.STRICT) is T
 
 
-def test_eval_rejects_unexpanded_derived_nodes(nu):
-    for text in ("F a", "G a", "a -> b"):
-        with pytest.raises(ValueError):
-            eval3(nu, 0, parse_formula(text))
-        with pytest.raises(ValueError):
-            eval2(nu, 0, parse_formula(text))
+def test_eval_reads_derived_nodes_by_their_clauses(nu):
+    # t0: a=1 b=0 / t1: a=B b=B / t2: a=0 b=1
+    strict, reflexive = GMode.STRICT, GMode.REFLEXIVE
+    values = {
+        "F a": (B, F, F),
+        "F b": (T, T, F),
+        "a -> b": (F, B, T),
+        "G b": (B, T, T),
+        "G a": (F, F, T),
+    }
+    for text, expected in values.items():
+        formula = parse_formula(text)
+        assert tuple(eval3(nu, s, formula, strict) for s in range(3)) == expected, text
+    # The reflexive G also reads the state itself.
+    assert tuple(eval3(nu, s, parse_formula("G b"), reflexive) for s in range(3)) == (F, B, T)
+    assert tuple(eval3(nu, s, parse_formula("G a"), reflexive) for s in range(3)) == (F, F, F)
+    # Each clause gives the value of the core form that the table interns.
+    for derived, core_form in [
+        ("F (a & b)", "true U (a & b)"),
+        ("G (a | X b)", "! (true U ! (a | X b))"),
+        ("a -> X b", "! (a & ! X b)"),
+    ]:
+        for mode in (strict, reflexive):
+            core = parse_formula(core_form)
+            if mode is reflexive and derived.startswith("G"):
+                core = parse_formula(f"(a | X b) & {core_form}")
+            for state in range(3):
+                got = eval3(nu, state, parse_formula(derived), mode)
+                assert got is eval3(nu, state, core, mode), (derived, mode, state)
 
 
 def test_eval2_rejects_three_valued_input(nu):
@@ -146,10 +164,10 @@ def test_eval2_rejects_three_valued_input(nu):
 def test_eval2_classical_until():
     omega = Interpretation3(atoms=("a", "b"), values=((T, F), (F, F), (F, T)))
     # the gap needs a at both t0 and t1, but a fails at t1
-    assert eval2(omega, 0, core("a U b")) is False
-    assert eval2(omega, 1, core("a U b")) is False
-    assert eval2(omega, 0, core("F b")) is True
-    assert eval2(omega, 0, core("G a")) is False
+    assert eval2(omega, 0, parse_formula("a U b")) is False
+    assert eval2(omega, 1, parse_formula("a U b")) is False
+    assert eval2(omega, 0, parse_formula("F b")) is True
+    assert eval2(omega, 0, parse_formula("G a")) is False
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -157,19 +175,18 @@ def test_faithfulness_on_two_valued_interpretations(seed):
     rng = random.Random(seed)
     m = rng.randint(1, 4)
     omega = random_interpretation(rng, ("a", "b"), m, three_valued=False)
-    formula = core_random(rng)
+    formula, mode = random_surface_formula(rng)
     state = rng.randint(0, m)
-    classical = eval2(omega, state, formula)
-    three_valued = eval3(omega, state, formula)
+    classical = eval2(omega, state, formula, mode)
+    three_valued = eval3(omega, state, formula, mode)
     assert three_valued in (T, F)
     assert (three_valued is T) == classical
 
 
-def core_random(rng):
+def random_surface_formula(rng):
+    """A seeded formula with F, G, -> and constants, and a G reading."""
     mode = rng.choice(list(GMode))
-    return expand_derived(
-        random_formula(rng, ("a", "b"), 5, allow_constants=True), mode
-    )
+    return random_formula(rng, ("a", "b"), 5, allow_constants=True), mode
 
 
 @given(st.integers(0, 2**32 - 1))

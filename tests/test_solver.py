@@ -24,7 +24,6 @@ from ltlim.formula import (
     TrueConst,
     Until,
     _compile,
-    expand_derived,
 )
 from ltlim.generators import random_kb
 from ltlim.declare import load_declare, translate_model
@@ -47,7 +46,7 @@ from ltlim.solver import (
     minimize,
     root_vectors,
 )
-from test_formula import read_back
+from test_formula import read_back, table_formulas
 from test_semantics import random_interpretation
 
 INF = float("inf")
@@ -370,24 +369,6 @@ def random_core_formulas(rng: random.Random, atoms: tuple[str, ...]) -> list[For
     return [rng.choice(pool) for _ in range(rng.randint(1, 4))]
 
 
-def table_formulas(table) -> list[Formula]:
-    """The formula each edge of a compiled table stands for, edge
-    2 * node + negated, read back as the base's core formulas are
-    (:func:`test_formula.read_back`)."""
-    rebuilt: list[Formula] = []
-    for op, x, y in table:
-        if op == "atom":
-            rebuilt += (Atom(ATOMS[x]), Not(Atom(ATOMS[x])))
-        elif op == "true":
-            rebuilt += (TRUE, FALSE)
-        elif op == "&":
-            rebuilt += (And(rebuilt[x], rebuilt[y]), Or(rebuilt[x ^ 1], rebuilt[y ^ 1]))
-        else:
-            node = Next(rebuilt[x]) if op == "X" else Until(rebuilt[x], rebuilt[y])
-            rebuilt += (node, Not(node))
-    return rebuilt
-
-
 def kernel_sets(table, leaf_masks: dict[str, list[int]], m: int):
     """Run the kernel with the atom leaves set from per-state masks, and
     return the can-be-0, can-be-B and can-be-1 bitsets of every edge.
@@ -573,7 +554,6 @@ def test_compile_expands_derived_connectives_and_rejects_foreign_atoms():
     ]:
         table, roots = _compile((And(a, derived),), ("a",), mode)
         assert table_formulas(table)[roots[0]] == And(a, core)
-        assert expand_derived(And(a, derived), mode) == And(a, core)
     with pytest.raises(SignatureMismatchError):
         _compile((Or(Atom("a"), Atom("z")),), ("a",))
 
