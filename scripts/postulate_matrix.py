@@ -1,120 +1,64 @@
-"""Print the compliance matrix, certify the expected failures, and sweep.
+"""Check the compliance matrix that ``ltlim postulates`` reports.
 
-For every cell expected to hold, runs a seeded random sweep and reports
-the instance counts; the cells of one postulate share one sweep.  For
-every cell expected to fail, recomputes the curated counterexample, or
-reports the impossibility note for the two atom-count cells that
-provably admit none.  Exits nonzero if a sweep finds a violation or a
-certificate stops violating.
+Reads two JSON reports of ``ltlim postulates``, run in process: the
+matrix, which recomputes the curated certificate of each expected-fails
+cell, and ``--sweep N --seed S``, which checks N seeded random instances
+against every cell.  A cell is a surprise when its certificate no longer
+violates its postulate, or when it has no certificate and its sweep
+found a violation: the expected-holds cells, and the two atom-count
+cells that provably admit no counterexample.  Prints one line per cell
+and exits 1 on any surprise.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import sys
-import time
 
-from ltlim.postulates import (
-    EXPECTED_MATRIX,
-    Outcome,
-    Postulate,
-    curated_violation,
-    run_curated,
-    search_violation,
-    sweep,
-)
-
-POSTULATES = tuple(Postulate)
+from ltlim.cli import main as ltlim
 
 
-def main() -> int:
+def report(*argv: str) -> dict:
+    """The JSON report of ``ltlim postulates`` with ``argv``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = ltlim(["postulates", "--format", "json", *argv])
+    if code:
+        raise SystemExit(f"ltlim postulates {' '.join(argv)} exited {code}")
+    return json.loads(out.getvalue())
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sweep", type=int, default=200, metavar="N",
-                        help="instances per expected-holds cell (default 200)")
-    parser.add_argument("--hunt", type=int, default=150, metavar="N",
-                        help="instances when hunting the impossible cells")
+                        help="instances per cell (default 200)")
     parser.add_argument("--seed", type=int, default=11)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    print("expected compliance matrix:")
-    print(f"  {'measure':<8}" + "".join(f"{p.value:>5}" for p in POSTULATES))
-    for measure_id, row in EXPECTED_MATRIX.items():
-        marks = "".join(f"{'yes' if row[p] else 'NO':>5}" for p in POSTULATES)
-        print(f"  {measure_id:<8}{marks}")
-
-    problems = 0
-    t0 = time.perf_counter()
-
-    print(f"\nsweeping expected-holds cells ({args.sweep} instances, seed {args.seed}):")
-    # One sweep per postulate checks each instance against all of the
-    # postulate's expected-holds measures.
-    swept = {
-        (result.measure_id, postulate): result
-        for postulate in POSTULATES
-        for result in sweep(
-            [mid for mid, row in EXPECTED_MATRIX.items() if row[postulate]],
-            postulate,
-            instances=args.sweep,
-            seed=args.seed,
+    matrix = report()["cells"]
+    swept = report("--sweep", str(args.sweep), "--seed", str(args.seed))["cells"]
+    print(f"compliance matrix, {args.sweep} instances per cell, seed {args.seed}:")
+    surprises = 0
+    for cell, sweep in zip(matrix, swept):
+        certificate = cell.get("certificate")
+        violations = len(sweep["violations"])
+        if certificate:
+            surprise = certificate["outcome"] != "violated"
+            evidence = f"certificate {certificate['outcome']}"
+        else:
+            surprise = violations > 0
+            evidence = "no certificate"
+        surprises += surprise
+        print(
+            f"  {cell['measure']:<6} {cell['postulate']}: expected {cell['expected']:<5}"
+            f" {evidence}; sweep holds={sweep['holds']} n/a={sweep['not_applicable']}"
+            f" violations={violations}" + (" SURPRISE" if surprise else "")
         )
-    }
-    for measure_id, row in EXPECTED_MATRIX.items():
-        for postulate in POSTULATES:
-            if not row[postulate]:
-                continue
-            result = swept[measure_id, postulate]
-            status = "clean" if result.clean else "VIOLATIONS"
-            print(
-                f"  {measure_id:<6} {postulate.value}: holds={result.holds}"
-                f" n/a={result.not_applicable}"
-                f" violations={len(result.violations)} [{status}]"
-            )
-            if not result.clean:
-                problems += 1
-                detail = result.violations[0].details
-                print(f"    first violating instance: {detail}")
-
-    print("\ncertifying expected-fails cells:")
-    for measure_id, row in EXPECTED_MATRIX.items():
-        for postulate in POSTULATES:
-            if row[postulate]:
-                continue
-            recipe = curated_violation(measure_id, postulate)
-            if recipe is None:
-                found = search_violation(
-                    measure_id, postulate, instances=args.hunt, seed=args.seed
-                )
-                if found is None:
-                    print(
-                        f"  {measure_id:<6} {postulate.value}: no counterexample"
-                        f" exists (monotone, free-formula blind); {args.hunt}-instance"
-                        " hunt agrees"
-                    )
-                else:
-                    problems += 1
-                    print(
-                        f"  {measure_id:<6} {postulate.value}: HUNT FOUND A"
-                        f" VIOLATION, impossibility argument is wrong: {found.details}"
-                    )
-                continue
-            verdict = run_curated(measure_id, postulate)
-            values = {
-                key: value
-                for key, value in verdict.details.items()
-                if key.startswith("value")
-            }
-            if verdict.outcome is Outcome.VIOLATED:
-                print(f"  {measure_id:<6} {postulate.value}: certified {values}")
-            else:
-                problems += 1
-                print(
-                    f"  {measure_id:<6} {postulate.value}: CERTIFICATE NO LONGER"
-                    f" VIOLATES ({verdict.outcome.value}) {values}"
-                )
-
-    elapsed = time.perf_counter() - t0
-    if problems:
-        print(f"\n{problems} PROBLEM CELLS in {elapsed:.1f}s")
+    if surprises:
+        print(f"{surprises} surprising cells")
         return 1
-    print(f"\nmatrix fully certified in {elapsed:.1f}s")
+    print("every cell as expected")
     return 0
 
 

@@ -36,6 +36,7 @@ from .formula import (
     format_kb_text,
     load_kb,
     render_formula,
+    render_length,
 )
 from .measures import (
     MEASURE_IDS,
@@ -65,6 +66,10 @@ from .solver import (
 __all__ = ["main"]
 
 _MEASURE_CHOICES = MEASURE_IDS + ("all",)
+# The longest translated base that declare renders, in characters: each
+# count of AtLeast doubles the text, and a character costs about 8 bytes
+# at the peak of writing it, so the cap holds the peak near 1 GB.
+_MAX_RENDER_LENGTH = 2**27
 _POSTULATE_ORDER = tuple(Postulate)
 
 
@@ -231,6 +236,12 @@ def _cmd_declare(args) -> int:
         ground_init=not args.no_ground_init,
         allow_short_trace=args.allow_short_trace,
     )
+    length = sum(render_length(f) for f in kb.formulas)
+    if length > _MAX_RENDER_LENGTH:
+        raise ValueError(
+            f"the translated base renders to {length} characters;"
+            f" declare writes at most {_MAX_RENDER_LENGTH}"
+        )
     emit_path = Path(args.emit) if args.emit else Path(args.input).with_suffix(".ltlkb")
     emit_path.write_text(format_kb_text(kb), encoding="utf-8")
     run, exhausted = _run_measures(kb, args)

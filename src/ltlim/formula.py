@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 __all__ = [
     "Atom",
@@ -63,6 +63,7 @@ __all__ = [
     "parse_formula",
     "parse_kb_text",
     "render_formula",
+    "render_length",
     "temporal_depth",
 ]
 
@@ -238,6 +239,28 @@ def render_formula(formula: Formula) -> str:
             out = "true" if kind is TrueConst else "false"
         text[id(node)] = out
     return text[id(formula)]
+
+
+def render_length(formula: Formula) -> int:
+    """``len(render_formula(formula))``, summed over the formula's
+    distinct subformulas without building a string: the text of a
+    shared operand repeats at every occurrence, so its length can grow
+    exponentially in the formula's size."""
+    length: dict[int, int] = {}
+    for node in _postorder((formula,)):
+        kind = type(node)
+        if kind in _BINARY:
+            # "(left symbol right)"
+            out = length[id(node.left)] + length[id(node.right)] + len(_SYMBOL[kind]) + 4
+        elif kind in _SYMBOL:
+            # "(symbol operand)"
+            out = length[id(node.operand)] + len(_SYMBOL[kind]) + 3
+        elif kind is Atom:
+            out = len(node.name)
+        else:
+            out = 4 if kind is TrueConst else 5
+        length[id(node)] = out
+    return length[id(formula)]
 
 
 class FormulaParseError(ValueError):
@@ -490,12 +513,6 @@ class KnowledgeBase:
             ground_cells=frozenset(ground_cells),
             allow_short_trace=allow_short_trace,
         )
-
-    def __iter__(self) -> Iterator[Formula]:
-        return iter(self.formulas)
-
-    def __len__(self) -> int:
-        return len(self.formulas)
 
     def atoms(self) -> tuple[str, ...]:
         """All atom names in the base, sorted."""

@@ -117,21 +117,20 @@ def random_contingent_formula(
     max_depth: int,
     *,
     m: int,
-    temporal: bool = False,
-    max_tries: int = 64,
     budget: Budget | int = DEFAULT_NODE_BUDGET,
 ) -> Formula | None:
-    """A random formula that is neither valid nor unsatisfiable.
+    """A random propositional formula that is neither valid nor
+    unsatisfiable.
 
-    Returns None when no contingent sample shows up within max_tries.
+    Returns None when no contingent sample shows up within 64 tries.
     Every try's :func:`is_contingent` test is charged to one account
     (:class:`ltlim.solver.Budget`); :func:`ltlim.postulates.check_ts`
     makes the same test, so a check on the same account reads the
     accepted formula's pass back.
     """
     budget = Budget.of(budget)
-    for _ in range(max_tries):
-        candidate = random_formula(rng, atoms, max_depth, temporal=temporal)
+    for _ in range(64):
+        candidate = random_formula(rng, atoms, max_depth, temporal=False)
         if is_contingent(candidate, m=m, budget=budget):
             return candidate
     return None

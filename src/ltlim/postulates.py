@@ -15,21 +15,23 @@ Five postulates are checked against concrete instances:
 
 Each check returns a verdict on its instance and charges one work
 account (:class:`ltlim.solver.Budget`), so ``budget`` bounds the check
-as a whole and a base it asks about twice runs its pass once; a sweep
-instance shares one account between its sampling and its check.  The
+as a whole and a base it asks about twice runs its pass once.  The
 expected compliance matrix records which measures are expected to
-satisfy which postulate, and the sweep harness samples seeded random
-instances to regression-test the expected-holds cells.  One sweep
-samples each instance once and checks it against all of its measures
-in turn: every measure's check keeps its own account, a copy of the
-one the sampling was charged to, but the checks of one instance share
-its bases and its passes, which run once for all of them and are
-dropped with the instance.
-Expected-fails cells are certified by the curated counterexamples
-below, which the test suite re-verifies by recomputation.  The matrix rows for the trace-window
-distance are not universal laws: two boundary instances with deeply
-nested temporal operators depart from them, and the test suite pins
-both so any behaviour change surfaces.
+satisfy which postulate.  Expected-fails cells are certified by the
+curated counterexamples below, which :func:`run_curated` recomputes;
+two atom-count cells provably admit none.  :func:`sweep` checks seeded
+random instances against any cells: it samples each instance once, on
+one account, and checks it against each measure in turn on a copy of
+that account, so the checks of one instance share its bases and its
+passes, which run once for all of them and are dropped with the
+instance.  ``ltlim postulates`` reports the matrix with its
+certificates, or the sweeps of every cell, and
+``scripts/postulate_matrix.py`` checks both reports: a certificate that
+stops violating, or a violation swept in a cell without one, is a
+surprise.  The matrix rows for the trace-window distance are not
+universal laws: two boundary instances with deeply nested temporal
+operators depart from them, and the test suite pins both so any
+behaviour change surfaces.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ __all__ = [
     "check_ts",
     "curated_violation",
     "run_curated",
-    "search_violation",
     "sweep",
 ]
 
@@ -518,14 +519,6 @@ def _sample(
     return partial(check_ts, phi=phi, m=m)
 
 
-def _sweep_instance(
-    rng: random.Random, measure_id: str, postulate: Postulate, *, m: int, budget: Budget | int
-) -> Verdict:
-    """One seeded instance, sampled and checked on one account."""
-    account = Budget.of(budget)
-    return _sample(rng, postulate, m=m, budget=account)(measure_id, budget=account)
-
-
 def sweep(
     measure_ids: str | Sequence[str],
     postulate: Postulate,
@@ -562,21 +555,3 @@ def sweep(
                 verdict.details
                 result.violations.append(verdict)
     return results[0] if isinstance(measure_ids, str) else results
-
-
-def search_violation(
-    measure_id: str,
-    postulate: Postulate,
-    *,
-    instances: int,
-    seed: int,
-    m: int = 3,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> Verdict | None:
-    """Random hunt for a violating instance; None when none is found."""
-    rng = random.Random(seed)
-    for _ in range(instances):
-        verdict = _sweep_instance(rng, measure_id, postulate, m=m, budget=budget)
-        if verdict.outcome is Outcome.VIOLATED:
-            return verdict
-    return None

@@ -136,13 +136,13 @@ class Budget:
     ran out among them, as ``spent`` counts their nodes.
     """
 
-    def __init__(self, total: int, shared: dict[_PassKey, _Pass] | None = None):
+    def __init__(self, total: int):
         self.total = total
         self.spent = 0
         self.probes = 0
         self.paid: set[_PassKey] = set()
         # (kb, choices) -> the vectors and the work of a pass run so far.
-        self.shared = {} if shared is None else shared
+        self.shared: dict[_PassKey, _Pass] = {}
 
     def fork(self) -> Budget:
         """A copy of this account, on the same table, that keeps its own

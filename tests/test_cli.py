@@ -190,6 +190,20 @@ def test_deeply_nested_input_exits_with_code_two(
     assert "Traceback" not in err
 
 
+def test_a_translation_too_long_to_render_exits_with_code_two(capsys, tmp_path):
+    # AtLeast(a, 40) renders to 20 * 2^40 - 29 characters, which no
+    # emitted file could hold.
+    model = tmp_path / "counted.decl"
+    model.write_text("activities: a\nAtLeast(a, 40)\n", encoding="utf-8")
+    emitted = tmp_path / "counted.ltlkb"
+    code, out, err = run_cli(capsys, ["declare", str(model), "--m", "3", "--emit", str(emitted)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: the translated base renders to {20 * 2**40 - 29} characters")
+    assert "Traceback" not in err
+    assert not emitted.exists()
+
+
 _WITHOUT_THE_ORACLE = """
 import contextlib, io, sys
 import ltlim.cli

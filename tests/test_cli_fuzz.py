@@ -38,7 +38,8 @@ SOUP = st.lists(
     max_size=8,
 ).map(" ".join)
 # Rendering a counted template doubles its text per count, so counts
-# stay at most 9.
+# stay at most 9: counts 10..22 render megabytes.  decl_text adds
+# counts of 23 and up, which declare refuses before rendering.
 _ARITY = {
     "Init": 1, "End": 1, "Response": 2, "NotResponse": 2, "ChainResponse": 2,
     "NotChainResponse": 2, "AtLeast": 1, "AtMost": 1,
@@ -76,10 +77,18 @@ def ltlkb_text(draw) -> str:
 
 
 @st.composite
-def decl_text(draw) -> str:
+def decl_text(draw) -> tuple[str, bool]:
+    """A model's text, and whether it holds a translation too long to
+    render: one draw in ten, or more, since hypothesis favours the edge
+    value 0 of the integers it draws."""
     header = draw(st.sampled_from(("", "activities: a, b, c", "activities: c, a, b")))
     lines = draw(lines_with_a_flaw(constraint_line(), st.one_of(CONSTRAINT_FLAWS, SOUP)))
-    return "\n".join([header] + lines) + "\n"
+    too_long = draw(st.integers(0, 9)) == 0
+    if too_long:
+        count = draw(st.integers(23, 64))
+        line = f"AtLeast({draw(st.sampled_from(ATOMS))}, {count})"
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join([header] + lines) + "\n", too_long
 
 
 # Mostly legal trace lengths, some long enough to run out of the budget.
@@ -91,8 +100,9 @@ def work_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def run(argv: list[str]) -> None:
-    """Run ``main``, and check that it exits with a documented code."""
+def run(argv: list[str]) -> int:
+    """Run ``main``, check that it exits with a documented code, and
+    return the code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -100,6 +110,7 @@ def run(argv: list[str]) -> None:
     assert code != 1 or argv[0] == "oracle-check", (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     event(f"{argv[0]} exit {code}")
+    return code
 
 
 @settings(max_examples=150)
@@ -123,12 +134,18 @@ def test_random_ltlkb_text_exits_with_a_documented_code(
 
 
 @settings(max_examples=100)
-@given(text=decl_text(), m=TRACE_LENGTHS, ground=st.booleans())
-def test_random_decl_text_exits_with_a_documented_code(work_dir, text, m, ground):
+@given(model=decl_text(), m=TRACE_LENGTHS, ground=st.booleans())
+def test_random_decl_text_exits_with_a_documented_code(work_dir, model, m, ground):
+    text, too_long = model
     path = work_dir / "input.decl"
     path.write_text(text, encoding="utf-8")
     argv = ["declare", str(path), "--emit", str(work_dir / "emitted.ltlkb"), *BUDGET]
     argv += ["--format", "json"]
     argv += [] if m is None else ["--m", str(m)]
     argv += [] if ground else ["--no-ground-init"]
-    run(argv)
+    if too_long:
+        event("a translation too long to render")
+    code = run(argv)
+    # A translation too long to render exits 2, whether the render cap
+    # or an earlier error in the model refuses it.
+    assert code == 2 or not too_long, (text, code)

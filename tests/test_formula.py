@@ -29,9 +29,10 @@ from ltlim.formula import (
     parse_formula,
     parse_kb_text,
     render_formula,
+    render_length,
     temporal_depth,
 )
-from ltlim.declare import _at_least
+from ltlim.declare import _at_least, _at_most
 from ltlim.generators import random_formula
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -128,7 +129,18 @@ def test_parse_error_carries_position():
 def test_render_parse_round_trip(seed):
     rng = random.Random(seed)
     formula = random_formula(rng, ("a", "b", "c"), 5, allow_constants=True)
-    assert parse_formula(render_formula(formula)) == formula
+    text = render_formula(formula)
+    assert parse_formula(text) == formula
+    assert render_length(formula) == len(text)
+
+
+@pytest.mark.parametrize("count", range(1, 13))
+def test_render_length_counts_shared_operands_at_every_occurrence(count):
+    for translate in (_at_least, _at_most):
+        formula = translate(a, count)
+        assert render_length(formula) == len(render_formula(formula))
+    # Each count of AtLeast doubles its text.
+    assert render_length(_at_least(a, count)) == 20 * 2**count - 29
 
 
 def test_operator_sugar_builds_nodes():

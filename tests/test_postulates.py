@@ -20,11 +20,16 @@ from ltlim.postulates import (
     check_ts,
     curated_violation,
     run_curated,
-    _sweep_instance,
-    search_violation,
+    _sample,
     sweep,
 )
 from ltlim.solver import DEFAULT_NODE_BUDGET, Budget, BudgetExceededError
+
+
+def _sweep_instance(rng, measure_id, postulate, *, m, budget):
+    """One seeded sweep instance, sampled and checked on one account."""
+    account = Budget.of(budget)
+    return _sample(rng, postulate, m=m, budget=account)(measure_id, budget=account)
 
 
 def test_matrix_covers_every_measure_and_postulate():
@@ -488,16 +493,13 @@ def test_free_formula_certificates(measure_id, value, without):
 def test_atom_count_monotonicity_hunt_stays_empty():
     # Growing a base only ever grows its family of minimal unsatisfiable
     # subsets, so the unnormalized atom count never shrinks.
-    assert search_violation("at", Postulate.MONOTONICITY, instances=60, seed=2024) is None
+    assert sweep("at", Postulate.MONOTONICITY, instances=60, seed=2024).clean
 
 
 def test_atom_count_free_formula_hunt_stays_empty():
     # A free formula lies in no minimal unsatisfiable subset, so removing
     # it leaves the subset family and the atom count untouched.
-    assert (
-        search_violation("at", Postulate.FREE_FORMULA_INDEPENDENCE, instances=60, seed=2024)
-        is None
-    )
+    assert sweep("at", Postulate.FREE_FORMULA_INDEPENDENCE, instances=60, seed=2024).clean
 
 
 def test_trace_distance_free_formula_boundary_instance():
@@ -548,7 +550,7 @@ def test_expected_holds_cells_survive_a_seeded_sweep(measure_id, postulate):
     assert result.holds + result.not_applicable + len(result.violations) == 15
 
 
-def test_search_violation_finds_known_failures_quickly():
-    verdict = search_violation("d", Postulate.TIME_SENSITIVITY, instances=40, seed=3)
-    assert verdict is not None
-    assert verdict.outcome is Outcome.VIOLATED
+def test_a_sweep_finds_known_failures_quickly():
+    result = sweep("d", Postulate.TIME_SENSITIVITY, instances=40, seed=3)
+    assert result.violations
+    assert result.violations[0].outcome is Outcome.VIOLATED

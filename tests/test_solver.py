@@ -783,13 +783,16 @@ def test_a_kept_pass_meets_every_budget_like_a_fresh_one(seed):
 def test_a_shared_pass_is_charged_like_a_pass_run_afresh(monkeypatch, seed):
     kb = pass_kb(seed)
     work = PASS_REFUSALS[seed][0]
-    shared = {}
-    vectors = root_vectors(kb, budget=Budget(DEFAULT_NODE_BUDGET, shared))
+    owner = Budget(DEFAULT_NODE_BUDGET)
+    vectors = root_vectors(kb, budget=owner)
 
     def read(total, spent, table):
         """The vectors and spent units of an account that has spent some
-        units and reads the pass twice, or None if it raises."""
-        account = Budget(total, table)
+        units, finds the passes of ``table`` if one is given, and reads
+        the pass twice, or None if it raises."""
+        account = Budget(total)
+        if table is not None:
+            account.shared = table
         account.spent = spent
         try:
             root_vectors(kb, budget=account)
@@ -811,7 +814,7 @@ def test_a_shared_pass_is_charged_like_a_pass_run_afresh(monkeypatch, seed):
     # An account that finds the pass in its table is charged the same,
     # and raises at the same budgets, as one that runs it.
     monkeypatch.setattr(ltlim.solver, "_root_pass", no_pass)
-    assert [read(total, spent, shared) for total, spent in cases] == afresh
+    assert [read(total, spent, owner.shared) for total, spent in cases] == afresh
 
 
 def reference_minimize(
