@@ -35,7 +35,6 @@ from .formula import (
     KnowledgeBase,
     format_kb_text,
     load_kb,
-    render_formula,
     render_length,
 )
 from .measures import (
@@ -102,7 +101,7 @@ def _kb_echo(command: str, source: str | None, kb: KnowledgeBase) -> dict:
         "input": source,
         "m": kb.trace_length_m,
         "g_mode": kb.g_mode.value,
-        "formulas": [render_formula(f) for f in kb.formulas],
+        "formulas": list(kb.rendered.values()),
         "ground_cells": [[s, a] for s, a in sorted(kb.ground_cells)],
     }
 
@@ -188,8 +187,7 @@ def _measure_text(source: str, kb: KnowledgeBase, run: MeasureRun, args) -> list
     if kb.ground_cells:
         ground = ", ".join(f"(t{s}, {a})" for s, a in sorted(kb.ground_cells))
         lines.append(f"ground cells (pinned two-valued): {ground}")
-    for i, f in enumerate(kb.formulas, start=1):
-        lines.append(f"  {i}. {render_formula(f)}")
+    lines += [f"  {i}. {text}" for i, text in enumerate(kb.rendered.values(), start=1)]
     if not kb.formulas:
         lines.append("  (empty base)")
     lines.append("measures:")
@@ -248,16 +246,13 @@ def _cmd_declare(args) -> int:
 
     payload = _kb_echo("declare", args.input, kb)
     payload["constraints"] = [str(c) for c in model.constraints]
-    payload["translation"] = [
-        {"constraint": str(c), "formula": render_formula(f)}
-        for c, f in translation_pairs(model)
-    ]
+    pairs = [(str(c), kb.rendered[f]) for c, f in translation_pairs(model)]
+    payload["translation"] = [{"constraint": c, "formula": text} for c, text in pairs]
     payload["emitted"] = str(emit_path)
     payload |= _run_fields(run, args)
 
     lines = [f"constraint model: {args.input} ({len(model.constraints)} constraints)"]
-    for c, f in translation_pairs(model):
-        lines.append(f"  {str(c):<28} -> {render_formula(f)}")
+    lines += [f"  {c:<28} -> {text}" for c, text in pairs]
     lines.append(f"translated base written to {emit_path}")
     if kb.ground_cells:
         lines.append(

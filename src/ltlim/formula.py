@@ -7,6 +7,10 @@ false, negation, conjunction, disjunction, next, and a strictly
 future-looking until.  Eventually (F), always (G), and implication are
 abbreviations over the core connectives.
 
+There is one object per formula: building a node returns the live one
+with the same class and fields (hash-consing; Filliatre & Conchon, 2006),
+so equality and hashing are object identity and never walk a formula.
+
 One connective table (class and symbol) serves the tokenizer, the
 precedence-climbing parser, the renderer and the opcodes of the node
 table.  One iterative post-order walk, which visits each distinct
@@ -31,7 +35,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Union
@@ -77,8 +83,32 @@ class GMode(enum.Enum):
     REFLEXIVE = "reflexive"
 
 
-class Formula:
-    """Base class for AST nodes.  Instances are immutable and hashable.
+# The live formula nodes by class and fields, and the lock under which
+# each is looked up and made, so that two threads make one node.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
+
+
+class _Interned(type):
+    """The type of the formula classes: frozen dataclasses whose nodes
+    are made once, so a node's key hashes its children by identity."""
+
+    def __init__(cls, *args):
+        super().__init__(*args)
+        dataclass(frozen=True, eq=False, repr=False)(cls)
+
+    def __call__(cls, *args):
+        key = (cls, *args)
+        with _NODES_LOCK:
+            node = _NODES.get(key)
+            if node is None:
+                node = _NODES[key] = super().__call__(*args)
+        return node
+
+
+class Formula(metaclass=_Interned):
+    """Base class for AST nodes.  There is one object per formula, so
+    equality and hashing are identity, and copies and pickles return it.
 
     The operators ``~``, ``&`` and ``|`` are overloaded as negation,
     conjunction and disjunction so tests can build formulas tersely.
@@ -96,82 +126,53 @@ class Formula:
     def __repr__(self) -> str:
         return render_formula(self)
 
-
-def _hash_once(cls: type) -> type:
-    """Keep the hash the dataclass generates for each instance once it is
-    computed, so that a shared operand is hashed once, not at every
-    occurrence, and a base's formulas are hashed once per base."""
-    field_hash = cls.__hash__
-
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = self.__dict__["_hash"] = field_hash(self)
-        return cached
-
-    cls.__hash__ = __hash__
-    return cls
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, field.name) for field in fields(self))
 
 
-def _node(cls: type) -> type:
-    """A frozen dataclass formula node, its hash kept by :func:`_hash_once`."""
-    return _hash_once(dataclass(frozen=True, repr=False)(cls))
-
-
-@_node
 class TrueConst(Formula):
     pass
 
 
-@_node
 class FalseConst(Formula):
     pass
 
 
-@_node
 class Atom(Formula):
     name: str
 
 
-@_node
 class Not(Formula):
     operand: Formula
 
 
-@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@_node
 class Next(Formula):
     operand: Formula
 
 
-@_node
 class Finally(Formula):
     operand: Formula
 
 
-@_node
 class Globally(Formula):
     operand: Formula
 
 
-@_node
 class Until(Formula):
     left: Formula
     right: Formula
@@ -453,7 +454,6 @@ def _compile(
 GroundCell = tuple[int, str]
 
 
-@_hash_once
 @dataclass(frozen=True)
 class KnowledgeBase:
     """An ordered, duplicate-free set of formulas plus trace parameters.
@@ -530,6 +530,11 @@ class KnowledgeBase:
         names = {node.name for node in self._subformulas if type(node) is Atom}
         names.update(atom for _, atom in self.ground_cells)
         return tuple(sorted(names))
+
+    @cached_property
+    def rendered(self) -> dict[Formula, str]:
+        """Each formula's :func:`render_formula` text, rendered once."""
+        return {formula: render_formula(formula) for formula in self.formulas}
 
     @cached_property
     def table(self) -> tuple[list[_Node], list[int]]:
@@ -668,5 +673,5 @@ def format_kb_text(kb: KnowledgeBase) -> str:
     if kb.ground_cells:
         cells = ", ".join(f"(t_{s}, {a})" for s, a in sorted(kb.ground_cells))
         lines.append(f"# ground cells (not restored on reload): {cells}")
-    lines.extend(render_formula(f) for f in kb.formulas)
+    lines.extend(kb.rendered.values())
     return "\n".join(lines) + "\n"

@@ -171,23 +171,45 @@ def test_parse_errors_exit_with_code_two(capsys, data_dir):
     assert "line 2" in err
 
 
+_RENDER_CAP_ERROR = "declare writes at most 134217728"
+
+
 @pytest.mark.parametrize(
-    "command,name,text",
+    "command,name,text,message",
     [
-        ("measure", "deep.ltlkb", "m = 3\n" + "!" * 3000 + " a\n"),
-        ("declare", "deep.decl", "activities: a\nAtLeast(a, 400)\n"),
+        ("measure", "deep.ltlkb", "m = 3\n" + "!" * 3000 + " a\n", "nested too deeply"),
+        ("measure", "paren.ltlkb", "m = 3\n" + "(" * 3000 + "a" + ")" * 3000 + "\n",
+         "nested too deeply"),
+        # The translation is built without recursion, and it renders to
+        # more characters than the cap.
+        ("declare", "deep.decl", "activities: a\nAtLeast(a, 400)\n", _RENDER_CAP_ERROR),
     ],
-    ids=["nested-negation", "counted-template"],
+    ids=["nested-negation", "nested-parentheses", "counted-template"],
 )
 def test_deeply_nested_input_exits_with_code_two(
-    capsys, monkeypatch, tmp_path, command, name, text
+    capsys, monkeypatch, tmp_path, command, name, text, message
 ):
     (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, [command, name, "--m", "3"])
     assert code == 2
-    assert "nested too deeply" in err
+    assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("measure_id", ["d", "MI"])
+def test_measures_without_witnesses_answer_on_deeply_nested_negation(
+    capsys, tmp_path, measure_id
+):
+    # Parsing, hashing and compiling 3000 nested ! need no recursion, and
+    # d and MI read the pass alone, with no witness to re-verify.
+    base = tmp_path / "deep.ltlkb"
+    base.write_text("m = 3\n" + "!" * 3000 + " a\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, ["measure", str(base), "--measure", measure_id, "--format", "json"]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["measures"] == {measure_id: 0}
 
 
 def test_a_translation_too_long_to_render_exits_with_code_two(capsys, tmp_path):
@@ -200,6 +222,20 @@ def test_a_translation_too_long_to_render_exits_with_code_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: the translated base renders to {20 * 2**40 - 29} characters")
+    assert "Traceback" not in err
+    assert not emitted.exists()
+
+
+def test_a_counted_template_on_two_lines_reaches_the_render_cap(capsys, tmp_path):
+    # The two lines translate to one formula, which the base keeps once:
+    # deduplicating it compares two nodes, not 2^40 occurrences.
+    model = tmp_path / "counted.decl"
+    model.write_text("activities: a\nAtLeast(a, 40)\nAtLeast(a, 40)\n", encoding="utf-8")
+    emitted = tmp_path / "counted.ltlkb"
+    code, out, err = run_cli(capsys, ["declare", str(model), "--m", "3", "--emit", str(emitted)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: the translated base renders to {20 * 2**40 - 29} characters")
+    assert _RENDER_CAP_ERROR in err
     assert "Traceback" not in err
     assert not emitted.exists()
 

@@ -1,6 +1,10 @@
+import copy
 import itertools
+import pickle
 import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -301,17 +305,32 @@ def test_kb_deduplicates_preserving_order():
 
 def test_a_formula_hashes_each_shared_operand_once():
     # Each level of AtLeast shares one operand between both branches of
-    # a disjunction, so a hash walked per occurrence doubles per level.
+    # a disjunction, so a hash or comparison walked per occurrence
+    # doubles per level.  Building a formula returns the live node equal
+    # to it, so two built apart are one object and hash by identity.
     start = time.perf_counter()
-    kb = KnowledgeBase((_at_least(a, 24),), 3)
+    first, second = _at_least(a, 40), _at_least(a, 40)
+    kb = KnowledgeBase((first, second), 3)
     assert time.perf_counter() - start < 0.1
-    assert hash(kb.formulas[0]) == hash(_at_least(a, 24))
-    # Equal formulas built apart compare equal and hash as the dataclass
-    # would, by the tuple of their fields.
-    first, second = _at_least(a, 3), _at_least(a, 3)
-    assert first is not second and first == second
-    assert hash(first) == hash(second) == hash((first.left, first.right))
-    assert hash(a) == hash(("a",)) and hash(TRUE) == hash(())
+    assert first is second and kb.formulas == (first,)
+    assert parse_formula("a & (X b)") is And(Atom("a"), Next(b))
+    for node in (first, a, TRUE, FALSE):
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+
+
+def test_threads_that_build_one_formula_get_one_node():
+    # A node is looked up and made under one lock, so threads racing to
+    # build the same formula still share one object.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            built = list(pool.map(lambda i: _at_least(Atom(f"race{i // 8}"), 30), range(256)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(node is built[i // 8 * 8] for i, node in enumerate(built))
 
 
 def test_kb_atoms_sorted():
